@@ -39,12 +39,14 @@ let solve ?(lambda = 1e-4) ?(use_positivity = true) kernel ~measurements ?sigmas
   let g_lin = Vec.scale (-2.0) (Mat.tmv a (Vec.mul weights measurements)) in
   let profile =
     if use_positivity then begin
-      let solution =
+      match
         Optimize.Qp.solve
           { Optimize.Qp.h; g = g_lin; c_eq = None; d_eq = None;
             a_ineq = Some (Mat.identity n_phi); b_ineq = Some (Vec.zeros n_phi) }
-      in
-      solution.Optimize.Qp.x
+      with
+      | { Optimize.Qp.status = Optimize.Qp.Converged; x; _ } -> x
+      | { Optimize.Qp.status = Optimize.Qp.Stalled; iterations; _ } ->
+        Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations })
     end
     else Optimize.Qp.unconstrained h g_lin
   in

@@ -30,4 +30,5 @@ val solve :
   estimate
 (** Default λ = 1e-4 and positivity on. The QP has one unknown per phase
     bin (e.g. 201), solved with the same interior-point machinery as the
-    spline estimator. *)
+    spline estimator; a QP that stalls at its iteration cap raises
+    {!Robust.Error.Error} [(Qp_stalled _)]. *)

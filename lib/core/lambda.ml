@@ -2,7 +2,10 @@ open Numerics
 
 type curve_point = { lambda : float; score : float }
 
-let default_grid = lazy (Optimize.Cross_validation.log_lambda_grid ~lo:(-7.0) ~hi:2.0 ~count:25)
+(* A plain value built at module initialisation, so batch genes on
+   different domains never race to force a deferred value (OCaml 5 raises
+   [Undefined] in the loser of such a race). *)
+let default_grid = Optimize.Cross_validation.log_lambda_grid ~lo:(-7.0) ~hi:2.0 ~count:25
 
 (* Robust GCV (Cummins, Filloon & Nychka): inflate the effective degrees of
    freedom by gamma in the denominator. Plain GCV (gamma = 1) is known to
@@ -33,15 +36,25 @@ let guarded_score lambda score_of =
       Obs.Span.set_float sp "score" score;
       score)
 
-let fail_if_all_non_finite ~selector best_score =
-  if not (Float.is_finite best_score) then
-    Robust.Error.raise_error
-      (Robust.Error.Non_finite { stage = "lambda selection (" ^ selector ^ ")" })
+let selection_failed ~selector =
+  Robust.Error.raise_error
+    (Robust.Error.Non_finite { stage = "lambda selection (" ^ selector ^ ")" })
 
-(* Sequential sweep for the spectral fast path: each candidate costs O(n),
-   far below the pool's dispatch overhead, so fanning out would only slow
-   it down. Argmin semantics match Cross_validation.select exactly (strict
-   <, index order, so the first of tied winners is chosen). *)
+let fail_if_all_non_finite ~selector best_score =
+  if not (Float.is_finite best_score) then selection_failed ~selector
+
+(* The spectral factorization is the only route to the candidate scores:
+   when even the anchored Gram side cannot be factored, no candidate can
+   be scored, which is reported right here as the selector's typed
+   error. *)
+let spectral ~selector ?cache problem =
+  match Problem.spectral ?cache problem with
+  | r -> r
+  | exception Linalg.Singular _ -> selection_failed ~selector
+
+(* Sequential sweep: each candidate costs O(n), far below the pool's
+   dispatch overhead, so fanning out would only slow it down. The argmin
+   is strict < in index order, so the first of tied winners is chosen. *)
 let sweep ~lambdas ~score_of =
   assert (Array.length lambdas > 0);
   let curve =
@@ -51,136 +64,45 @@ let sweep ~lambdas ~score_of =
   Array.iter (fun p -> if p.score < !best.score then best := p) curve;
   (!best, curve)
 
-(* One Demmler–Reinsch factorization of the problem's penalized system
-   (through [cache] when the caller shares one across genes/replicates)
-   plus the data's spectral coordinates. Raises Linalg.Singular when even
-   the anchored Gram side cannot be factored; selectors then fall back to
-   the direct per-candidate path. *)
-let spectral_projection ?cache problem =
-  let a = Problem.design problem in
-  let w = Problem.weights problem in
-  let omega = Problem.penalty problem in
-  let fact = Optimize.Spectral.factorize_problem ?cache ~a ~weights:w ~penalty:omega () in
-  let proj =
-    Optimize.Spectral.project_data fact ~a ~weights:w ~b:problem.Problem.measurements
-  in
-  (fact, proj)
-
 let gcv_score ~n ~rss ~edf =
   let denom = n -. (robust_gamma *. edf) in
   if denom <= 0.0 then Float.infinity else n *. rss /. (denom *. denom)
 
-(* Direct reference path: one Ridge solve (Cholesky + per-row edf) per
-   candidate. Kept verbatim as the fallback when the spectral factorization
-   fails, and as the equivalence oracle for the fast path's tests. *)
-let gcv_direct problem ~lambdas =
-  let a = Problem.design problem in
-  let w = Problem.weights problem in
-  let omega = Problem.penalty problem in
-  let n = float_of_int (Problem.num_measurements problem) in
-  (* The Singular catch sits inside [score_of] itself (not only in
-     [guarded_score]'s wrapper) so the failure is handled at the raise's
-     nearest boundary — a singular candidate scores as infinitely bad. *)
-  let score_of lambda =
-    match
-      Optimize.Ridge.solve ~a ~b:problem.Problem.measurements ~weights:w ~penalty:omega
-        ~lambda ()
-    with
-    | exception Linalg.Singular _ -> Float.infinity
-    | fit -> gcv_score ~n ~rss:fit.Optimize.Ridge.rss ~edf:fit.Optimize.Ridge.edf
-  in
-  let best, curve =
-    Optimize.Cross_validation.select ~lambdas ~fit_and_score:(fun lambda ->
-        ((), guarded_score lambda score_of))
-  in
-  fail_if_all_non_finite ~selector:"GCV" best.Optimize.Cross_validation.score;
-  ( best.Optimize.Cross_validation.lambda,
-    Array.map
-      (fun (s : unit Optimize.Cross_validation.score) ->
-        { lambda = s.Optimize.Cross_validation.lambda; score = s.Optimize.Cross_validation.score })
-      curve )
-
 let gcv ?cache problem ~lambdas =
-  match spectral_projection ?cache problem with
-  | exception Linalg.Singular _ -> gcv_direct problem ~lambdas
-  | fact, proj ->
-    let n = float_of_int (Problem.num_measurements problem) in
-    (* As in [gcv_direct]: the Singular catch sits inside [score_of] itself,
-       at the raise's nearest boundary — a candidate whose shifted system is
-       singular scores as infinitely bad. *)
-    let score_of lambda =
-      match Optimize.Spectral.evaluate fact proj ~lambda with
-      | exception Linalg.Singular _ -> Float.infinity
-      | s -> gcv_score ~n ~rss:s.Optimize.Spectral.rss ~edf:s.Optimize.Spectral.edf
-    in
-    let best, curve = sweep ~lambdas ~score_of in
-    fail_if_all_non_finite ~selector:"GCV" best.score;
-    (best.lambda, curve)
+  let fact, proj = spectral ~selector:"GCV" ?cache problem in
+  let n = float_of_int (Problem.num_measurements problem) in
+  (* The Singular catch sits inside [score_of] itself, at the raise's
+     nearest boundary — a candidate whose shifted system is singular
+     scores as infinitely bad. *)
+  let score_of lambda =
+    match Optimize.Spectral.evaluate fact proj ~lambda with
+    | exception Linalg.Singular _ -> Float.infinity
+    | s -> gcv_score ~n ~rss:s.Optimize.Spectral.rss ~edf:s.Optimize.Spectral.edf
+  in
+  let best, curve = sweep ~lambdas ~score_of in
+  fail_if_all_non_finite ~selector:"GCV" best.score;
+  (best.lambda, curve)
 
 let submatrix (a : Mat.t) rows =
   Mat.init (Array.length rows) a.Mat.cols (fun i j -> Mat.get a rows.(i) j)
 
 let subvec rows v = Array.map (fun i -> v.(i)) rows
 
-let kfold_direct problem ~fold_master ~k ~lambdas =
+(* k-fold: the folds are fixed across the sweep, so each training
+   subsystem gets exactly one anchored factorization, reused by every λ —
+   candidates then cost one O(n²) spectral solution plus the held-out
+   prediction error per fold. Training Gram matrices are structurally
+   rank-deficient here (a fold's training set is smaller than the basis),
+   which is precisely what the anchored factorization exists for. *)
+let kfold problem ~rng ~k ~lambdas =
   let a = Problem.design problem in
   let w = Problem.weights problem in
   let omega = Problem.penalty problem in
   let b = problem.Problem.measurements in
   let n = Array.length b in
-  let submatrix = submatrix a in
-  (* As in [gcv]: a fold whose normal matrix is singular scores the
-     candidate as infinitely bad, handled right here at the boundary. *)
-  let score_of lambda =
-    let fold_rng = Rng.copy fold_master in
-    match
-      Optimize.Cross_validation.kfold_score ~rng:fold_rng ~k ~n
-        ~fit_on:(fun ~train lambda ->
-          Optimize.Ridge.solve ~a:(submatrix train) ~b:(subvec train b)
-            ~weights:(subvec train w) ~penalty:omega ~lambda ())
-        ~predict_error:(fun fit ~test ->
-          let acc = ref 0.0 in
-          Array.iter
-            (fun m ->
-              let predicted = Vec.dot (Mat.row a m) fit.Optimize.Ridge.x in
-              let r = b.(m) -. predicted in
-              acc := !acc +. (w.(m) *. r *. r))
-            test;
-          !acc /. float_of_int (Array.length test))
-        lambda
-    with
-    | score -> score
-    | exception Linalg.Singular _ -> Float.infinity
-  in
-  let best, curve =
-    Optimize.Cross_validation.select ~lambdas ~fit_and_score:(fun lambda ->
-        ((), guarded_score lambda score_of))
-  in
-  fail_if_all_non_finite ~selector:"k-fold CV" best.Optimize.Cross_validation.score;
-  ( best.Optimize.Cross_validation.lambda,
-    Array.map
-      (fun (s : unit Optimize.Cross_validation.score) ->
-        { lambda = s.Optimize.Cross_validation.lambda; score = s.Optimize.Cross_validation.score })
-      curve )
-
-(* Spectral k-fold: the folds are fixed across the sweep (every candidate
-   copies the same master), so each training subsystem gets exactly one
-   anchored factorization, reused by every λ — candidates then cost one
-   O(n²) spectral solution plus the held-out prediction error per fold.
-   Training Gram matrices are structurally rank-deficient here (a fold's
-   training set is smaller than the basis), which is precisely what the
-   anchored factorization exists for. *)
-let kfold_spectral problem ~fold_master ~k ~lambdas =
-  let a = Problem.design problem in
-  let w = Problem.weights problem in
-  let omega = Problem.penalty problem in
-  let b = problem.Problem.measurements in
-  let n = Array.length b in
-  (* Same derivation as each direct candidate's: copy the master, draw the
-     fold assignment once — bit-identical folds to the fallback path. *)
-  let folds =
-    Optimize.Cross_validation.kfold_indices (Rng.copy fold_master) ~n ~k
-  in
+  (* One [split] of the caller's stream fixes the fold assignment for the
+     whole sweep, so every λ sees the same folds. *)
+  let folds = Optimize.Cross_validation.kfold_indices (Rng.split rng) ~n ~k in
   let per_fold =
     Array.map
       (fun test ->
@@ -191,8 +113,14 @@ let kfold_spectral problem ~fold_master ~k ~lambdas =
         in
         let a_train = submatrix a train in
         let w_train = subvec train w in
+        (* As in [spectral]: an unfactorable fold is the selector's typed
+           error, raised at the factorization. *)
         let fact =
-          Optimize.Spectral.factorize_problem ~a:a_train ~weights:w_train ~penalty:omega ()
+          match
+            Optimize.Spectral.factorize_problem ~a:a_train ~weights:w_train ~penalty:omega ()
+          with
+          | fact -> fact
+          | exception Linalg.Singular _ -> selection_failed ~selector:"k-fold CV"
         in
         let proj =
           Optimize.Spectral.project_data fact ~a:a_train ~weights:w_train ~b:(subvec train b)
@@ -200,9 +128,8 @@ let kfold_spectral problem ~fold_master ~k ~lambdas =
         (fact, proj, test))
       folds
   in
-  (* Singular handled at the nearest boundary, as in [kfold_direct]: a fold
-     whose shifted system degenerates scores the candidate as infinitely
-     bad. *)
+  (* Singular handled at the nearest boundary: a fold whose shifted system
+     degenerates scores the candidate as infinitely bad. *)
   let score_of lambda =
     match
       let total = ref 0.0 in
@@ -227,23 +154,10 @@ let kfold_spectral problem ~fold_master ~k ~lambdas =
   fail_if_all_non_finite ~selector:"k-fold CV" best.score;
   (best.lambda, curve)
 
-let kfold problem ~rng ~k ~lambdas =
-  (* One fold master for the whole sweep so every λ sees the same folds.
-     [split] (not a truncated raw draw) keeps the derivation well-defined,
-     and each candidate scores against a private [copy] — the master is
-     never mutated during the sweep, so the fast path and the fallback
-     derive identical folds from it. *)
-  let fold_master = Rng.split rng in
-  match kfold_spectral problem ~fold_master ~k ~lambdas with
-  | result -> result
-  | exception Linalg.Singular _ -> kfold_direct problem ~fold_master ~k ~lambdas
-
-(* L-curve corner search over precomputed (log misfit, log roughness)
-   points — shared by the spectral fast path and the direct fallback. *)
+(* L-curve corner search over the (log misfit, log roughness) points. *)
 let lcurve_corner ~lambdas points =
   let n_l = Array.length lambdas in
-  if not (Array.exists Option.is_some points) then
-    Robust.Error.raise_error (Robust.Error.Non_finite { stage = "lambda selection (L-curve)" });
+  if not (Array.exists Option.is_some points) then selection_failed ~selector:"L-curve";
   (* Discrete curvature via the circumscribed-circle formula on successive
      triples. Where the curve saturates (λ → 0 or λ → ∞) consecutive points
      nearly coincide and the circumradius collapses, faking a huge
@@ -273,53 +187,30 @@ let lcurve_corner ~lambdas points =
 
 (* L-curve: evaluate misfit/roughness along the grid and find the corner —
    the point of maximum discrete curvature of
-   (log misfit(λ), log roughness(λ)) (Hansen). The spectral path reads both
-   coordinates off the factorization in O(n) per candidate without ever
-   forming a solution; the fallback solves the unconstrained problem per
-   candidate, fanned out across the pool. Candidates whose evaluation fails
-   or yields non-finite coordinates are dropped (None): they take no part
-   in the curvature search, which runs on the index-ordered points and is
-   oblivious to execution order. *)
-let lcurve_points_spectral ?cache problem ~lambdas =
-  let fact, proj = spectral_projection ?cache problem in
-  Array.map
-    (fun lambda ->
-      Obs.Span.with_ "lambda.candidate" (fun sp ->
-          Obs.Span.set_float sp "lambda" lambda;
-          if not (usable_lambda lambda) then None
-          else
-            match Optimize.Spectral.evaluate fact proj ~lambda with
-            | exception Linalg.Singular _ -> None
-            | s ->
-              Obs.Span.set_float sp "misfit" s.Optimize.Spectral.rss;
-              Obs.Span.set_float sp "roughness" s.Optimize.Spectral.roughness;
-              let x = log (Float.max 1e-300 s.Optimize.Spectral.rss) in
-              let y = log (Float.max 1e-300 s.Optimize.Spectral.roughness) in
-              if Float.is_finite x && Float.is_finite y then Some (x, y) else None))
-    lambdas
-
-let lcurve_points_direct problem ~lambdas =
-  Parallel.parallel_map ~chunk:1 ~n:(Array.length lambdas) (fun i ->
-      let lambda = lambdas.(i) in
-      Obs.Span.with_ "lambda.candidate" (fun sp ->
-          Obs.Span.set_float sp "lambda" lambda;
-          if not (usable_lambda lambda) then None
-          else
-            match Solver.solve_unconstrained ~lambda problem with
-            | exception Linalg.Singular _ -> None
-            | est ->
-              Obs.Span.set_float sp "misfit" est.Solver.data_misfit;
-              Obs.Span.set_float sp "roughness" est.Solver.roughness;
-              let x = log (Float.max 1e-300 est.Solver.data_misfit) in
-              let y = log (Float.max 1e-300 est.Solver.roughness) in
-              if Float.is_finite x && Float.is_finite y then Some (x, y) else None))
-
+   (log misfit(λ), log roughness(λ)) (Hansen). Both coordinates are read
+   off the factorization in O(n) per candidate without ever forming a
+   solution. Candidates whose evaluation fails or yields non-finite
+   coordinates are dropped (None): they take no part in the curvature
+   search. *)
 let lcurve ?cache problem ~lambdas =
   assert (Array.length lambdas >= 3);
+  let fact, proj = spectral ~selector:"L-curve" ?cache problem in
   let points =
-    match lcurve_points_spectral ?cache problem ~lambdas with
-    | points -> points
-    | exception Linalg.Singular _ -> lcurve_points_direct problem ~lambdas
+    Array.map
+      (fun lambda ->
+        Obs.Span.with_ "lambda.candidate" (fun sp ->
+            Obs.Span.set_float sp "lambda" lambda;
+            if not (usable_lambda lambda) then None
+            else
+              match Optimize.Spectral.evaluate fact proj ~lambda with
+              | exception Linalg.Singular _ -> None
+              | s ->
+                Obs.Span.set_float sp "misfit" s.Optimize.Spectral.rss;
+                Obs.Span.set_float sp "roughness" s.Optimize.Spectral.roughness;
+                let x = log (Float.max 1e-300 s.Optimize.Spectral.rss) in
+                let y = log (Float.max 1e-300 s.Optimize.Spectral.roughness) in
+                if Float.is_finite x && Float.is_finite y then Some (x, y) else None))
+      lambdas
   in
   lcurve_corner ~lambdas points
 
@@ -330,7 +221,7 @@ let method_name = function
   | `Kfold _ -> "kfold"
 
 let select_with_curve problem ~method_ ?rng ?lambdas ?cache () =
-  let lambdas = match lambdas with Some l -> l | None -> Lazy.force default_grid in
+  let lambdas = match lambdas with Some l -> l | None -> default_grid in
   Obs.Span.with_ "lambda.select" (fun sp ->
       Obs.Span.set_str sp "method" (method_name method_);
       Obs.Span.set_int sp "candidates" (Array.length lambdas);

@@ -1,16 +1,19 @@
 (** Data-driven selection of the smoothing parameter λ of paper eq. 5
     ("λ ... may be selected via cross validation", citing Craven–Wahba).
 
-    All selectors run on a spectral fast path by default: one
-    Demmler–Reinsch factorization of the penalized system
-    ({!Optimize.Spectral}) turns every λ candidate's misfit, roughness and
+    Every selector runs on one spectral path: one Demmler–Reinsch
+    factorization of the penalized system ({!Problem.spectral},
+    {!Optimize.Spectral}) turns every λ candidate's misfit, roughness and
     edf into O(n) diagonal operations, so a k-candidate sweep costs about
-    one factorization instead of k Cholesky solves. When the factorization
-    fails ({!Numerics.Linalg.Singular} even with the anchored Gram side)
-    the selectors transparently fall back to the direct per-candidate
-    path; the two paths agree to rounding (the equivalence tests pin
-    ≤1e-8). Pass [cache] to reuse factorizations across solves that share
-    a kernel (batch genes, bootstrap replicates). *)
+    one factorization instead of k Cholesky solves; the scores agree with
+    a direct per-candidate solve to rounding (the equivalence tests pin
+    ≤1e-8). When the factorization fails ({!Numerics.Linalg.Singular}
+    even with the anchored Gram side) no candidate can be scored, and the
+    selector raises {!Robust.Error.Error} with
+    [Non_finite {stage = "lambda selection (...)"}] — the same error as
+    when every candidate scores non-finite. Pass [cache] to reuse
+    factorizations across solves that share a kernel (batch genes,
+    bootstrap replicates). *)
 
 open Numerics
 
@@ -30,11 +33,12 @@ val kfold :
 (** k-fold cross-validation: each fold refits on the remaining measurements
     (unconstrained, for speed and because constraints are
     data-independent) and scores weighted squared error on the held-out
-    measurements. On the fast path each fold's training subsystem is
-    factored exactly once (anchored — training Gram matrices are smaller
-    than the basis and hence rank-deficient) and reused by every
-    candidate. The fold assignment is derived identically on both paths,
-    so a fallback changes the arithmetic route, not the folds. *)
+    measurements. Each fold's training subsystem is factored exactly once
+    (anchored — training Gram matrices are smaller than the basis and
+    hence rank-deficient) and reused by every candidate; a fold that
+    cannot be factored ends the selection with the typed error. The fold
+    assignment comes from one [Rng.split] of [rng], so every candidate
+    sees the same folds. *)
 
 val lcurve :
   ?cache:Optimize.Spectral.Cache.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array

@@ -80,3 +80,9 @@ let weights t = Array.map (fun s -> 1.0 /. (s *. s)) t.sigmas
 let design t = t.design
 
 let penalty t = t.penalty
+
+let spectral ?cache t =
+  let a = design t in
+  let weights = weights t in
+  let fact = Optimize.Spectral.factorize_problem ?cache ~a ~weights ~penalty:(penalty t) () in
+  (fact, Optimize.Spectral.project_data fact ~a ~weights ~b:t.measurements)

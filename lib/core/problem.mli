@@ -56,3 +56,12 @@ val design : t -> Mat.t
 
 val penalty : t -> Mat.t
 (** Roughness penalty Ω for the basis. Precomputed by {!create}. *)
+
+val spectral :
+  ?cache:Optimize.Spectral.Cache.t -> t -> Optimize.Spectral.t * Optimize.Spectral.projection
+(** Demmler–Reinsch factorization of the penalized system (through [cache]
+    when given, so problems sharing a kernel pay for it once) plus the
+    measurements in its spectral coordinates — the input of every λ
+    candidate evaluation and of the QP's spectral warm start. Raises
+    {!Numerics.Linalg.Singular} when even the anchored Gram side cannot be
+    factored. *)

@@ -70,7 +70,7 @@ let finish problem lambda a w omega (alpha : Vec.t) iterations active =
    estimate so the cascade can distinguish "converged" from "gave up" and
    reuse the iterate + active set to warm-start the next retry. *)
 let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
-    ?(fail_on_stall = true) ~lambda problem =
+    ~lambda problem =
   Obs.Span.with_ "solver.constrained" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
       Obs.Span.set_float sp "ridge" ridge;
@@ -89,9 +89,7 @@ let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(m
         else (None, None)
       in
       let qp = { Optimize.Qp.h; g = g_lin; c_eq; d_eq; a_ineq; b_ineq } in
-      let solution =
-        Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter ~fail_on_stall qp
-      in
+      let solution = Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter qp in
       let est =
         finish problem lambda a w omega solution.Optimize.Qp.x solution.Optimize.Qp.iterations
           (List.length solution.Optimize.Qp.active)
@@ -104,70 +102,47 @@ let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(m
       (est, solution))
 
 (* Spectral warm-start hint for the constrained QP at λ: the unconstrained
-   minimizer read off the (cached) Demmler–Reinsch factorization. A failed
-   factorization just means a cold start — the hint is an optimization,
-   never a requirement. *)
-let spectral_warm_start ?cache problem ~lambda =
-  match
-    let a = Problem.design problem in
-    let w = Problem.weights problem in
-    let omega = Problem.penalty problem in
-    let fact = Optimize.Spectral.factorize_problem ?cache ~a ~weights:w ~penalty:omega () in
-    let proj =
-      Optimize.Spectral.project_data fact ~a ~weights:w ~b:problem.Problem.measurements
-    in
-    Optimize.Spectral.solution fact proj ~lambda
-  with
-  | x0 -> Some { Optimize.Qp.x0; active0 = [] }
-  | exception Linalg.Singular _ -> None
+   minimizer read off the Demmler–Reinsch factorization. Only a caller's
+   factorization cache opts into it — genes/replicates sharing one kernel
+   pay for the factorization once. A failed factorization just means a
+   cold start: the hint is an optimization, never a requirement. *)
+let spectral_warm_start cache problem ~lambda =
+  match cache with
+  | None -> None
+  | Some cache -> (
+    match
+      let fact, proj = Problem.spectral ~cache problem in
+      Optimize.Spectral.solution fact proj ~lambda
+    with
+    | x0 -> Some { Optimize.Qp.x0; active0 = [] }
+    | exception Linalg.Singular _ -> None)
 
 let solve ?budget ?(lambda = 1e-4) ?ridge ?cache problem =
   let on_iteration = Option.map Robust.Budget.on_iteration budget in
-  (* A caller-supplied factorization cache opts the solve into the spectral
-     warm start: genes/replicates sharing one kernel pay for the
-     factorization once and every subsequent QP starts from its own
-     unconstrained spectral solution. Without a cache the solve is the
-     cold-start path, unchanged. *)
-  let warm_start =
-    match cache with
-    | None -> None
-    | Some _ -> spectral_warm_start ?cache problem ~lambda
-  in
+  let warm_start = spectral_warm_start cache problem ~lambda in
   (* The boundary of the typed-error contract for the raw (non-cascade)
-     entry point: internal numeric exceptions become Robust.Error here, so
-     direct callers — Batch.solve_gene, Bootstrap.residual's replicate
-     re-solves — never see a bare Singular/Infeasible. *)
-  match fst (solve_constrained ?warm_start ?on_iteration ?ridge ~lambda problem) with
-  | est -> est
+     entry point: a singular system and a stalled QP become Robust.Error
+     here, so direct callers — Batch.solve_gene, Bootstrap.residual's
+     replicate re-solves — never see a bare Singular or a half-converged
+     iterate. *)
+  match solve_constrained ?warm_start ?on_iteration ?ridge ~lambda problem with
+  | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } -> est
+  | _, { Optimize.Qp.status = Optimize.Qp.Stalled; iterations; _ } ->
+    Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations })
   | exception Linalg.Singular _ ->
     Robust.Error.raise_error (Robust.Error.Ill_conditioned { cond = Float.infinity })
-  | exception Optimize.Qp.Infeasible _ ->
-    Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations = 0 })
 
-let solve_unconstrained ?(lambda = 1e-4) ?ridge ?spectral problem =
-  match (spectral, ridge) with
-  | Some (fact, proj), (None | Some 0.0) ->
-    (* Demmler–Reinsch fast path: the unconstrained minimizer is a diagonal
-       rescale in the factorization's basis. A ridge disqualifies it — the
-       ridge perturbs the Gram side the factorization was built on. *)
-    let a = Problem.design problem in
-    let w = Problem.weights problem in
-    let omega = Problem.penalty problem in
-    let alpha = Optimize.Spectral.solution fact proj ~lambda in
-    finish problem lambda a w omega alpha 0 0
-  | _ ->
-    let a, w, omega, h, g_lin = quadratic_pieces ?ridge problem lambda in
-    let alpha = Optimize.Qp.unconstrained h g_lin in
-    finish problem lambda a w omega alpha 0 0
+(* The one direct (Cholesky) path, and the only one that accepts a ridge:
+   the cascade's unconstrained stage and the naive baseline. *)
+let solve_unconstrained ?(lambda = 1e-4) ?ridge problem =
+  let a, w, omega, h, g_lin = quadratic_pieces ?ridge problem lambda in
+  finish problem lambda a w omega (Optimize.Qp.unconstrained h g_lin) 0 0
 
 let naive problem =
   (* λ chosen only to make the normal matrix invertible; relative to the
      data scale it is ~1e-12, so the fit is effectively unregularized. *)
   let scale = Float.max 1e-300 (Vec.norm_inf problem.Problem.measurements) in
-  let lambda = 1e-12 *. scale *. scale in
-  let a, w, omega, h, g_lin = quadratic_pieces problem lambda in
-  let alpha = Optimize.Qp.unconstrained h g_lin in
-  { (finish problem lambda a w omega alpha 0 0) with lambda = 0.0 }
+  { (solve_unconstrained ~lambda:(1e-12 *. scale *. scale) problem) with lambda = 0.0 }
 
 let profile_on problem estimate grid =
   Spline.Basis.combine_many problem.Problem.basis estimate.alpha grid
@@ -214,16 +189,15 @@ let repair_problem problem =
   let n = Array.length problem.Problem.measurements in
   let meas = Array.copy problem.Problem.measurements in
   let sig_ = Array.copy problem.Problem.sigmas in
-  let good_sigma s = Float.is_finite s && s > 0.0 in
   let replacement =
-    let good = List.filter good_sigma (Array.to_list sig_) in
+    let good = List.filter Robust.Validate.usable_sigma (Array.to_list sig_) in
     match List.sort Float.compare good with
     | [] -> 1.0
     | sorted -> List.nth sorted (List.length sorted / 2)
   in
   let floored = ref 0 and masked = ref 0 in
   for i = 0 to n - 1 do
-    if not (good_sigma sig_.(i)) then begin
+    if not (Robust.Validate.usable_sigma sig_.(i)) then begin
       sig_.(i) <- replacement;
       incr floored
     end;
@@ -282,16 +256,30 @@ let estimate_of_richardson_lucy problem lambda (rl : Richardson_lucy.result) =
     qp_iterations = rl.Richardson_lucy.iterations;
   }
 
+(* One rung of the degradation ladder. A rung carries its own λ, ridge,
+   degradation level and error mapping (inside [run]); the driver in
+   [solve_robust_validated] owns everything the rungs share. *)
+type rung = {
+  stage : Robust.Report.stage;
+  span_stage : string;  (* the attempt span's "stage" attribute *)
+  retry : int option;  (* span attribute of the constrained retries *)
+  rung_lambda : float;
+  ridge : float option;  (* None: the stage takes no ridge, reported as 0 *)
+  degradation : int;
+  non_finite : string;  (* Non_finite stage of a non-finite estimate *)
+  run : unit -> (estimate, Robust.Error.t * int) result;
+      (* the estimate, or the mapped error with the iterations spent *)
+}
+
 let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
   let attempts = ref [] in
   (* One budget covers the whole cascade: iterations spent by an attempt
      that failed still count against the later stages, and a blown budget
      (non-recoverable by construction) aborts the remaining stages. *)
   let on_iteration = Robust.Budget.on_iteration budget in
-  let aborted = ref false in
   (* Attempt durations are wall-clock via Obs.Clock (never Sys.time, which
      is processor time and stands still while the process waits). *)
-  let record ?(iters = 0) stage lam ridge t0 outcome =
+  let record ~iters stage lam ridge t0 outcome =
     attempts :=
       {
         Robust.Report.stage;
@@ -303,25 +291,13 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
       }
       :: !attempts
   in
-  (* Each cascade attempt is also a span on the observability stream, so a
-     trace shows the same story as the Robust.Report — stage, retry index,
-     regularization and outcome — with the QP spans nested inside. *)
-  let attempt_span stage_name body =
-    Obs.Span.with_ "solver.attempt" (fun sp ->
-        Obs.Span.set_str sp "stage" stage_name;
-        body sp)
-  in
-  let outcome_attr sp = function
-    | Ok () -> Obs.Span.set_str sp "outcome" "ok"
-    | Error e -> Obs.Span.set_str sp "outcome" (Robust.Error.to_string e)
-  in
   let problem', repairs =
     if policy.repair_inputs then repair_problem problem else (problem, [])
   in
   let t_validate = Obs.Clock.now () in
   match Problem.validate problem' with
   | Error e ->
-    record Robust.Report.Validation lambda 0.0 t_validate (Error e);
+    record ~iters:0 Robust.Report.Validation lambda 0.0 t_validate (Error e);
     Error e
   | Ok () ->
     let problem = problem' in
@@ -348,6 +324,10 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
       | Some c when c > policy.condition_limit -> policy.ridge_floor *. h_scale
       | _ -> 0.0
     in
+    (* What a singular factorization means to the QP and spline stages. *)
+    let ill_conditioned =
+      Robust.Error.Ill_conditioned { cond = Option.value condition ~default:Float.infinity }
+    in
     let report stage degradation =
       {
         Robust.Report.attempts = List.rev !attempts;
@@ -357,162 +337,151 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
         solved_by = stage;
       }
     in
-    let last_error = ref (Robust.Error.Non_finite { stage = "solver" }) in
-    let result = ref None in
-    (* Warm-start state for stage 1: seeded from the spectral unconstrained
-       solution when a factorization cache is in play, then replaced by the
-       previous attempt's iterate + active set across the escalation
-       retries (neighboring λ share their active faces). *)
-    let warm =
-      ref (match cache with None -> None | Some _ -> spectral_warm_start ?cache problem ~lambda)
-    in
+    (* Warm-start state of the constrained rungs: seeded from the spectral
+       unconstrained solution when a factorization cache is in play, then
+       replaced by a stalled attempt's iterate + active set for the next
+       escalation retry (neighboring λ share their active faces). *)
+    let warm = ref (spectral_warm_start cache problem ~lambda) in
     (* Stage 1: constrained QP with bounded retry — escalating λ boost and
        ridge floor over the regularization strength. *)
-    let k = ref 0 in
-    while !result = None && (not !aborted) && !k <= policy.max_retries do
-      let lam = lambda *. (policy.lambda_boost ** float_of_int !k) in
+    let constrained k =
+      let lam = lambda *. (policy.lambda_boost ** float_of_int k) in
       let ridge =
-        if !k = 0 then precondition_ridge
+        if k = 0 then precondition_ridge
         else
           Float.max precondition_ridge (policy.ridge_floor *. h_scale)
-          *. (policy.ridge_growth ** float_of_int (!k - 1))
+          *. (policy.ridge_growth ** float_of_int (k - 1))
       in
-      attempt_span "constrained_qp" (fun sp ->
-          Obs.Span.set_int sp "retry" !k;
-          Obs.Span.set_float sp "lambda" lam;
-          Obs.Span.set_float sp "ridge" ridge;
-          let record ?iters stage l r t0 outcome =
-            outcome_attr sp outcome;
-            record ?iters stage l r t0 outcome
-          in
-          let t0 = Obs.Clock.now () in
-          match
-            solve_constrained ?warm_start:!warm ~on_iteration ~ridge ~tol:policy.qp_tol
-              ~max_iter:policy.qp_max_iter ~fail_on_stall:false ~lambda:lam problem
-          with
-      | exception Robust.Error.Error e ->
-        record Robust.Report.Constrained_qp lam ridge t0 (Error e);
-        last_error := e;
-        if not (Robust.Error.recoverable e) then aborted := true
-      | exception Linalg.Singular _ ->
-        let e =
-          Robust.Error.Ill_conditioned
-            { cond = Option.value condition ~default:Float.infinity }
-        in
-        record Robust.Report.Constrained_qp lam ridge t0 (Error e);
-        last_error := e
-      | exception Optimize.Qp.Infeasible _ ->
-        let e = Robust.Error.Qp_stalled { iterations = policy.qp_max_iter } in
-        record ~iters:policy.qp_max_iter Robust.Report.Constrained_qp lam ridge t0 (Error e);
-        last_error := e
-      | est, ({ Optimize.Qp.status = Optimize.Qp.Stalled; _ } as sol) ->
-        (* The stalled iterate is still the best point seen at this λ —
-           reuse it (and its active set) to start the boosted retry. *)
-        if finite_vec sol.Optimize.Qp.x then
-          warm := Some { Optimize.Qp.x0 = sol.Optimize.Qp.x; active0 = sol.Optimize.Qp.active };
-        let e = Robust.Error.Qp_stalled { iterations = est.qp_iterations } in
-        record ~iters:est.qp_iterations Robust.Report.Constrained_qp lam ridge t0 (Error e);
-        last_error := e
-      | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } ->
-        if finite_estimate est then begin
-          record ~iters:est.qp_iterations Robust.Report.Constrained_qp lam ridge t0 (Ok ());
-          let degradation =
-            if !k = 0 && (not repaired) && Float.equal precondition_ridge 0.0 then 0
-            else 1
-          in
-          result := Some (est, report Robust.Report.Constrained_qp degradation)
-        end
-        else begin
-          let e = Robust.Error.Non_finite { stage = "constrained QP solution" } in
-          record ~iters:est.qp_iterations Robust.Report.Constrained_qp lam ridge t0 (Error e);
-          last_error := e
-        end);
-      incr k
-    done;
+      {
+        stage = Robust.Report.Constrained_qp;
+        span_stage = "constrained_qp";
+        retry = Some k;
+        rung_lambda = lam;
+        ridge = Some ridge;
+        degradation =
+          (if k = 0 && (not repaired) && Float.equal precondition_ridge 0.0 then 0 else 1);
+        non_finite = "constrained QP solution";
+        run =
+          (fun () ->
+            match
+              solve_constrained ?warm_start:!warm ~on_iteration ~ridge ~tol:policy.qp_tol
+                ~max_iter:policy.qp_max_iter ~lambda:lam problem
+            with
+            | exception Linalg.Singular _ -> Error (ill_conditioned, 0)
+            | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } -> Ok est
+            | est, ({ Optimize.Qp.status = Optimize.Qp.Stalled; _ } as sol) ->
+              (* The stalled iterate is still the best point seen at this
+                 λ — reuse it (and its active set) to start the boosted
+                 retry. *)
+              if finite_vec sol.Optimize.Qp.x then
+                warm :=
+                  Some { Optimize.Qp.x0 = sol.Optimize.Qp.x; active0 = sol.Optimize.Qp.active };
+              let iterations = est.qp_iterations in
+              Error (Robust.Error.Qp_stalled { iterations }, iterations));
+      }
+    in
     (* Stage 2: unconstrained smoothing spline at the most-boosted
        regularization. *)
-    if !result = None && (not !aborted) && policy.enable_unconstrained then begin
+    let unconstrained =
       let lam = lambda *. (policy.lambda_boost ** float_of_int policy.max_retries) in
       let ridge =
         Float.max precondition_ridge
           (policy.ridge_floor *. h_scale
           *. (policy.ridge_growth ** float_of_int (Stdlib.max 0 (policy.max_retries - 1))))
       in
-      attempt_span "unconstrained" (fun sp ->
-          Obs.Span.set_float sp "lambda" lam;
-          Obs.Span.set_float sp "ridge" ridge;
-          let record ?iters stage l r t0 outcome =
-            outcome_attr sp outcome;
-            record ?iters stage l r t0 outcome
-          in
-          let t0 = Obs.Clock.now () in
-          match
-            Robust.Budget.check budget;
-            solve_unconstrained ~lambda:lam ~ridge problem
-          with
-          | exception Robust.Error.Error e ->
-            record Robust.Report.Unconstrained lam ridge t0 (Error e);
-            last_error := e;
-            if not (Robust.Error.recoverable e) then aborted := true
-          | exception Linalg.Singular _ ->
-        let e =
-          Robust.Error.Ill_conditioned
-            { cond = Option.value condition ~default:Float.infinity }
-        in
-        record Robust.Report.Unconstrained lam ridge t0 (Error e);
-        last_error := e
-      | est ->
-        if finite_estimate est then begin
-          record ~iters:est.qp_iterations Robust.Report.Unconstrained lam ridge t0 (Ok ());
-          result := Some (est, report Robust.Report.Unconstrained 2)
-        end
-        else begin
-          let e = Robust.Error.Non_finite { stage = "unconstrained solution" } in
-          record Robust.Report.Unconstrained lam ridge t0 (Error e);
-          last_error := e
-        end)
-    end;
+      {
+        stage = Robust.Report.Unconstrained;
+        span_stage = "unconstrained";
+        retry = None;
+        rung_lambda = lam;
+        ridge = Some ridge;
+        degradation = 2;
+        non_finite = "unconstrained solution";
+        run =
+          (fun () ->
+            match
+              Robust.Budget.check budget;
+              solve_unconstrained ~lambda:lam ~ridge problem
+            with
+            | est -> Ok est
+            | exception Linalg.Singular _ -> Error (ill_conditioned, 0));
+      }
+    in
     (* Stage 3: Richardson–Lucy on the raw grid — positivity-preserving and
        factorization-free, the fallback of last resort. *)
-    if !result = None && (not !aborted) && policy.enable_richardson_lucy then begin
-      attempt_span "richardson_lucy" (fun sp ->
-          Obs.Span.set_float sp "lambda" lambda;
-          let record ?iters stage l r t0 outcome =
-            outcome_attr sp outcome;
-            record ?iters stage l r t0 outcome
-          in
+    let richardson_lucy =
+      {
+        stage = Robust.Report.Richardson_lucy;
+        span_stage = "richardson_lucy";
+        retry = None;
+        rung_lambda = lambda;
+        ridge = None;
+        degradation = 3;
+        non_finite = "Richardson-Lucy";
+        run =
+          (fun () ->
+            let measurements =
+              Array.map (fun g -> Float.max 0.0 g) problem.Problem.measurements
+            in
+            match
+              Richardson_lucy.deconvolve ~on_iteration ~iterations:policy.rl_iterations
+                problem.Problem.kernel ~measurements ()
+            with
+            | rl -> Ok (estimate_of_richardson_lucy problem lambda rl)
+            | exception Robust.Error.Error e -> Error (e, 0)
+            (* lint: allow R2 — last cascade stage: any failure must become a
+               typed error for the report; there is no later stage to
+               re-raise to *)
+            | exception _ -> Error (Robust.Error.Non_finite { stage = "Richardson-Lucy" }, 0));
+      }
+    in
+    let rungs =
+      List.init (Stdlib.max 0 (policy.max_retries + 1)) constrained
+      @ (if policy.enable_unconstrained then [ unconstrained ] else [])
+      @ if policy.enable_richardson_lucy then [ richardson_lucy ] else []
+    in
+    (* Each attempt is also a span on the observability stream, so a trace
+       shows the same story as the Robust.Report — stage, retry index,
+       regularization and outcome — with the solver's spans nested inside.
+       Only a finite estimate counts as a solve. *)
+    let attempt rung =
+      Obs.Span.with_ "solver.attempt" (fun sp ->
+          Obs.Span.set_str sp "stage" rung.span_stage;
+          Option.iter (Obs.Span.set_int sp "retry") rung.retry;
+          Obs.Span.set_float sp "lambda" rung.rung_lambda;
+          Option.iter (Obs.Span.set_float sp "ridge") rung.ridge;
           let t0 = Obs.Clock.now () in
-          let measurements =
-            Array.map (fun g -> Float.max 0.0 g) problem.Problem.measurements
+          let outcome =
+            match rung.run () with
+            | Ok est when finite_estimate est -> Ok est
+            | Ok est ->
+              Error (Robust.Error.Non_finite { stage = rung.non_finite }, est.qp_iterations)
+            | Error _ as failed -> failed
+            | exception Robust.Error.Error e -> Error (e, 0)
           in
-          match
-            Richardson_lucy.deconvolve ~on_iteration ~iterations:policy.rl_iterations
-              problem.Problem.kernel ~measurements ()
-          with
-      | exception Robust.Error.Error e ->
-        record Robust.Report.Richardson_lucy lambda 0.0 t0 (Error e);
-        last_error := e
-      (* lint: allow R2 — last cascade stage: any failure must become a typed
-         error for the report; there is no later stage to re-raise to *)
-      | exception _ ->
-        let e = Robust.Error.Non_finite { stage = "Richardson-Lucy" } in
-        record Robust.Report.Richardson_lucy lambda 0.0 t0 (Error e);
-        last_error := e
-      | rl ->
-        let iters = rl.Richardson_lucy.iterations in
-        let est = estimate_of_richardson_lucy problem lambda rl in
-        if finite_estimate est then begin
-          record ~iters Robust.Report.Richardson_lucy lambda 0.0 t0 (Ok ());
-          result := Some (est, report Robust.Report.Richardson_lucy 3)
-        end
-        else begin
-          let e = Robust.Error.Non_finite { stage = "Richardson-Lucy" } in
-          record ~iters Robust.Report.Richardson_lucy lambda 0.0 t0 (Error e);
-          last_error := e
-        end)
-    end;
-    (match !result with
-    | Some (est, rep) ->
+          let iters, result =
+            match outcome with
+            | Ok est -> (est.qp_iterations, Ok ())
+            | Error (e, iters) -> (iters, Error e)
+          in
+          Obs.Span.set_str sp "outcome"
+            (match result with Ok () -> "ok" | Error e -> Robust.Error.to_string e);
+          record ~iters rung.stage rung.rung_lambda
+            (Option.value rung.ridge ~default:0.0) t0 result;
+          outcome)
+    in
+    (* Climb until a rung solves; a non-recoverable error (a blown budget)
+       ends the climb with that error. *)
+    let rec climb last_error = function
+      | [] -> Error last_error
+      | rung :: rest -> (
+        match attempt rung with
+        | Ok est -> Ok (est, report rung.stage rung.degradation)
+        | Error (e, _) when Robust.Error.recoverable e -> climb e rest
+        | Error (e, _) -> Error e)
+    in
+    match climb (Robust.Error.Non_finite { stage = "solver" }) rungs with
+    | Ok (est, rep) ->
       (* Per-solve quality record for the observatory. The statistics the
          cascade already owns (κ, RSS, constraint counts, attempt path)
          are passed through; edf and the residual tests are computed by
@@ -536,7 +505,7 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
           ~cascade ()
       end;
       Ok (est, rep)
-    | None -> Error !last_error)
+    | Error _ as failed -> failed
 
 let solve_robust ?(policy = default_policy) ?budget ?(lambda = 1e-4) ?cache problem =
   Obs.Span.with_ "solver.solve_robust" (fun sp ->

@@ -31,8 +31,9 @@ val solve :
     unlimited) is ticked once per QP interior-point pass; when it fires
     the solve raises {!Robust.Error.Error} [(Budget_exhausted _)]. All
     failures cross this boundary as {!Robust.Error.Error}: a singular
-    system surfaces as [Ill_conditioned], an infeasible QP as
-    [Qp_stalled] — never a bare internal exception.
+    system surfaces as [Ill_conditioned], a QP that reaches its iteration
+    cap unconverged as [Qp_stalled] carrying the iterations it spent —
+    never a bare internal exception or a half-converged estimate.
 
     [cache] opts the solve into the spectral warm start: the constrained
     QP starts from the unconstrained Demmler–Reinsch solution at λ (the
@@ -41,18 +42,13 @@ val solve :
     Results are unaffected beyond the QP tolerance — the warm start moves
     the starting iterate, not the optimum. *)
 
-val solve_unconstrained :
-  ?lambda:float ->
-  ?ridge:float ->
-  ?spectral:Optimize.Spectral.t * Optimize.Spectral.projection ->
-  Problem.t ->
-  estimate
+val solve_unconstrained : ?lambda:float -> ?ridge:float -> Problem.t -> estimate
 (** The same objective ignoring all constraints — the pure smoothing-spline
-    baseline (used for λ selection and ablations). [spectral] supplies a
-    prebuilt Demmler–Reinsch factorization + data projection of this
-    problem: the solve becomes an O(n²) diagonal rescale instead of a
-    Cholesky factorization. Ignored when a nonzero [ridge] is requested
-    (the ridge perturbs the factored system). *)
+    baseline (the robust cascade's unconstrained stage, and ablations).
+    A direct Cholesky solve of the normal equations, the one unconstrained
+    path that accepts a [ridge] (default 0); λ selection reads the same
+    minimizer off the spectral factorization instead
+    ({!Problem.spectral}). *)
 
 val naive : Problem.t -> estimate
 (** The no-regularization baseline: λ = 0 with a vanishing ridge for
@@ -90,8 +86,10 @@ val default_policy : policy
 
 val repair_problem : Problem.t -> Problem.t * Robust.Report.repair list
 (** Best-effort input repair: non-finite measurements are masked (value 0
-    with a huge-but-finite σ, so their weight vanishes) and non-finite or
-    non-positive sigmas are replaced by the median of the valid ones.
+    with a huge-but-finite σ, so their weight vanishes) and sigmas that
+    fail {!Robust.Validate.usable_sigma} (non-finite, non-positive, or
+    with a non-finite or zero weight 1/σ²) are replaced by the median of
+    the valid ones.
     Returns the problem unchanged (physically equal) when nothing needed
     fixing. *)
 

@@ -17,24 +17,6 @@ let log_lambda_grid ~lo ~hi ~count =
   if count = 1 then [| 10.0 ** lo |]
   else Array.map (fun e -> 10.0 ** e) (Vec.linspace lo hi count)
 
-type 'fit score = { lambda : float; score : float; fit : 'fit }
-
-let select ~lambdas ~fit_and_score =
-  assert (Array.length lambdas > 0);
-  (* Candidates are scored independently (each solve builds its own
-     factorizations), so the sweep fans out across the default pool; the
-     argmin runs over the index-ordered results, so the winner — ties
-     included — is the same at every jobs setting. *)
-  let scores =
-    Parallel.parallel_map ~chunk:1 ~n:(Array.length lambdas) (fun i ->
-        let lambda = lambdas.(i) in
-        let fit, s = fit_and_score lambda in
-        { lambda; score = s; fit })
-  in
-  let best = ref scores.(0) in
-  Array.iter (fun s -> if s.score < !best.score then best := s) scores;
-  (!best, scores)
-
 let kfold_score ~rng ~k ~n ~fit_on ~predict_error lambda =
   let folds = kfold_indices rng ~n ~k in
   let total = ref 0.0 in

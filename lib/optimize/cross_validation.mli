@@ -1,6 +1,7 @@
-(** λ-selection machinery: k-fold cross-validation and GCV over a λ grid
-    (the paper selects the smoothing parameter "via cross validation",
-    citing Craven–Wahba). *)
+(** λ-selection building blocks (the paper selects the smoothing
+    parameter "via cross validation", citing Craven–Wahba): the fold
+    partition and λ grid the selectors in [Deconv.Lambda] run on, and a
+    generic per-candidate k-fold score. *)
 
 open Numerics
 
@@ -10,12 +11,6 @@ val kfold_indices : Rng.t -> n:int -> k:int -> int array array
 
 val log_lambda_grid : lo:float -> hi:float -> count:int -> Vec.t
 (** Logarithmically spaced λ values from [10^lo] to [10^hi]. *)
-
-type 'fit score = { lambda : float; score : float; fit : 'fit }
-
-val select :
-  lambdas:Vec.t -> fit_and_score:(float -> 'fit * float) -> 'fit score * 'fit score array
-(** Evaluate each λ; return the best (lowest score) plus the full curve. *)
 
 val kfold_score :
   rng:Rng.t ->

@@ -21,8 +21,6 @@ type solution = {
 
 type warm_start = { x0 : Vec.t; active0 : int list }
 
-exception Infeasible of string
-
 let unconstrained h g = Linalg.solve_spd h (Vec.neg g)
 
 (* KKT system [H Cᵀ; C 0] [x; ν] = [−g; d]. *)
@@ -55,12 +53,11 @@ let stationarity_residual problem x nu z =
   let scale = Float.max 1.0 (Float.max (Vec.norm_inf problem.g) (Mat.max_abs problem.h)) in
   Vec.norm_inf r /. scale
 
-(* Infeasible-start primal-dual path following for the inequality case.
+(* Primal-dual path following from an infeasible start, for the inequality case.
    [sp] is the enclosing qp.solve span: each pass of the main loop emits
    one "qp.iteration" point on it, so a trace replays the convergence
    trajectory and the point count equals [solution.iterations]. *)
-let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_stall problem
-    a b =
+let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter problem a b =
   let n = problem.h.Mat.rows in
   let m_ineq = a.Mat.rows in
   let n_eq = match problem.c_eq with Some c -> c.Mat.rows | None -> 0 in
@@ -220,8 +217,6 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
           ]
     end
   done;
-  if (not !converged) && fail_on_stall then
-    raise (Infeasible "Qp.solve: interior-point iteration limit");
   let active =
     let threshold = sqrt tol *. Float.max 1.0 (Vec.norm_inf !s) in
     List.filter (fun i -> !s.(i) < threshold) (List.init m_ineq (fun i -> i))
@@ -234,7 +229,7 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_s
     status = (if !converged then Converged else Stalled);
   }
 
-let solve_dispatch ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_stall problem =
+let solve_dispatch ~sp ~warm_start ~on_iteration ~tol ~max_iter problem =
   let n = problem.h.Mat.rows in
   assert (Array.length problem.g = n);
   (* Direct solves count as one iteration; emit the matching single point
@@ -279,15 +274,14 @@ let solve_dispatch ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_stall p
     assert (a.Mat.cols = n);
     assert (Array.length b = a.Mat.rows);
     solve_interior_point ~sp ~warm_start ~on_iteration ~tol:(Float.max tol 1e-12) ~max_iter
-      ~fail_on_stall problem a b
+      problem a b
   | Some _, None ->
     (* lint: allow R10 R11 -- mismatched optional-constraint pair is caller
        programmer error; the solver cascade builds matched pairs by
        construction, and lib/optimize sits below lib/robust *)
     invalid_arg "Qp.solve: a_ineq without b_ineq"
 
-let solve ?warm_start ?on_iteration ?(tol = 1e-9) ?(max_iter = 100) ?(fail_on_stall = true)
-    problem =
+let solve ?warm_start ?on_iteration ?(tol = 1e-9) ?(max_iter = 100) problem =
   Obs.Span.with_ "qp.solve" (fun sp ->
       Obs.Span.set_int sp "n" problem.h.Mat.rows;
       Obs.Span.set_int sp "m_ineq"
@@ -295,7 +289,7 @@ let solve ?warm_start ?on_iteration ?(tol = 1e-9) ?(max_iter = 100) ?(fail_on_st
       Obs.Span.set_int sp "m_eq" (match problem.c_eq with Some c -> c.Mat.rows | None -> 0);
       Obs.Span.set_bool sp "warm_start" (Option.is_some warm_start);
       if Option.is_some warm_start then Obs.Metrics.incr "qp.warm_starts";
-      let sol = solve_dispatch ~sp ~warm_start ~on_iteration ~tol ~max_iter ~fail_on_stall problem in
+      let sol = solve_dispatch ~sp ~warm_start ~on_iteration ~tol ~max_iter problem in
       Obs.Span.set_int sp "iterations" sol.iterations;
       Obs.Span.set_int sp "active" (List.length sol.active);
       Obs.Span.set_float sp "kkt_residual" sol.kkt_residual;

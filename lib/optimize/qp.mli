@@ -47,8 +47,6 @@ type warm_start = {
     saves the early centering iterations while a poor one degrades to the
     cold-start trajectory. Ignored by direct equality-only solves. *)
 
-exception Infeasible of string
-
 val unconstrained : Mat.t -> Vec.t -> Vec.t
 (** Minimizer of the pure quadratic: solves [H x = −g]. *)
 
@@ -61,16 +59,16 @@ val solve :
   ?on_iteration:(int -> unit) ->
   ?tol:float ->
   ?max_iter:int ->
-  ?fail_on_stall:bool ->
   problem ->
   solution
 (** Full solve. [tol] bounds both the complementarity measure and the
     scaled KKT residuals at termination (default 1e-9); [max_iter] defaults
-    to 100 interior-point steps. When the iteration cap is reached without
-    convergence, raises {!Infeasible} if [fail_on_stall] (the default), and
-    otherwise returns the last iterate with [status = Stalled] so callers
-    (e.g. the robust degradation cascade) can distinguish "converged" from
-    "gave up" and react.
+    to 100 interior-point steps. Reaching the iteration cap without
+    convergence is not an exception: the last iterate comes back with
+    [status = Stalled] (and [iterations = max_iter]), so callers decide
+    what a stall means — [Solver.solve] turns it into a typed
+    [Qp_stalled] error, the robust cascade retries from the stalled
+    iterate.
 
     [on_iteration] is invoked with the 1-based iteration count at the top
     of every interior-point pass (and once, with [1], for direct

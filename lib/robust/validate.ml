@@ -7,17 +7,25 @@ let all_finite v = Array.for_all Float.is_finite v
 let finite ~stage v =
   if all_finite v then Ok () else Error (Error.Non_finite { stage })
 
+(* The weight is computed exactly as the fit computes it, so a σ passes
+   only if the weight the fit will use is itself finite and positive:
+   σ = 1e-160 is finite and positive, but 1/σ² overflows. *)
+let usable_sigma s =
+  let w = 1.0 /. (s *. s) in
+  Float.is_finite s && s > 0.0 && Float.is_finite w && w > 0.0
+
 let sigmas v =
   let bad = ref None in
-  Array.iteri
-    (fun i s -> if !bad = None && not (Float.is_finite s && s > 0.0) then bad := Some (i, s))
-    v;
+  Array.iteri (fun i s -> if !bad = None && not (usable_sigma s) then bad := Some (i, s)) v;
   match !bad with
   | None -> Ok ()
   | Some (i, s) ->
     Error
       (Error.Invalid_input
-         { field = "sigmas"; why = Printf.sprintf "sigma %d is %g, must be finite and > 0" i s })
+         {
+           field = "sigmas";
+           why = Printf.sprintf "sigma %d is %g, it and 1/sigma^2 must be finite and > 0" i s;
+         })
 
 let times ~field v =
   let* () = finite ~stage:field v in

@@ -9,8 +9,12 @@ val all_finite : Vec.t -> bool
 val finite : stage:string -> Vec.t -> (unit, Error.t) result
 (** [Non_finite {stage}] if any entry is NaN or infinite. *)
 
+val usable_sigma : float -> bool
+(** σ is finite and strictly positive, and so is its weight 1/σ² (which
+    overflows for σ below ~1e-154 and underflows to 0 above ~1e154). *)
+
 val sigmas : Vec.t -> (unit, Error.t) result
-(** Every σ must be finite and strictly positive. *)
+(** Every σ must satisfy {!usable_sigma}. *)
 
 val times : field:string -> Vec.t -> (unit, Error.t) result
 (** Times must be finite, non-negative and non-decreasing (ties are

@@ -27,14 +27,6 @@ let test_log_grid () =
   let single = Optimize.Cross_validation.log_lambda_grid ~lo:(-2.0) ~hi:5.0 ~count:1 in
   check_close ~tol:1e-12 "single point grid" 1e-2 single.(0)
 
-let test_select_picks_minimum () =
-  let lambdas = [| 1.0; 2.0; 3.0; 4.0 |] in
-  let best, curve =
-    Optimize.Cross_validation.select ~lambdas ~fit_and_score:(fun l -> ((), (l -. 3.0) ** 2.0))
-  in
-  check_close "best lambda" 3.0 best.Optimize.Cross_validation.lambda;
-  Alcotest.(check int) "full curve" 4 (Array.length curve)
-
 let test_kfold_score_simple_model () =
   (* Mean-of-train predicting the held-out mean: identical data gives zero error. *)
   let rng = Rng.create 33 in
@@ -70,7 +62,6 @@ let tests =
         case "kfold partition" test_kfold_partition;
         case "kfold deterministic" test_kfold_deterministic_given_seed;
         case "log lambda grid" test_log_grid;
-        case "select picks minimum" test_select_picks_minimum;
         case "kfold score constant data" test_kfold_score_simple_model;
         case "kfold score penalizes variance" test_kfold_score_penalizes_variance;
       ] );

@@ -382,6 +382,48 @@ let test_report_to_string () =
   in
   check_true "mentions the solving stage" (contains "unconstrained")
 
+(* ---------------- Overflowing weights and stall pins ---------------- *)
+
+(* σ = 1e-160 is finite and positive but its weight 1/σ² overflows to
+   infinity: validation must reject it as a bad sigma, and repair must
+   replace it like any other invalid sigma. *)
+let overflow_sigmas () =
+  let s = Vec.make 13 0.1 in
+  s.(2) <- 1e-160;
+  s
+
+let test_overflowing_weight_rejected () =
+  let sigmas = overflow_sigmas () in
+  expect_error_class
+    (Robust.Error.Invalid_input { field = "sigmas"; why = "" })
+    (Deconv.Problem.validate (make_problem ~sigmas (Lazy.force clean_data)));
+  let batch = Deconv.Batch.prepare ~kernel:(Lazy.force kernel) ~basis ~params () in
+  expect_error_class
+    (Robust.Error.Invalid_input { field = "sigmas"; why = "" })
+    (Deconv.Batch.solve_gene_result batch ~sigmas ~measurements:(Lazy.force clean_data) ())
+
+let test_overflowing_weight_repaired () =
+  let problem = make_problem ~sigmas:(overflow_sigmas ()) (Lazy.force clean_data) in
+  let est, report = expect_ok (Deconv.Solver.solve_robust ~lambda:1e-4 problem) in
+  check_true "estimate finite" (finite_estimate est);
+  check_true "degradation >= 1 after repair" (degradation report >= 1);
+  check_true "sigma repair recorded"
+    (List.exists
+       (fun r -> String.equal r.Robust.Report.action "replaced invalid sigmas")
+       report.Robust.Report.repairs)
+
+(* Weights of 1e300 pass validation but leave the interior-point method
+   short of its tolerance: the raw solve reports the stall with the
+   iteration count it actually spent. *)
+let test_solve_reports_stall_iterations () =
+  let problem = make_problem ~sigmas:(Vec.make 13 1e-150) (Lazy.force clean_data) in
+  match Deconv.Solver.solve ~lambda:1e-4 problem with
+  | exception Robust.Error.Error e ->
+    check_true
+      (Printf.sprintf "Qp_stalled after 100 iterations, got %s" (Robust.Error.to_string e))
+      (Robust.Error.equal e (Robust.Error.Qp_stalled { iterations = 100 }))
+  | _ -> Alcotest.fail "expected Solver.solve to raise Qp_stalled"
+
 (* ---------------- Pipeline end-to-end ---------------- *)
 
 let small_config =
@@ -430,12 +472,9 @@ let stall_problem () =
   }
 
 let test_qp_stall_status () =
-  let s = Optimize.Qp.solve ~max_iter:1 ~fail_on_stall:false (stall_problem ()) in
+  let s = Optimize.Qp.solve ~max_iter:1 (stall_problem ()) in
   check_true "reports stall" (s.Optimize.Qp.status = Optimize.Qp.Stalled);
   Alcotest.(check int) "iteration count" 1 s.Optimize.Qp.iterations;
-  (match Optimize.Qp.solve ~max_iter:1 (stall_problem ()) with
-  | exception Optimize.Qp.Infeasible _ -> ()
-  | _ -> Alcotest.fail "default fail_on_stall should raise Infeasible");
   let converged = Optimize.Qp.solve (stall_problem ()) in
   check_true "converges with the full budget"
     (converged.Optimize.Qp.status = Optimize.Qp.Converged)
@@ -567,6 +606,9 @@ let tests =
         case "duplicated time point survives" test_duplicate_time_kernel_recovered;
         case "report rendering" test_report_to_string;
         case "qp stall status" test_qp_stall_status;
+        case "overflowing weight rejected" test_overflowing_weight_rejected;
+        case "overflowing weight repaired" test_overflowing_weight_repaired;
+        case "solve reports stall iterations" test_solve_reports_stall_iterations;
       ] );
     ( "robust-pipeline",
       [

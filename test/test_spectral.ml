@@ -391,6 +391,26 @@ let test_diag_curve_survives_fast_path () =
         | None -> Alcotest.fail "lambda diag event has no 'chosen' value")
       | l -> Alcotest.failf "expected exactly one lambda diag event, got %d" (List.length l))
 
+(* Every σ but the first set to the masking value leaves one effective
+   measurement: the anchored factorization of the weighted Gram side fails,
+   and every selector reports it as the typed lambda-selection error. *)
+let test_degenerate_weights_non_finite () =
+  let g = Lazy.force ftsz_data in
+  let sigmas = Array.mapi (fun m _ -> if m = 0 then 1.0 else 1e150) g in
+  let problem =
+    Deconv.Problem.create ~sigmas ~kernel:(Lazy.force kernel) ~basis ~measurements:g ~params ()
+  in
+  List.iter
+    (fun (name, method_) ->
+      match Deconv.Lambda.select_result problem ~method_ ~rng:(Rng.create 3) () with
+      | Error (Robust.Error.Non_finite { stage }) ->
+        check_true
+          (Printf.sprintf "%s: stage %S names lambda selection" name stage)
+          (String.length stage > 16 && String.equal (String.sub stage 0 16) "lambda selection")
+      | Error e -> Alcotest.failf "%s: expected Non_finite, got %s" name (Robust.Error.to_string e)
+      | Ok l -> Alcotest.failf "%s: expected Non_finite, got Ok %g" name l)
+    [ ("gcv", `Gcv); ("kfold", `Kfold 5); ("lcurve", `Lcurve) ]
+
 let tests =
   [
     ( "spectral",
@@ -408,5 +428,6 @@ let tests =
           test_warm_start_same_solution_fewer_iterations;
         case "cached batch is jobs-independent" test_batch_cached_path_jobs_independent;
         case "diag curve survives the fast path" test_diag_curve_survives_fast_path;
+        case "degenerate weights -> Non_finite" test_degenerate_weights_non_finite;
       ] );
   ]
