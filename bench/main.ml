@@ -1267,6 +1267,25 @@ let ext_recovery_study () =
    to BENCH_deconv.json for machine consumption. *)
 let json_out = ref false
 
+(* Fold [records] into the BENCH_deconv.json trajectory with [merge]:
+   [Obs.Trajectory.upsert] for micro fits, [append] for macro runs (every
+   run adds a point to the history that `bench compare` diffs). An
+   unreadable file is reported and replaced by a fresh trajectory. *)
+let save_trajectory merge ~what records =
+  let path = "BENCH_deconv.json" in
+  let existing =
+    match Obs.Trajectory.load ~path with
+    | Ok t -> t
+    | Error msg ->
+      Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
+      Obs.Trajectory.empty
+  in
+  let merged = List.fold_left merge existing records in
+  Obs.Trajectory.save merged ~path;
+  Printf.printf "saved %d %s records to %s (%d records total)\n" (List.length records) what
+    path
+    (List.length (Obs.Trajectory.records merged))
+
 let micro () =
   section "micro (bechamel kernels)";
   let open Bechamel in
@@ -1521,38 +1540,23 @@ let micro () =
       Dataio.Table.add_row t [| float_of_int i; ns |])
     fits;
   if !json_out then begin
-    (* Merge into the trajectory instead of clobbering it: micro fits are
-       upserted keyed by (name, rev), so re-running refreshes this
-       revision's numbers while macro history and other revisions stay. *)
-    let path = "BENCH_deconv.json" in
+    (* Upsert, keyed by (name, rev): re-running refreshes this revision's
+       numbers while macro history and other revisions stay. *)
     let rev = Obs.Trajectory.git_rev () in
-    let existing =
-      match Obs.Trajectory.load ~path with
-      | Ok t -> t
-      | Error msg ->
-        Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
-        Obs.Trajectory.empty
-    in
-    let merged =
-      List.fold_left
-        (fun t (name, ns, r2) ->
-          Obs.Trajectory.upsert t
-            {
-              Obs.Trajectory.name;
-              rev;
-              kind = Obs.Trajectory.Micro;
-              ns_per_run = ns;
-              r_square = r2;
-              runs = 0;
-              iterations = Float.nan;
-              domains = Parallel.jobs ();
-            })
-        existing fits
-    in
-    Obs.Trajectory.save merged ~path;
-    Printf.printf "merged OLS fits for %d kernels into %s (rev %s, %d records total)\n"
-      (List.length fits) path rev
-      (List.length (Obs.Trajectory.records merged))
+    save_trajectory Obs.Trajectory.upsert ~what:"micro"
+      (List.map
+         (fun (name, ns, r2) ->
+           {
+             Obs.Trajectory.name;
+             rev;
+             kind = Obs.Trajectory.Micro;
+             ns_per_run = ns;
+             r_square = r2;
+             runs = 0;
+             iterations = Float.nan;
+             domains = Parallel.jobs ();
+           })
+         fits)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -1685,23 +1689,7 @@ let macro_section ~smoke () =
         exit 1
       end
   end
-  else begin
-    let path = "BENCH_deconv.json" in
-    let existing =
-      match Obs.Trajectory.load ~path with
-      | Ok t -> t
-      | Error msg ->
-        Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
-        Obs.Trajectory.empty
-    in
-    (* Append, never upsert: every macro run adds a point to the history,
-       which is what `bench compare` diffs. *)
-    let merged = List.fold_left Obs.Trajectory.append existing records in
-    Obs.Trajectory.save merged ~path;
-    Printf.printf "appended %d macro records to %s (rev %s, %d records total)\n"
-      (List.length records) path rev
-      (List.length (Obs.Trajectory.records merged))
-  end
+  else save_trajectory Obs.Trajectory.append ~what:"macro" records
 
 (* ------------------------------------------------------------------ *)
 (* Macro benchmark: multicore speedup of the parallel hot layers.      *)
@@ -1777,18 +1765,7 @@ let macro_mt () =
     ]
   in
   Parallel.set_jobs ambient;
-  let path = "BENCH_deconv.json" in
-  let existing =
-    match Obs.Trajectory.load ~path with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
-      Obs.Trajectory.empty
-  in
-  let merged = List.fold_left Obs.Trajectory.append existing records in
-  Obs.Trajectory.save merged ~path;
-  Printf.printf "appended %d multicore records to %s (rev %s, domains %d)\n"
-    (List.length records) path rev ambient
+  save_trajectory Obs.Trajectory.append ~what:"multicore" records
 
 (* ------------------------------------------------------------------ *)
 (* Macro benchmark: batch deconvolution throughput (genes/sec).        *)
@@ -1854,17 +1831,7 @@ let macro_batch () =
       domains = Parallel.jobs ();
     }
   in
-  let path = "BENCH_deconv.json" in
-  let existing =
-    match Obs.Trajectory.load ~path with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
-      Obs.Trajectory.empty
-  in
-  Obs.Trajectory.save (Obs.Trajectory.append existing record) ~path;
-  Printf.printf "appended macro.batch_solve to %s (rev %s)\n" path
-    record.Obs.Trajectory.rev
+  save_trajectory Obs.Trajectory.append ~what:"batch" [ record ]
 
 (* ------------------------------------------------------------------ *)
 

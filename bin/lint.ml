@@ -3,37 +3,30 @@
    compiler-libs and enforces the rule registry of Analysis.Rules.
 
    Two passes:
-     deconv-lint [PATH]...        per-file rules R0-R9
+     deconv-lint [PATH]...        per-file rules R0-R9, R13, R14
      deconv-lint check [PATH]...  interprocedural rules R10-R12
                                   (call graph + effect fixpoint)
+
+   --list-rules prints each rule's scope from the same confinement rows
+   the per-file walker enforces.
 
    Exit codes: 0 clean, 1 findings, 2 usage/IO/parse errors. *)
 
 let usage =
   "deconv-lint [check] [OPTIONS] [PATH]...\n\
    Lints .ml/.mli files (recursively for directories). The default pass\n\
-   applies the per-file rules R0-R9; 'deconv-lint check' builds the\n\
-   whole-program call graph and applies the interprocedural rules\n\
-   R10-R12 (default path: lib). With no PATH, the per-file pass lints\n\
+   applies the per-file rules R0-R9, R13 and R14; 'deconv-lint check'\n\
+   builds the whole-program call graph and applies the interprocedural\n\
+   rules R10-R12 (default path: lib). With no PATH, the per-file pass lints\n\
    lib bin bench test examples. Suppress a finding in source with\n\
    '(* lint: allow R_ — reason *)' on, or just above, the offending line.\n\
    Options:"
-
-let scope_text = function
-  | Analysis.Rules.Everywhere -> "everywhere"
-  | Analysis.Rules.Lib_only -> "lib/ only"
-  | Analysis.Rules.Except_obs -> "everywhere except lib/obs/"
-  | Analysis.Rules.Except_concurrency ->
-    "everywhere except lib/parallel/ and lib/obs/"
-  | Analysis.Rules.Except_atomic -> "lib/ only, except lib/dataio/atomic_file.ml"
-  | Analysis.Rules.Except_quality -> "lib/ only, except lib/numerics/ and lib/core/"
-  | Analysis.Rules.Check_only -> "whole-program, via 'deconv-lint check'"
 
 let print_rules () =
   List.iter
     (fun (r : Analysis.Rules.t) ->
       Printf.printf "%s (%s; %s)\n    %s\n" r.Analysis.Rules.id r.Analysis.Rules.title
-        (scope_text r.Analysis.Rules.scope)
+        (Analysis.Lint.scope_text r)
         r.Analysis.Rules.description)
     Analysis.Rules.all
 

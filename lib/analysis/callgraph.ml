@@ -29,10 +29,6 @@ type t = {
 
 (* ---------------- path -> module prefix ---------------- *)
 
-let segments path =
-  String.split_on_char '/' path
-  |> List.filter (fun s -> not (String.equal s "") && not (String.equal s "."))
-
 (* The dune library whose directory is lib/<dir>: the wrapping module is
    the capitalized directory name, except where the library's (name ...)
    differs from its directory. lib/core is the only such library today;
@@ -45,7 +41,7 @@ let module_of_file file =
   String.capitalize_ascii (Filename.remove_extension file)
 
 let module_prefix_of_path path =
-  let segs = segments path in
+  let segs = Libpath.segments path in
   let rec after_lib = function
     | "lib" :: dir :: rest when rest <> [] -> Some (dir, rest)
     | _ :: rest -> after_lib rest

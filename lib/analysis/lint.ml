@@ -7,82 +7,7 @@ type run_result = {
   errors : (string * string) list;
 }
 
-(* ---------------- path scoping ---------------- *)
-
-let segments path =
-  String.split_on_char '/' path
-  |> List.filter (fun s -> not (String.equal s "") && not (String.equal s "."))
-
-let in_lib path =
-  match List.rev (segments path) with
-  | _file :: dirs -> List.exists (String.equal "lib") dirs
-  | [] -> false
-
-let is_params_file path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | file :: dir :: _ -> String.equal file "params.ml" && String.equal dir "cellpop"
-  | _ -> false
-
-(* The observability layer itself: the one place allowed to read the real
-   clock (rule R7's exemption). *)
-let in_obs path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | _file :: dir :: _ -> String.equal dir "obs"
-  | _ -> false
-
-(* The domain-pool implementation: together with lib/obs, the only code
-   allowed to touch the raw concurrency primitives (rule R8's exemption). *)
-let in_parallel path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | _file :: dir :: _ -> String.equal dir "parallel"
-  | _ -> false
-
-(* The atomic writer: the one library module allowed to open a raw output
-   channel (rule R9's exemption). *)
-let is_atomic_file path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | file :: dir :: _ -> String.equal file "atomic_file.ml" && String.equal dir "dataio"
-  | _ -> false
-
-(* The quality layers: lib/numerics holds the statistic kernels and
-   lib/core (Quality, Diagnostics) assembles them into diag records —
-   the only library code allowed to reference the quality-statistic
-   primitives (rule R14's exemption). *)
-let in_quality path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | _file :: dir :: _ -> String.equal dir "numerics" || String.equal dir "core"
-  | _ -> false
-
-(* The factorization layers: lib/numerics implements the decompositions and
-   lib/optimize wraps them (Spectral, Ridge) with anchoring, caching and
-   telemetry — the only library code allowed to call the eigensolver and
-   triangular-substitution primitives directly (rule R14's second clause). *)
-let in_factorization path =
-  in_lib path
-  &&
-  match List.rev (segments path) with
-  | _file :: dir :: _ -> String.equal dir "numerics" || String.equal dir "optimize"
-  | _ -> false
-
 (* ---------------- rule implementations ---------------- *)
-
-(* The paper constants of rule R4: phi_sst ~ N(0.15, (0.13*0.15)^2), the
-   40/60 SW/ST daughter-volume split of eq. 11, and the 150-minute mean
-   cycle time. A list literal, so the linter's own data-table exemption
-   covers this table when it lints itself. *)
-let magic_constants = [ 0.15; 0.13; 0.4; 0.6; 150.0 ]
-
-let is_magic v = List.exists (fun c -> Float.equal c v) magic_constants
 
 let float_ops = [ "+."; "-."; "*."; "/."; "**"; "~-."; "~+." ]
 
@@ -117,23 +42,6 @@ let rec looks_float e =
     | _ -> false)
   | Pexp_ifthenelse (_, e1, Some e2) -> looks_float e1 || looks_float e2
   | _ -> false
-
-(* R5 ident sets. *)
-let r5_plain =
-  [
-    "print_string"; "print_endline"; "print_newline"; "print_char"; "print_int";
-    "print_float"; "print_bytes"; "prerr_string"; "prerr_endline"; "prerr_newline";
-    "prerr_char"; "prerr_int"; "prerr_float"; "prerr_bytes"; "stdout"; "stderr";
-  ]
-
-let r5_printf = [ "printf"; "eprintf" ]
-
-let r5_format =
-  [
-    "printf"; "eprintf"; "print_string"; "print_char"; "print_int"; "print_float";
-    "print_newline"; "print_space"; "print_cut"; "print_flush"; "std_formatter";
-    "err_formatter";
-  ]
 
 (* R6: expressions that syntactically carry a result value. *)
 let resulty e =
@@ -198,17 +106,268 @@ let reraises_var var body =
   it.expr it body;
   !found
 
+(* ---------------- the confinement table ---------------- *)
+
+(* Rules R4/R5/R7/R8/R9/R13/R14 all read "these expressions are allowed
+   only under these paths". Each row is one clause of one rule: where it
+   applies (all files, or only lib/ when [lib_only]; never under the
+   lib/-relative [allowed] dirs and files), what it matches, and the
+   hint. The walker folds over the rows and [scope_text] renders the
+   same rows for --list-rules, so each rule's scope is written once. *)
+type row = {
+  rule : string;
+  lib_only : bool;
+  allowed : string list;
+  data_exempt : bool;  (* literals inside array/list data tables are exempt *)
+  matches : expression -> string option;  (* the finding's message *)
+  hint : string;
+}
+
+let applies row path =
+  ((not row.lib_only) || Libpath.in_lib path) && not (Libpath.under row.allowed path)
+
+let one_of names name = List.exists (String.equal name) names
+
+(* The (Module, fn) pair an identifier row matches on: the trailing two
+   components, so [Stats.runs_z] and [Numerics.Stats.runs_z] agree. A
+   leading [Stdlib.] never hides a name: [Stdlib.Sys.time] gives
+   ("Sys", "time"), and [print_endline] and [Stdlib.print_endline] both
+   give ("", "print_endline"). *)
+let ident_pair e =
+  match ident_of e with
+  | Some (Lident fn | Ldot (Lident "Stdlib", fn)) -> Some ("", fn)
+  | Some (Ldot ((Lident m | Ldot (_, m)), fn)) -> Some (m, fn)
+  | _ -> None
+
+(* Match [m.fn] for [m] in [modules] and [fn] accepted by [fn_ok]. The
+   identifier itself is flagged, so a bare reference (let t = Sys.time)
+   or a partial application is caught like a call. *)
+let ident modules fn_ok message e =
+  match ident_pair e with
+  | Some (m, fn) when one_of modules m && fn_ok fn -> Some (message m fn)
+  | _ -> None
+
+(* The paper constants of rule R4: phi_sst ~ N(0.15, (0.13*0.15)^2), the
+   40/60 SW/ST daughter-volume split of eq. 11, and the 150-minute mean
+   cycle time. A list literal, so the linter's own data-table exemption
+   covers this table when it lints itself. *)
+let magic_constants = [ 0.15; 0.13; 0.4; 0.6; 150.0 ]
+
+let magic_literal e =
+  match e.pexp_desc with
+  | Pexp_constant (Pconst_float (repr, None)) -> (
+    match float_of_string_opt repr with
+    | Some v when List.exists (Float.equal v) magic_constants ->
+      Some (Printf.sprintf "magic paper constant %s outside lib/cellpop/params.ml" repr)
+    | _ -> None)
+  | _ -> None
+
+(* R13 flags a procfs path literal as well as the Gc identifiers, so an
+   ad-hoc open_in "/proc/..." cannot slip past by avoiding the Gc module. *)
+let procfs_literal e =
+  match e.pexp_desc with
+  (* lint: allow R13 -- the rule's own prefix constant, not a procfs read *)
+  | Pexp_constant (Pconst_string (s, _, _)) when String.starts_with ~prefix:"/proc" s ->
+    Some "procfs path literal outside lib/obs: procfs reads are Linux-only telemetry"
+  | _ -> None
+
+let r5_plain =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_char"; "print_int";
+    "print_float"; "print_bytes"; "prerr_string"; "prerr_endline"; "prerr_newline";
+    "prerr_char"; "prerr_int"; "prerr_float"; "prerr_bytes"; "stdout"; "stderr";
+  ]
+
+let r5_format =
+  [
+    "printf"; "eprintf"; "print_string"; "print_char"; "print_int"; "print_float";
+    "print_newline"; "print_space"; "print_cut"; "print_flush"; "std_formatter";
+    "err_formatter";
+  ]
+
+let atomic_hint = "write final paths through Dataio.Atomic_file.write (temp file + fsync + rename)"
+
+let confinement =
+  [
+    {
+      rule = "R4"; lib_only = true; allowed = [ "cellpop/params.ml" ]; data_exempt = true;
+      matches = magic_literal;
+      hint =
+        "reference the named constant in Cellpop.Params (e.g. sw_volume_fraction, \
+         st_volume_fraction, paper_2011) so the value lives in exactly one place";
+    };
+    {
+      rule = "R5"; lib_only = true; allowed = []; data_exempt = false;
+      matches =
+        ident [ "" ] (one_of r5_plain) (fun _ name ->
+          Printf.sprintf "'%s' writes to the process's std channels from library code" name);
+      hint = "return a string, or take an explicit out_channel / Format.formatter argument";
+    };
+    {
+      rule = "R5"; lib_only = true; allowed = []; data_exempt = false;
+      matches =
+        ident [ "Printf" ] (one_of [ "printf"; "eprintf" ]) (fun _ fn ->
+          Printf.sprintf "Printf.%s writes to std channels from library code" fn);
+      hint = "use Printf.sprintf to build a string, or Printf.fprintf on an explicit channel";
+    };
+    {
+      rule = "R5"; lib_only = true; allowed = []; data_exempt = false;
+      matches =
+        ident [ "Format" ] (one_of r5_format) (fun _ fn ->
+          Printf.sprintf "Format.%s targets the std formatters from library code" fn);
+      hint = "take an explicit Format.formatter argument (Fmt style) instead";
+    };
+    {
+      rule = "R7"; lib_only = false; allowed = [ "obs" ]; data_exempt = false;
+      matches =
+        ident [ "Sys" ] (one_of [ "time" ]) (fun _ _ ->
+          "Sys.time is processor time, not wall-clock, and bypasses the mockable Obs.Clock");
+      hint = "use Obs.Clock.now () (wall-clock, monotonic, substitutable in tests)";
+    };
+    {
+      rule = "R7"; lib_only = false; allowed = [ "obs" ]; data_exempt = false;
+      matches =
+        ident [ "Unix" ] (one_of [ "gettimeofday"; "time"; "times" ]) (fun _ fn ->
+          Printf.sprintf "raw timing call Unix.%s outside lib/obs bypasses Obs.Clock" fn);
+      hint = "use Obs.Clock.now (), or add a source to Obs.Clock if a new clock is needed";
+    };
+    {
+      rule = "R8"; lib_only = false; allowed = [ "parallel"; "obs" ]; data_exempt = false;
+      matches =
+        ident [ "Domain" ] (one_of [ "spawn" ]) (fun _ _ ->
+          "raw Domain.spawn outside lib/parallel bypasses the deterministic pool: results \
+           would depend on the ad-hoc fan-out, not the fixed chunk schedule");
+      hint = "use Parallel.parallel_for / Parallel.parallel_map (or a Parallel.Pool)";
+    };
+    {
+      rule = "R8"; lib_only = false; allowed = [ "parallel"; "obs" ]; data_exempt = false;
+      matches =
+        ident [ "Mutex"; "Condition" ] (fun _ -> true) (fun m fn ->
+          Printf.sprintf
+            "raw lock primitive %s.%s outside lib/parallel and lib/obs risks deadlock \
+             against the pool's own lock"
+            m fn);
+      hint =
+        "fan work out through Parallel (workers never need app-level locks: each chunk \
+         owns its output slots); shared-sink guards belong in lib/obs";
+    };
+    {
+      rule = "R9"; lib_only = true; allowed = [ "dataio/atomic_file.ml" ]; data_exempt = false;
+      matches =
+        ident [ "" ] (one_of [ "open_out"; "open_out_bin"; "open_out_gen" ]) (fun _ fn ->
+          Printf.sprintf
+            "'%s' truncates the destination before writing: a crash mid-write leaves a \
+             torn file"
+            fn);
+      hint = atomic_hint;
+    };
+    {
+      rule = "R9"; lib_only = true; allowed = [ "dataio/atomic_file.ml" ]; data_exempt = false;
+      matches =
+        ident [ "Out_channel" ]
+          (one_of
+             [ "open_bin"; "open_text"; "open_gen"; "with_open_bin"; "with_open_text";
+               "with_open_gen" ])
+          (fun _ fn ->
+            Printf.sprintf
+              "Out_channel.%s opens a raw output channel on a final path from library code" fn);
+      hint = atomic_hint;
+    };
+    {
+      rule = "R13"; lib_only = false; allowed = [ "obs" ]; data_exempt = false;
+      matches =
+        ident [ "Gc" ] (one_of [ "stat"; "quick_stat"; "counters"; "allocated_bytes" ])
+          (fun _ fn ->
+            Printf.sprintf
+              "raw Gc.%s outside lib/obs: GC introspection is telemetry and belongs to the \
+               resource sampler"
+              fn);
+      hint =
+        "read Obs.Resource.read () (or emit Obs.Resource.sample ()); it picks the cheap \
+         quick_stat variant and owns the portability story";
+    };
+    {
+      rule = "R13"; lib_only = false; allowed = [ "obs" ]; data_exempt = false;
+      matches = procfs_literal;
+      hint =
+        "use Obs.Resource.read (), which reads procfs once with the unavailable-platform \
+         fallback";
+    };
+    {
+      rule = "R14"; lib_only = true; allowed = [ "numerics"; "core" ]; data_exempt = false;
+      matches =
+        ident [ "Linalg" ] (one_of [ "condition_spd" ]) (fun _ _ ->
+          "condition-number computation outside the quality layers: κ is a quality \
+           statistic and is reported through Obs.Diag");
+      hint =
+        "use Quality.kappa (or Solver's cascade, which already records it) and let the diag \
+         stream carry the value";
+    };
+    {
+      rule = "R14"; lib_only = true; allowed = [ "numerics"; "core" ]; data_exempt = false;
+      matches =
+        ident [ "Stats" ] (one_of [ "runs_z"; "moment_z"; "normality_z" ]) (fun _ fn ->
+          Printf.sprintf
+            "residual-test statistic Stats.%s referenced outside the quality layers" fn);
+      hint =
+        "route through Quality.residual_stats / Diagnostics so the statistic has one \
+         definition, and emit it as an Obs.Diag event instead of printing it";
+    };
+    (* lib/core consumes factorizations through Optimize.Spectral and
+       Optimize.Ridge, which own the anchoring, the cross-solve cache and
+       the spans: a raw eigensolver or triangular-substitution call
+       bypasses all three. *)
+    {
+      rule = "R14"; lib_only = true; allowed = [ "numerics"; "optimize" ]; data_exempt = false;
+      matches =
+        ident [ "Linalg" ]
+          (one_of
+             [ "jacobi_eigen"; "generalized_eigen_spd"; "lower_solve"; "lower_transpose_solve" ])
+          (fun _ fn ->
+            Printf.sprintf
+              "factorization internal Linalg.%s referenced outside lib/numerics and \
+               lib/optimize"
+              fn);
+      hint =
+        "consume the decomposition through Optimize.Spectral (or Optimize.Ridge), which \
+         owns the anchoring, the factorization cache and the telemetry spans";
+    };
+  ]
+
+let row_scope row =
+  let exempt =
+    List.map
+      (fun a -> if Filename.check_suffix a ".ml" then "lib/" ^ a else "lib/" ^ a ^ "/")
+      row.allowed
+    @ if row.data_exempt then [ "array/list data tables" ] else []
+  in
+  match (row.lib_only, exempt) with
+  | false, [] -> "everywhere"
+  | true, [] -> "lib/ only"
+  | false, _ -> "everywhere except " ^ String.concat " and " exempt
+  | true, _ -> "lib/ only, except " ^ String.concat " and " exempt
+
+let scope_text (r : Rules.t) =
+  match r.Rules.scope with
+  | Rules.Everywhere -> "everywhere"
+  | Rules.Lib_only -> "lib/ only"
+  | Rules.Check_only -> "whole-program, via 'deconv-lint check'"
+  | Rules.Confined ->
+    List.fold_left
+      (fun acc row ->
+        let s = row_scope row in
+        if String.equal row.rule r.Rules.id && not (List.exists (String.equal s) acc) then
+          acc @ [ s ]
+        else acc)
+      [] confinement
+    |> String.concat "; "
+
 (* ---------------- the walker ---------------- *)
 
 type ctx = {
   path : string;
   lib : bool;
-  params : bool;
-  obs : bool;  (* under lib/obs/: exempt from R7 *)
-  conc : bool;  (* under lib/parallel/ or lib/obs/: exempt from R8 *)
-  atomic : bool;  (* lib/dataio/atomic_file.ml: exempt from R9 *)
-  quality : bool;  (* under lib/numerics/ or lib/core/: exempt from R14 *)
-  factorization : bool;  (* under lib/numerics/ or lib/optimize/: R14 clause 2 *)
+  rows : row list;  (* the confinement rows that apply to [path] *)
   mutable in_data : bool;  (* inside an array/list literal (data table) *)
   mutable acc : Finding.t list;
 }
@@ -284,197 +443,6 @@ let check_r3 ctx f args =
     | _ -> ())
   | _ -> ()
 
-let check_r4 ctx e =
-  match e.pexp_desc with
-  | Pexp_constant (Pconst_float (repr, None)) when ctx.lib && (not ctx.params) && not ctx.in_data
-    -> (
-    match float_of_string_opt repr with
-    | Some v when is_magic v ->
-      report ctx ~loc:e.pexp_loc ~rule:"R4"
-        ~message:
-          (Printf.sprintf
-             "magic paper constant %s outside lib/cellpop/params.ml" repr)
-        ~hint:
-          "reference the named constant in Cellpop.Params (e.g. sw_volume_fraction, \
-           st_volume_fraction, paper_2011) so the value lives in exactly one place"
-    | _ -> ())
-  | _ -> ()
-
-let check_r5_ident ctx e =
-  if ctx.lib then
-    match e.pexp_desc with
-    | Pexp_ident { txt = Lident name; _ } when List.exists (String.equal name) r5_plain ->
-      report ctx ~loc:e.pexp_loc ~rule:"R5"
-        ~message:(Printf.sprintf "'%s' writes to the process's std channels from library code" name)
-        ~hint:
-          "return a string, or take an explicit out_channel / Format.formatter argument"
-    | Pexp_ident { txt = Ldot (Lident "Printf", fn); _ } when List.exists (String.equal fn) r5_printf
-      ->
-      report ctx ~loc:e.pexp_loc ~rule:"R5"
-        ~message:(Printf.sprintf "Printf.%s writes to std channels from library code" fn)
-        ~hint:"use Printf.sprintf to build a string, or Printf.fprintf on an explicit channel"
-    | Pexp_ident { txt = Ldot (Lident "Format", fn); _ } when List.exists (String.equal fn) r5_format
-      ->
-      report ctx ~loc:e.pexp_loc ~rule:"R5"
-        ~message:(Printf.sprintf "Format.%s targets the std formatters from library code" fn)
-        ~hint:"take an explicit Format.formatter argument (Fmt style) instead"
-    | _ -> ()
-
-(* R7: raw timing calls outside lib/obs. Flag the identifier itself so a
-   bare reference (let t = Sys.time) is caught like an application. *)
-let check_r7 ctx e =
-  if not ctx.obs then
-    match e.pexp_desc with
-    | Pexp_ident { txt = Ldot (Lident "Sys", "time"); _ } ->
-      report ctx ~loc:e.pexp_loc ~rule:"R7"
-        ~message:
-          "Sys.time is processor time, not wall-clock, and bypasses the mockable Obs.Clock"
-        ~hint:"use Obs.Clock.now () (wall-clock, monotonic, substitutable in tests)"
-    | Pexp_ident { txt = Ldot (Lident "Unix", (("gettimeofday" | "time" | "times") as fn)); _ }
-      ->
-      report ctx ~loc:e.pexp_loc ~rule:"R7"
-        ~message:
-          (Printf.sprintf "raw timing call Unix.%s outside lib/obs bypasses Obs.Clock" fn)
-        ~hint:"use Obs.Clock.now (), or add a source to Obs.Clock if a new clock is needed"
-    | _ -> ()
-
-(* R8: raw concurrency primitives outside lib/parallel and lib/obs. Flag
-   the identifier itself (like R7) so bare references are caught too. *)
-let check_r8 ctx e =
-  if not ctx.conc then
-    match e.pexp_desc with
-    | Pexp_ident { txt = Ldot (Lident "Domain", "spawn"); _ } ->
-      report ctx ~loc:e.pexp_loc ~rule:"R8"
-        ~message:
-          "raw Domain.spawn outside lib/parallel bypasses the deterministic pool: results \
-           would depend on the ad-hoc fan-out, not the fixed chunk schedule"
-        ~hint:"use Parallel.parallel_for / Parallel.parallel_map (or a Parallel.Pool)"
-    | Pexp_ident { txt = Ldot (Lident (("Mutex" | "Condition") as m), fn); _ } ->
-      report ctx ~loc:e.pexp_loc ~rule:"R8"
-        ~message:
-          (Printf.sprintf
-             "raw lock primitive %s.%s outside lib/parallel and lib/obs risks deadlock \
-              against the pool's own lock"
-             m fn)
-        ~hint:
-          "fan work out through Parallel (workers never need app-level locks: each chunk \
-           owns its output slots); shared-sink guards belong in lib/obs"
-    | _ -> ()
-
-(* R9: raw output channels in library code outside the atomic writer. Like
-   R7/R8, flag the identifier itself so partial applications and bare
-   references are caught. *)
-let r9_out_channel_fns =
-  [ "open_bin"; "open_text"; "open_gen"; "with_open_bin"; "with_open_text"; "with_open_gen" ]
-
-let check_r9 ctx e =
-  if ctx.lib && not ctx.atomic then
-    match e.pexp_desc with
-    | Pexp_ident { txt = Lident (("open_out" | "open_out_bin" | "open_out_gen") as fn); _ }
-    | Pexp_ident
-        { txt = Ldot (Lident "Stdlib", (("open_out" | "open_out_bin" | "open_out_gen") as fn));
-          _ } ->
-      report ctx ~loc:e.pexp_loc ~rule:"R9"
-        ~message:
-          (Printf.sprintf
-             "'%s' truncates the destination before writing: a crash mid-write leaves a \
-              torn file"
-             fn)
-        ~hint:
-          "write final paths through Dataio.Atomic_file.write (temp file + fsync + rename)"
-    | Pexp_ident { txt = Ldot (Lident "Out_channel", fn); _ }
-      when List.exists (String.equal fn) r9_out_channel_fns ->
-      report ctx ~loc:e.pexp_loc ~rule:"R9"
-        ~message:
-          (Printf.sprintf
-             "Out_channel.%s opens a raw output channel on a final path from library code" fn)
-        ~hint:
-          "write final paths through Dataio.Atomic_file.write (temp file + fsync + rename)"
-    | _ -> ()
-
-(* R13: raw GC/procfs introspection outside lib/obs — R7's shape, for
-   runtime state instead of clocks. Both the Gc identifiers and a string
-   literal naming a procfs path are flagged, so an ad-hoc
-   open_in "/proc/..." cannot slip past by avoiding the Gc module. *)
-let r13_gc_fns = [ "stat"; "quick_stat"; "counters"; "allocated_bytes" ]
-
-let check_r13 ctx e =
-  if not ctx.obs then
-    match e.pexp_desc with
-    | Pexp_ident { txt = Ldot (Lident "Gc", fn); _ }
-      when List.exists (String.equal fn) r13_gc_fns ->
-      report ctx ~loc:e.pexp_loc ~rule:"R13"
-        ~message:
-          (Printf.sprintf
-             "raw Gc.%s outside lib/obs: GC introspection is telemetry and belongs to the \
-              resource sampler"
-             fn)
-        ~hint:
-          "read Obs.Resource.read () (or emit Obs.Resource.sample ()); it picks the \
-           cheap quick_stat variant and owns the portability story"
-    | Pexp_constant (Pconst_string (s, _, _))
-      (* lint: allow R13 -- the rule's own prefix constant, not a procfs read *)
-      when String.length s >= 5 && String.equal (String.sub s 0 5) "/proc" ->
-      report ctx ~loc:e.pexp_loc ~rule:"R13"
-        ~message:"procfs path literal outside lib/obs: procfs reads are Linux-only telemetry"
-        ~hint:
-          "use Obs.Resource.read (), which reads procfs once with the \
-           unavailable-platform fallback"
-    | _ -> ()
-
-(* R14: quality-statistic primitives outside lib/numerics and lib/core.
-   Matched on the trailing (Module, fn) pair so both [Stats.runs_z] and
-   the fully qualified [Numerics.Stats.runs_z] are caught. *)
-let r14_stats_fns = [ "runs_z"; "moment_z"; "normality_z" ]
-
-(* R14 clause 2: decomposition internals outside lib/numerics and
-   lib/optimize. lib/core consumes factorizations through Optimize.Spectral
-   and Optimize.Ridge, which own the anchoring, the cross-solve cache and
-   the spans — a raw eigensolver or triangular-substitution call bypasses
-   all three. *)
-let r14_factorization_fns =
-  [ "jacobi_eigen"; "generalized_eigen_spd"; "lower_solve"; "lower_transpose_solve" ]
-
-let check_r14 ctx e =
-  match e.pexp_desc with
-  | Pexp_ident { txt = lid; _ } -> (
-    (if ctx.lib && not ctx.quality then
-       match lid with
-       | Ldot (Lident "Linalg", "condition_spd")
-       | Ldot (Ldot (_, "Linalg"), "condition_spd") ->
-         report ctx ~loc:e.pexp_loc ~rule:"R14"
-           ~message:
-             "condition-number computation outside the quality layers: κ is a quality \
-              statistic and is reported through Obs.Diag"
-           ~hint:
-             "use Quality.kappa (or Solver's cascade, which already records it) and let the \
-              diag stream carry the value"
-       | Ldot (Lident "Stats", fn) | Ldot (Ldot (_, "Stats"), fn)
-         when List.exists (String.equal fn) r14_stats_fns ->
-         report ctx ~loc:e.pexp_loc ~rule:"R14"
-           ~message:
-             (Printf.sprintf
-                "residual-test statistic Stats.%s referenced outside the quality layers" fn)
-           ~hint:
-             "route through Quality.residual_stats / Diagnostics so the statistic has one \
-              definition, and emit it as an Obs.Diag event instead of printing it"
-       | _ -> ());
-    if ctx.lib && not ctx.factorization then
-      match lid with
-      | Ldot (Lident "Linalg", fn) | Ldot (Ldot (_, "Linalg"), fn)
-        when List.exists (String.equal fn) r14_factorization_fns ->
-        report ctx ~loc:e.pexp_loc ~rule:"R14"
-          ~message:
-            (Printf.sprintf
-               "factorization internal Linalg.%s referenced outside lib/numerics and \
-                lib/optimize"
-               fn)
-          ~hint:
-            "consume the decomposition through Optimize.Spectral (or Optimize.Ridge), which \
-             owns the anchoring, the factorization cache and the telemetry spans"
-      | _ -> ())
-  | _ -> ()
-
 let check_r6 ctx f args =
   let is_ignore e =
     match ident_of e with
@@ -513,13 +481,13 @@ let make_iterator ctx =
             | _ -> ())
           cases
     | _ -> ());
-    check_r4 ctx e;
-    check_r5_ident ctx e;
-    check_r7 ctx e;
-    check_r8 ctx e;
-    check_r9 ctx e;
-    check_r13 ctx e;
-    check_r14 ctx e;
+    List.iter
+      (fun row ->
+        if not (row.data_exempt && ctx.in_data) then
+          match row.matches e with
+          | Some message -> report ctx ~loc:e.pexp_loc ~rule:row.rule ~message ~hint:row.hint
+          | None -> ())
+      ctx.rows;
     match e.pexp_desc with
     | Pexp_array _ | Pexp_construct ({ txt = Lident "::"; _ }, Some _) ->
       let saved = ctx.in_data in
@@ -557,13 +525,8 @@ let walk_source ~path source =
       let ctx =
         {
           path;
-          lib = in_lib path;
-          params = is_params_file path;
-          obs = in_obs path;
-          conc = in_obs path || in_parallel path;
-          atomic = is_atomic_file path;
-          quality = in_quality path;
-          factorization = in_factorization path;
+          lib = Libpath.in_lib path;
+          rows = List.filter (fun row -> applies row path) confinement;
           in_data = false;
           acc = [];
         }

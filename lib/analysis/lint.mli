@@ -1,22 +1,19 @@
 (** deconv-lint: parse OCaml sources with compiler-libs and enforce the
     numerical-safety rules of {!Rules}.
 
-    Scoping is path-based: a file is "library code" (rules R2/R4/R5 apply)
-    when a [lib] path segment appears among its parent directories, and
-    [lib/cellpop/params.ml] is the one file where the paper constants of
-    rule R4 may appear as literals. *)
+    Scoping is path-based ({!Libpath}). R2 applies to library code (a
+    [lib] segment among the parent directories); R0/R1/R3/R6 apply
+    everywhere. The confinement rules R4/R5/R7/R8/R9/R13/R14 ("these
+    expressions only under these paths") are rows of one table that
+    names, per clause, whether it is lib-only and which [lib/]
+    directories or files are exempt; the walker folds over those rows and
+    {!scope_text} renders them. *)
 
 type run_result = {
   findings : Finding.t list;  (** sorted by file/line/col *)
   files : int;  (** number of [.ml]/[.mli] files linted *)
   errors : (string * string) list;  (** (path, message): unreadable/unparsable *)
 }
-
-val in_lib : string -> bool
-(** Path-based scoping used for [Lib_only] rules. *)
-
-val is_params_file : string -> bool
-(** Is this the canonical constants file ([lib/cellpop/params.ml])? *)
 
 val lint_source :
   ?disabled:string list -> path:string -> string -> (Finding.t list, string) result
@@ -37,3 +34,8 @@ val collect_files : string list -> (string list, string) result
 
 val run : ?disabled:string list -> string list -> run_result
 (** Lint every source file under the given paths. *)
+
+val scope_text : Rules.t -> string
+(** Where a per-file rule applies, as [deconv-lint --list-rules] prints
+    it. A [Confined] rule's scope is rendered from its confinement rows
+    (one clause per distinct scope, joined by ["; "]). *)

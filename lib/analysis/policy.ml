@@ -21,35 +21,13 @@ let default_roots =
     "Deconv.Solver.solve_robust";
   ]
 
-(* ---------------- path scoping ---------------- *)
-
-let segments path =
-  String.split_on_char '/' path
-  |> List.filter (fun s -> not (String.equal s "") && not (String.equal s "."))
-
-let in_lib_dir dirs path =
-  let rec go = function
-    | "lib" :: d :: _ when List.exists (String.equal d) dirs -> true
-    | _ :: rest -> go rest
-    | [] -> false
-  in
-  go (segments path)
-
-let in_lib path =
-  let rec go = function
-    | "lib" :: _ :: _ -> true
-    | _ :: rest -> go rest
-    | [] -> false
-  in
-  go (segments path)
-
 (* Capabilities whose origin lies inside the audited concurrency and
    observability layers are sanctioned: lib/parallel's pool state is the
    scheduler itself and lib/obs guards its sinks with the domain-safe
    clamps R8 confines there. *)
-let audited_origin (o : Effects.origin) = in_lib_dir [ "parallel"; "obs" ] o.file
+let audited_origin (o : Effects.origin) = Libpath.under [ "parallel"; "obs" ] o.file
 
-let numeric_core path = in_lib_dir [ "numerics"; "spline"; "optimize" ] path
+let numeric_core path = Libpath.under [ "numerics"; "spline"; "optimize" ] path
 
 (* ---------------- findings ---------------- *)
 
@@ -71,7 +49,7 @@ let root_matches roots (d : Callgraph.def) =
             && String.equal (String.sub d.Callgraph.id 0 n) pat
           else String.equal d.Callgraph.id pat)
         roots
-     || not (in_lib d.Callgraph.path))
+     || not (Libpath.in_lib d.Callgraph.path))
 
 let check_graph ~roots graph (eff : Effects.result) =
   let findings = ref [] in

@@ -1,10 +1,8 @@
 type scope =
   | Everywhere
   | Lib_only
-  | Except_obs
-  | Except_concurrency
-  | Except_atomic
-  | Except_quality
+  | Confined
+      (** scoped by the rows of [Lint]'s confinement table *)
   | Check_only
       (** interprocedural: enforced by the whole-program [deconv-lint check]
           pass (callgraph + effect fixpoint), not the per-file walker *)
@@ -56,7 +54,7 @@ let all =
     {
       id = "R4";
       title = "magic paper constant";
-      scope = Lib_only;
+      scope = Confined;
       description =
         "A float literal equal to one of the paper's parameters (phi_sst mean \
          0.15, CV 0.13, the 40/60 SW/ST daughter-volume split, the 150-minute \
@@ -70,7 +68,7 @@ let all =
     {
       id = "R5";
       title = "stdout/stderr side effect in library code";
-      scope = Lib_only;
+      scope = Confined;
       description =
         "print_string / Printf.printf / prerr_* / Format.printf or a bare \
          stdout/stderr channel in lib/. Library code must return strings or \
@@ -91,7 +89,7 @@ let all =
     {
       id = "R7";
       title = "raw timing call outside lib/obs";
-      scope = Except_obs;
+      scope = Confined;
       description =
         "Sys.time, Unix.gettimeofday, Unix.time or Unix.times referenced \
          outside lib/obs. Sys.time is processor time and was once mislabeled \
@@ -103,7 +101,7 @@ let all =
     {
       id = "R8";
       title = "raw concurrency primitive outside the concurrency layers";
-      scope = Except_concurrency;
+      scope = Confined;
       description =
         "Domain.spawn, Mutex.* or Condition.* referenced outside lib/parallel \
          and lib/obs. Ad-hoc domain spawning breaks the deterministic chunk \
@@ -116,7 +114,7 @@ let all =
     {
       id = "R9";
       title = "raw output channel on a final path outside the atomic writer";
-      scope = Except_atomic;
+      scope = Confined;
       description =
         "open_out / open_out_bin / open_out_gen (or Out_channel.open_* / \
          with_open_*) in library code outside lib/dataio/atomic_file.ml. A raw \
@@ -176,7 +174,7 @@ let all =
     {
       id = "R13";
       title = "raw GC/procfs introspection outside lib/obs";
-      scope = Except_obs;
+      scope = Confined;
       description =
         "Gc.stat, Gc.quick_stat, Gc.counters, Gc.allocated_bytes or a \
          \"/proc\" path literal referenced outside lib/obs. Runtime \
@@ -190,7 +188,7 @@ let all =
     {
       id = "R14";
       title = "quality statistic computed outside the quality layers";
-      scope = Except_quality;
+      scope = Confined;
       description =
         "A solution-quality statistic primitive (Linalg.condition_spd, \
          Stats.runs_z, Stats.moment_z, Stats.normality_z) referenced in \

@@ -6,15 +6,10 @@
 type scope =
   | Everywhere  (** enforced in every linted file *)
   | Lib_only  (** enforced only for files under a [lib/] directory *)
-  | Except_obs  (** enforced everywhere except under [lib/obs/] *)
-  | Except_concurrency
-      (** enforced everywhere except under [lib/parallel/] and [lib/obs/] *)
-  | Except_atomic
-      (** enforced under [lib/] except [lib/dataio/atomic_file.ml], the one
-          module allowed to open raw output channels *)
-  | Except_quality
-      (** enforced under [lib/] except [lib/numerics/] and [lib/core/], the
-          layers where solution-quality statistics are computed *)
+  | Confined
+      (** "allowed only under these paths": scoped by the rows of
+          {!Lint}'s confinement table, which both the walker and
+          [--list-rules] ({!Lint.scope_text}) read *)
   | Check_only
       (** interprocedural: enforced by the whole-program [deconv-lint check]
           pass ({!Policy}), not by the per-file expression walker *)

@@ -1,12 +1,13 @@
 (* erf via 32-point Gauss–Legendre quadrature of its defining integral on
    [0, x]; the integrand is entire, so this is accurate to near machine
-   precision for |x| <= 6. Nodes are computed once. *)
-let erf_nodes = lazy (Integrate.gauss_legendre_nodes 32)
+   precision for |x| <= 6. Nodes are computed once, at module
+   initialisation. *)
+let erf_nodes = Integrate.gauss_legendre_nodes 32
 
 let erf x =
   if Float.abs x > 6.0 then if x > 0.0 then 1.0 else -1.0
   else begin
-    let nodes, weights = Lazy.force erf_nodes in
+    let nodes, weights = erf_nodes in
     let half = x /. 2.0 in
     let acc = ref 0.0 in
     for i = 0 to Array.length nodes - 1 do

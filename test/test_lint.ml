@@ -100,7 +100,11 @@ let test_r5_positive () =
   check_rules "print_endline" [ "R5" ] ~path:"lib/scratch.ml"
     "let f () = print_endline \"hi\"";
   check_rules "Printf.printf" [ "R5" ] ~path:"lib/scratch.ml"
-    "let f () = Printf.printf \"%d\" 3"
+    "let f () = Printf.printf \"%d\" 3";
+  check_rules "Stdlib.print_endline" [ "R5" ] ~path:"lib/core/probe.ml"
+    "let f () = Stdlib.print_endline \"hi\"";
+  check_rules "Stdlib.Printf.printf" [ "R5" ] ~path:"lib/core/probe.ml"
+    "let f () = Stdlib.Printf.printf \"%d\" 3"
 
 let test_r5_negative () =
   check_rules "printing from bin is fine" [] ~path:"bin/scratch.ml"
@@ -121,6 +125,24 @@ let test_r6_negative () =
   check_rules "ignoring a plain value is fine" [] ~path:"lib/scratch.ml"
     "let f x = ignore (succ x)"
 
+(* R7: raw timing calls outside lib/obs. *)
+
+let test_r7_positive () =
+  check_rules "Sys.time in library code" [ "R7" ] ~path:"lib/core/scratch.ml"
+    "let t () = Sys.time ()";
+  check_rules "R7 applies in bin too" [ "R7" ] ~path:"bin/scratch.ml"
+    "let t () = Unix.gettimeofday ()";
+  check_rules "bare Unix.times reference" [ "R7" ] ~path:"lib/core/scratch.ml"
+    "let t = Unix.times";
+  check_rules "Stdlib.Sys.time" [ "R7" ] ~path:"lib/core/probe.ml"
+    "let t () = Stdlib.Sys.time ()"
+
+let test_r7_negative () =
+  check_rules "lib/obs may read the clock" [] ~path:"lib/obs/scratch.ml"
+    "let t () = Unix.gettimeofday ()";
+  check_rules "Obs.Clock.now is the sanctioned clock" [] ~path:"lib/core/scratch.ml"
+    "let t () = Obs.Clock.now ()"
+
 (* R8: raw concurrency primitives outside lib/parallel and lib/obs. *)
 
 let test_r8_positive () =
@@ -132,7 +154,11 @@ let test_r8_positive () =
   check_rules "Condition.wait" [ "R8" ] ~path:"lib/core/scratch.ml"
     "let f c m = Condition.wait c m";
   check_rules "R8 applies in bin too" [ "R8" ] ~path:"bin/scratch.ml"
-    "let m = Mutex.create ()"
+    "let m = Mutex.create ()";
+  check_rules "Stdlib.Domain.spawn" [ "R8" ] ~path:"lib/core/probe.ml"
+    "let f g = Stdlib.Domain.spawn g";
+  check_rules "Stdlib.Mutex.create" [ "R8" ] ~path:"lib/core/probe.ml"
+    "let m = Stdlib.Mutex.create ()"
 
 let test_r8_negative () =
   check_rules "lib/parallel may spawn" [] ~path:"lib/parallel/scratch.ml"
@@ -153,7 +179,9 @@ let test_r9_positive () =
   check_rules "Stdlib.open_out_gen" [ "R9" ] ~path:"lib/core/scratch.ml"
     "let f p = Stdlib.open_out_gen [Open_append] 0o644 p";
   check_rules "Out_channel.with_open_text" [ "R9" ] ~path:"lib/obs/scratch.ml"
-    "let f p s = Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc s)"
+    "let f p s = Out_channel.with_open_text p (fun oc -> Out_channel.output_string oc s)";
+  check_rules "Stdlib.Out_channel.open_bin" [ "R9" ] ~path:"lib/core/probe.ml"
+    "let f p = Stdlib.Out_channel.open_bin p"
 
 let test_r9_negative () =
   check_rules "the atomic writer itself is exempt" [] ~path:"lib/dataio/atomic_file.ml"
@@ -179,7 +207,9 @@ let test_r13_positive () =
   check_rules "procfs path literal" [ "R13" ] ~path:"lib/core/scratch.ml"
     "let statm () = open_in \"/proc/self/statm\"";
   check_rules "R13 applies in bin too" [ "R13" ] ~path:"bin/scratch.ml"
-    "let s () = Gc.stat ()"
+    "let s () = Gc.stat ()";
+  check_rules "Stdlib.Gc.quick_stat" [ "R13" ] ~path:"lib/core/probe.ml"
+    "let s () = Stdlib.Gc.quick_stat ()"
 
 let test_r13_negative () =
   check_rules "lib/obs owns GC introspection" [] ~path:"lib/obs/scratch.ml"
@@ -322,6 +352,26 @@ let test_lint_file_as_path () =
   | Ok fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
   | Error msg -> Alcotest.failf "lint_file failed: %s" msg
 
+(* --list-rules renders each confined rule's scope from the rows the
+   walker enforces. *)
+let test_scope_text () =
+  let scope id =
+    match Analysis.Rules.find id with
+    | Some r -> Analysis.Lint.scope_text r
+    | None -> Alcotest.failf "unknown rule %s" id
+  in
+  List.iter
+    (fun (r : Analysis.Rules.t) ->
+      check_true (r.Analysis.Rules.id ^ " has a scope")
+        (String.length (Analysis.Lint.scope_text r) > 0))
+    Analysis.Rules.all;
+  check_true "R4 names its exempt file" (contains ~needle:"lib/cellpop/params.ml" (scope "R4"));
+  check_true "R14 names the statistics clause" (contains ~needle:"lib/core/" (scope "R14"));
+  check_true "R14 names the factorization clause"
+    (contains ~needle:"lib/optimize/" (scope "R14"));
+  Alcotest.(check string) "R8" "everywhere except lib/parallel/ and lib/obs/" (scope "R8");
+  Alcotest.(check string) "R9" "lib/ only, except lib/dataio/atomic_file.ml" (scope "R9")
+
 (* Regression: the repository's own library tree lints clean. Tests run in
    _build/default/test, so the (copied) sources live one directory up. *)
 let test_repo_tree_is_clean () =
@@ -358,6 +408,8 @@ let tests =
         case "r5 negative" test_r5_negative;
         case "r6 positive" test_r6_positive;
         case "r6 negative" test_r6_negative;
+        case "r7 positive" test_r7_positive;
+        case "r7 negative" test_r7_negative;
         case "r8 positive" test_r8_positive;
         case "r8 negative" test_r8_negative;
         case "r9 positive" test_r9_positive;
@@ -385,6 +437,7 @@ let tests =
         case "json escaping" test_json_escaping;
         case "parse error" test_parse_error;
         case "lint_file as_path" test_lint_file_as_path;
+        case "scope text from the confinement rows" test_scope_text;
         case "repo tree lints clean" test_repo_tree_is_clean;
       ] );
   ]
