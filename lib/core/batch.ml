@@ -1,22 +1,23 @@
 open Numerics
 
-type t = {
-  kernel : Cellpop.Kernel.t;
-  basis : Spline.Basis.t;
-  params : Cellpop.Params.t;
-  use_positivity : bool;
-  use_conservation : bool;
-  use_rate_continuity : bool;
-}
+(* One prepared template problem: its design, penalty and constraint
+   blocks are built once here and every gene re-points it at its own
+   data. [flags] are the constraint switches as the checkpoint key spells
+   them. *)
+type t = { template : Problem.t; flags : string }
 
 let prepare ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
     ~kernel ~basis ~params () =
-  { kernel; basis; params; use_positivity; use_conservation; use_rate_continuity }
+  let measurements = Vec.zeros (Array.length kernel.Cellpop.Kernel.times) in
+  let flag v = if v then "1" else "0" in
+  {
+    template =
+      Problem.create ~use_positivity ~use_conservation ~use_rate_continuity ~kernel ~basis
+        ~measurements ~params ();
+    flags = flag use_positivity ^ flag use_conservation ^ flag use_rate_continuity;
+  }
 
-let problem_for t ?sigmas measurements =
-  Problem.create ~use_positivity:t.use_positivity ~use_conservation:t.use_conservation
-    ~use_rate_continuity:t.use_rate_continuity ?sigmas ~kernel:t.kernel ~basis:t.basis
-    ~measurements ~params:t.params ()
+let problem_for t ?sigmas measurements = Problem.with_data ?sigmas t.template measurements
 
 let solve_gene t ?sigmas ?(lambda = `Gcv) ?cache ~measurements () =
   let problem = problem_for t ?sigmas measurements in
@@ -41,10 +42,9 @@ let solve_gene t ?sigmas ?(lambda = `Gcv) ?cache ~measurements () =
 let hex = Printf.sprintf "%h"
 
 let gene_key t ?sigmas ~lambda ~measurements () =
-  let k = t.kernel in
-  let b = t.basis in
-  let p = t.params in
-  let flag v = if v then "1" else "0" in
+  let k = t.template.Problem.kernel in
+  let b = t.template.Problem.basis in
+  let p = t.template.Problem.params in
   Checkpoint.key_of_parts
     [
       "kernel";
@@ -70,7 +70,7 @@ let gene_key t ?sigmas ~lambda ~measurements () =
       | Cellpop.Params.Synchronized_swarmer -> "swarmer"
       | Cellpop.Params.Uniform_phase -> "uniform");
       "constraints";
-      flag t.use_positivity ^ flag t.use_conservation ^ flag t.use_rate_continuity;
+      t.flags;
       "lambda";
       (match lambda with `Gcv -> "gcv" | `Fixed l -> "fixed:" ^ hex l);
       "gene";
@@ -304,10 +304,10 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
 let solve_all t ?sigmas ?lambda ~measurements () =
   Outcome.estimates (solve_all_result t ?sigmas ?lambda ~measurements ())
 
-let phases t = Array.copy t.kernel.Cellpop.Kernel.phases
+let phases t = Array.copy t.template.Problem.kernel.Cellpop.Kernel.phases
 
 let peak_phase t (estimate : Solver.estimate) =
-  t.kernel.Cellpop.Kernel.phases.(Vec.argmax estimate.Solver.profile)
+  t.template.Problem.kernel.Cellpop.Kernel.phases.(Vec.argmax estimate.Solver.profile)
 
 let classify_by_peak t estimates ~boundaries =
   let n_b = Array.length boundaries in

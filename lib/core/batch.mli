@@ -6,7 +6,10 @@
 open Numerics
 
 type t
-(** Prepared context: forward matrix, penalty, constraint rows. *)
+(** Prepared context: one template {!Problem.t} holding the forward
+    matrix, penalty and constraint blocks, built once by {!prepare}. Every
+    gene re-points it at its own data through {!Problem.with_data}, so no
+    per-gene path assembles a matrix or integrates a constraint row. *)
 
 val prepare :
   ?use_positivity:bool ->
@@ -17,6 +20,8 @@ val prepare :
   params:Cellpop.Params.t ->
   unit ->
   t
+(** Builds the template problem with {!Problem.create} (all constraints
+    on by default): the one constraint build of the whole batch. *)
 
 val solve_gene :
   t ->

@@ -42,7 +42,7 @@ let residual ?(replicates = 200) ?(level = 0.9) problem (estimate : Solver.estim
         for m = 0 to n_m - 1 do
           resampled.(m) <- fitted.(m) +. (sigmas.(m) *. Rng.pick brng standardized)
         done;
-        let problem_b = { problem with Problem.measurements = resampled } in
+        let problem_b = Problem.with_data problem resampled in
         let estimate_b = Solver.solve ~lambda:estimate.Solver.lambda ~cache problem_b in
         Mat.set_row profiles b estimate_b.Solver.profile
       done);
@@ -102,7 +102,7 @@ let residual_result ?(replicates = 200) ?(level = 0.9) ?max_seconds ?max_iterati
             for m = 0 to n_m - 1 do
               resampled.(m) <- fitted.(m) +. (sigmas.(m) *. Rng.pick brng standardized)
             done;
-            let problem_b = { problem with Problem.measurements = resampled } in
+            let problem_b = Problem.with_data problem resampled in
             let budget =
               if max_seconds = None && max_iterations = None then None
               else Some (Robust.Budget.create ?max_seconds ?max_iterations ())

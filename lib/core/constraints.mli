@@ -12,13 +12,21 @@
     - Positivity (2.3, item 1): f_α(φ) ≥ 0, imposed on a grid.
 
     Dirac terms are evaluated analytically on basis functions; the
-    p(φ)-weighted integrals use composite Simpson quadrature on a fine
-    grid. *)
+    p(φ)-weighted integrals use composite Simpson quadrature with 2000
+    panels over p's ±10σ window. The density is tabulated once on the
+    Simpson nodes per row (or per {!density_integral} call) and each
+    integrand is sampled on the same nodes; nodes, products and the 1/4/2
+    accumulation order are exactly {!Numerics.Integrate.simpson}'s, so every
+    result is bit-identical to composite Simpson on h(φ)·p(φ).
+
+    The rows depend only on (params, basis): {!Problem.create} builds them
+    once per problem, and solves read the stored blocks. *)
 
 open Numerics
 
 val density_integral : Cellpop.Params.t -> (float -> float) -> float
-(** ∫₀¹ h(φ)·p(φ) dφ with p the Gaussian density of φ_sst. *)
+(** ∫₀¹ h(φ)·p(φ) dφ with p the Gaussian density of φ_sst, by the
+    tabulated Simpson rule above. *)
 
 val beta0 : Cellpop.Params.t -> float
 (** β₀ = ∫β(φ)p(φ)dφ (paper eq. 14). *)

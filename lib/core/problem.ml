@@ -6,15 +6,16 @@ type t = {
   measurements : Vec.t;
   sigmas : Vec.t;
   params : Cellpop.Params.t;
-  use_positivity : bool;
-  use_conservation : bool;
-  use_rate_continuity : bool;
   design : Mat.t;
   penalty : Mat.t;
+  equality : Mat.t option;
+  positivity : Mat.t option;
 }
 
-let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
-    ?sigmas ~kernel ~basis ~measurements ~params () =
+(* The typed length checks of [create] and of every re-pointing through
+   [with_data]: one measurement per kernel time, one sigma per
+   measurement. *)
+let check_lengths (kernel : Cellpop.Kernel.t) ?sigmas measurements =
   let n_m = Array.length measurements in
   if Array.length kernel.Cellpop.Kernel.times <> n_m then
     Robust.Error.raise_error
@@ -25,40 +26,65 @@ let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_contin
              Printf.sprintf "%d measurements but kernel has %d times" n_m
                (Array.length kernel.Cellpop.Kernel.times);
          });
-  let sigmas =
-    match sigmas with
-    | Some s ->
-      if Array.length s <> n_m then
-        Robust.Error.raise_error
-          (Robust.Error.Invalid_input
-             {
-               field = "sigmas";
-               why =
-                 Printf.sprintf "%d sigmas for %d measurements" (Array.length s) n_m;
-             });
-      (* Sigma positivity/finiteness is deliberately NOT asserted here:
-         [validate] reports it as a typed error, and the robust solver can
-         repair it. *)
-      s
-    | None -> Vec.ones n_m
-  in
-  {
-    kernel;
-    basis;
-    measurements;
-    sigmas;
-    params;
-    use_positivity;
-    use_conservation;
-    use_rate_continuity;
-    (* Assembled once here: kernel- and basis-derived matrices are
-       invariant under the record updates the codebase performs (new
-       measurements/sigmas for bootstrap resamples and input repair), and
-       recomputing them dominated every λ-sweep before the spectral fast
-       path. Swapping the kernel or basis must go through [create]. *)
-    design = Forward.matrix_basis kernel basis;
-    penalty = Spline.Penalty.second_derivative basis;
-  }
+  (* Sigma positivity/finiteness is deliberately NOT asserted here:
+     [validate] reports it as a typed error, and the robust solver can
+     repair it. *)
+  match sigmas with
+  | Some s when Array.length s <> n_m ->
+    Robust.Error.raise_error
+      (Robust.Error.Invalid_input
+         {
+           field = "sigmas";
+           why = Printf.sprintf "%d sigmas for %d measurements" (Array.length s) n_m;
+         })
+  | Some _ | None -> ()
+
+let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
+    ?sigmas ~kernel ~basis ~measurements ~params () =
+  check_lengths kernel ?sigmas measurements;
+  let sigmas = Option.value sigmas ~default:(Vec.ones (Array.length measurements)) in
+  Obs.Span.with_ "problem.create" (fun sp ->
+      (* Everything below depends on (kernel, basis, params, flags) only,
+         so it is assembled once here: every λ candidate, bootstrap
+         replicate, batch gene and input repair re-points the data
+         through [with_data] and reads the same matrices. Rebuilding the
+         constraint rows (Simpson integrals of every basis function) per
+         solve would cost more than the QP itself. *)
+      let equality =
+        match
+          (if use_conservation then [ Constraints.conservation_row params basis ] else [])
+          @ if use_rate_continuity then [ Constraints.rate_continuity_row params basis ] else []
+        with
+        | [] -> None
+        | rows -> Some (Mat.of_rows (Array.of_list rows))
+      in
+      let positivity =
+        if use_positivity then
+          (* Include the interval endpoints: the conservation constraints
+             act on f(0) and f(1), which lie outside the bin-center grid. *)
+          let grid = Vec.concat [ [| 0.0 |]; kernel.Cellpop.Kernel.phases; [| 1.0 |] ] in
+          Some (Constraints.positivity_rows basis ~grid)
+        else None
+      in
+      let rows = Option.fold ~none:0 ~some:(fun (m : Mat.t) -> m.Mat.rows) in
+      Obs.Span.set_int sp "m_eq" (rows equality);
+      Obs.Span.set_int sp "m_ineq" (rows positivity);
+      Obs.Metrics.incr "constraints.builds";
+      {
+        kernel;
+        basis;
+        measurements;
+        sigmas;
+        params;
+        design = Forward.matrix_basis kernel basis;
+        penalty = Spline.Penalty.second_derivative basis;
+        equality;
+        positivity;
+      })
+
+let with_data ?sigmas t measurements =
+  check_lengths t.kernel ?sigmas measurements;
+  { t with measurements; sigmas = Option.value sigmas ~default:t.sigmas }
 
 let num_measurements t = Array.length t.measurements
 

@@ -9,16 +9,27 @@ type t = {
   measurements : Vec.t;  (** G(t_m) *)
   sigmas : Vec.t;  (** per-measurement standard deviations σ_m *)
   params : Cellpop.Params.t;  (** population model behind the constraints *)
-  use_positivity : bool;
-  use_conservation : bool;
-  use_rate_continuity : bool;
   design : Mat.t;
       (** forward matrix A·Ψ, assembled once by {!create} — prefer the
           {!design} accessor *)
   penalty : Mat.t;
       (** roughness penalty Ω, assembled once by {!create} — prefer the
           {!penalty} accessor *)
+  equality : Mat.t option;
+      (** equality rows C with Cα = 0, built once by {!create}: the
+          conservation row ({!Constraints.conservation_row}), then the
+          rate-continuity row ({!Constraints.rate_continuity_row}), each
+          present only when its flag is on; [None] when both are off *)
+  positivity : Mat.t option;
+      (** inequality rows Ψ(φ_g) with Ψα ≥ 0 on g ∈ [0; kernel phases; 1]
+          ({!Constraints.positivity_rows}), built once by {!create}; [None]
+          when positivity is off *)
 }
+(** [design], [penalty], [equality] and [positivity] depend only on the
+    kernel, basis, params and constraint flags. {!with_data} is the one
+    way to re-point a problem at new measurements or sigmas and keeps
+    them; swapping the kernel, basis, params or constraint flags must go
+    through {!create}, which rebuilds them. *)
 
 val create :
   ?use_positivity:bool ->
@@ -34,7 +45,19 @@ val create :
 (** All constraints default to on (the paper's full method); [sigmas]
     default to all-ones (unweighted fit). Dimension compatibility is
     checked; a mismatch raises {!Robust.Error.Error} ([Invalid_input]),
-    keeping the typed-error contract from the very first entry point. *)
+    keeping the typed-error contract from the very first entry point.
+
+    The only place the constraint blocks are built: each call runs inside
+    a [problem.create] span (attributes [m_eq], [m_ineq]) and adds one to
+    the [constraints.builds] counter of {!Obs.Metrics}. *)
+
+val with_data : ?sigmas:Vec.t -> t -> Vec.t -> t
+(** [with_data ?sigmas t measurements] is [t] with new measurements (and
+    sigmas, which default to [t]'s), sharing every data-independent field:
+    design, penalty and constraint blocks. Makes {!create}'s length checks
+    and raises the same {!Robust.Error.Error} ([Invalid_input] on
+    ["measurements"] or ["sigmas"]). Bootstrap replicates, batch genes and
+    input repair all re-point through it. *)
 
 val num_measurements : t -> int
 

@@ -31,16 +31,6 @@ let quadratic_pieces ?(ridge = 0.0) problem lambda =
   let g_lin = Vec.scale (-2.0) (Mat.tmv a wg) in
   (a, w, omega, h, g_lin)
 
-let equality_rows problem =
-  let rows = ref [] in
-  if problem.Problem.use_rate_continuity then
-    rows := Constraints.rate_continuity_row problem.Problem.params problem.Problem.basis :: !rows;
-  if problem.Problem.use_conservation then
-    rows := Constraints.conservation_row problem.Problem.params problem.Problem.basis :: !rows;
-  match !rows with
-  | [] -> None
-  | rows -> Some (Mat.of_rows (Array.of_list rows))
-
 let finish problem lambda a w omega (alpha : Vec.t) iterations active =
   let fitted = Mat.mv a alpha in
   let residuals = Vec.sub problem.Problem.measurements fitted in
@@ -75,19 +65,10 @@ let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(m
       Obs.Span.set_float sp "lambda" lambda;
       Obs.Span.set_float sp "ridge" ridge;
       let a, w, omega, h, g_lin = quadratic_pieces ~ridge problem lambda in
-      let c_eq = equality_rows problem in
+      let c_eq = problem.Problem.equality in
       let d_eq = Option.map (fun (c : Mat.t) -> Vec.zeros c.Mat.rows) c_eq in
-      let a_ineq, b_ineq =
-        if problem.Problem.use_positivity then begin
-          let grid = problem.Problem.kernel.Cellpop.Kernel.phases in
-          (* Include the interval endpoints: the conservation constraints act
-             on f(0) and f(1), which lie outside the bin-center grid. *)
-          let grid = Vec.concat [ [| 0.0 |]; grid; [| 1.0 |] ] in
-          let rows = Constraints.positivity_rows problem.Problem.basis ~grid in
-          (Some rows, Some (Vec.zeros rows.Mat.rows))
-        end
-        else (None, None)
-      in
+      let a_ineq = problem.Problem.positivity in
+      let b_ineq = Option.map (fun (a : Mat.t) -> Vec.zeros a.Mat.rows) a_ineq in
       let qp = { Optimize.Qp.h; g = g_lin; c_eq; d_eq; a_ineq; b_ineq } in
       let solution = Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter qp in
       let est =
@@ -217,7 +198,7 @@ let repair_problem problem =
     else []
   in
   if repairs = [] then (problem, [])
-  else ({ problem with Problem.measurements = meas; sigmas = sig_ }, repairs)
+  else (Problem.with_data ~sigmas:sig_ problem meas, repairs)
 
 let finite_vec = Robust.Validate.all_finite
 

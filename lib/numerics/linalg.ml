@@ -2,35 +2,45 @@ exception Singular of string
 
 type lu = { lu : Mat.t; pivots : int array; sign : float }
 
+(* LU with partial pivoting, in place on a copy. Runs once per
+   interior-point pass on the QP's KKT system, so the loops index the
+   backing array directly, as [jacobi_eigen] does: same operations in the
+   same order, without a boxed float per cross-module Mat.get/set. *)
 let lu_factor a =
   let n, m = Mat.dims a in
   assert (n = m);
   let lu = Mat.copy a in
+  let d = lu.Mat.data in
   let pivots = Array.init n (fun i -> i) in
   let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Partial pivoting: largest magnitude in column k at/below the diagonal. *)
     let pivot_row = ref k in
     for i = k + 1 to n - 1 do
-      if Float.abs (Mat.get lu i k) > Float.abs (Mat.get lu !pivot_row k) then pivot_row := i
+      if Float.abs d.((i * n) + k) > Float.abs d.((!pivot_row * n) + k) then pivot_row := i
     done;
+    let krow = k * n in
     if !pivot_row <> k then begin
-      let tmp = Mat.row lu k in
-      Mat.set_row lu k (Mat.row lu !pivot_row);
-      Mat.set_row lu !pivot_row tmp;
+      let prow = !pivot_row * n in
+      for j = 0 to n - 1 do
+        let tmp = d.(krow + j) in
+        d.(krow + j) <- d.(prow + j);
+        d.(prow + j) <- tmp
+      done;
       let tp = pivots.(k) in
       pivots.(k) <- pivots.(!pivot_row);
       pivots.(!pivot_row) <- tp;
       sign := -. !sign
     end;
-    let pivot = Mat.get lu k k in
+    let pivot = d.(krow + k) in
     if Float.equal pivot 0.0 then raise (Singular "lu_factor: zero pivot");
     for i = k + 1 to n - 1 do
-      let factor = Mat.get lu i k /. pivot in
-      Mat.set lu i k factor;
+      let irow = i * n in
+      let factor = d.(irow + k) /. pivot in
+      d.(irow + k) <- factor;
       if not (Float.equal factor 0.0) then
         for j = k + 1 to n - 1 do
-          Mat.set lu i j (Mat.get lu i j -. (factor *. Mat.get lu k j))
+          d.(irow + j) <- d.(irow + j) -. (factor *. d.(krow + j))
         done
     done
   done;
@@ -39,22 +49,25 @@ let lu_factor a =
 let lu_solve { lu; pivots; _ } b =
   let n = lu.Mat.rows in
   assert (Array.length b = n);
+  let d = lu.Mat.data in
   let x = Array.init n (fun i -> b.(pivots.(i))) in
   (* Forward substitution with unit lower triangle. *)
   for i = 1 to n - 1 do
+    let irow = i * n in
     let acc = ref x.(i) in
     for j = 0 to i - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (d.(irow + j) *. x.(j))
     done;
     x.(i) <- !acc
   done;
   (* Back substitution. *)
   for i = n - 1 downto 0 do
+    let irow = i * n in
     let acc = ref x.(i) in
     for j = i + 1 to n - 1 do
-      acc := !acc -. (Mat.get lu i j *. x.(j))
+      acc := !acc -. (d.(irow + j) *. x.(j))
     done;
-    x.(i) <- !acc /. Mat.get lu i i
+    x.(i) <- !acc /. d.(irow + i)
   done;
   x
 

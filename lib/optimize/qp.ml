@@ -29,16 +29,20 @@ let solve_equality h g ~c ~d =
   let m = c.Mat.rows in
   assert (c.Mat.cols = n);
   assert (Array.length d = m);
-  let kkt = Mat.zeros (n + m) (n + m) in
+  let k = n + m in
+  let kkt = Mat.zeros k k in
+  (* Flat-array copies, as in Linalg.jacobi_eigen: this runs once per
+     interior-point pass, where cross-module Mat.get/set calls (each
+     boxing a float) cost more than the copy itself. *)
+  let kd = kkt.Mat.data and cd = c.Mat.data in
   for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      Mat.set kkt i j (Mat.get h i j)
-    done
+    Array.blit h.Mat.data (i * n) kd (i * k) n
   done;
   for i = 0 to m - 1 do
     for j = 0 to n - 1 do
-      Mat.set kkt (n + i) j (Mat.get c i j);
-      Mat.set kkt j (n + i) (Mat.get c i j)
+      let cij = cd.((i * n) + j) in
+      kd.(((n + i) * k) + j) <- cij;
+      kd.((j * k) + n + i) <- cij
     done
   done;
   let rhs = Array.init (n + m) (fun i -> if i < n then -.g.(i) else d.(i - n)) in
@@ -157,14 +161,20 @@ let solve_interior_point ~sp ~warm_start ~on_iteration ~tol ~max_iter problem a 
          C Δx = −r_eq. *)
       let s_inv_z = Array.init m_ineq (fun i -> !z.(i) /. !s.(i)) in
       let h_aug = Mat.copy problem.h in
+      (* Indexes the backing arrays directly (no row copy, no boxed
+         Mat.get/set per entry); same products in the same order. *)
+      let hd = h_aug.Mat.data and ad = a.Mat.data in
       for i = 0 to m_ineq - 1 do
-        let row = Mat.row a i in
+        let arow = i * n in
         let w = s_inv_z.(i) in
         for p = 0 to n - 1 do
-          if not (Float.equal row.(p) 0.0) then
+          let a_ip = ad.(arow + p) in
+          if not (Float.equal a_ip 0.0) then begin
+            let hrow = p * n in
             for q = 0 to n - 1 do
-              Mat.set h_aug p q (Mat.get h_aug p q +. (w *. row.(p) *. row.(q)))
+              hd.(hrow + q) <- hd.(hrow + q) +. (w *. a_ip *. ad.(arow + q))
             done
+          end
         done
       done;
       let rhs_extra =

@@ -98,6 +98,111 @@ let test_positivity_rows () =
   check_close ~tol:1e-12 "entries are basis evals" (basis.Spline.Basis.eval 3 grid.(7))
     (Mat.get rows 7 3)
 
+(* Bit-identity oracles for the tabulated quadrature: the density is
+   sampled once on the Simpson nodes and each integrand on the same nodes,
+   which must reproduce composite Simpson on h(φ)·p(φ) bit for bit. The
+   oracle is Integrate.simpson over the same ±10σ window and panel count. *)
+
+let bspline12 = Spline.Bspline.create ~lo:0.0 ~hi:1.0 ~num_basis:12
+
+let simpson_density h =
+  let mu = params.Cellpop.Params.mu_sst in
+  let sigma = Cellpop.Params.sst_std params in
+  let a = Float.max 0.0 (mu -. (10.0 *. sigma)) in
+  let b = Float.min (1.0 -. 1e-9) (mu +. (10.0 *. sigma)) in
+  Integrate.simpson
+    (fun phi -> h phi *. Cellpop.Params.sst_density params phi)
+    ~a ~b ~n:2000
+
+let beta phi = (1.0 -. Cellpop.Params.st_volume_fraction) /. (1.0 -. phi)
+
+let check_bits msg expected actual =
+  if not (Int64.equal (Int64.bits_of_float expected) (Int64.bits_of_float actual)) then
+    Alcotest.failf "%s: %h vs %h" msg expected actual
+
+let check_bits_vec msg expected actual =
+  Alcotest.(check int) (msg ^ ": length") (Array.length expected) (Array.length actual);
+  Array.iteri (fun i x -> check_bits (Printf.sprintf "%s[%d]" msg i) x actual.(i)) expected
+
+let test_density_integral_is_simpson () =
+  let same name h =
+    check_bits name (simpson_density h) (Deconv.Constraints.density_integral params h)
+  in
+  same "1" (fun _ -> 1.0);
+  same "phi" (fun phi -> phi);
+  for i = 0 to bspline12.Spline.Basis.size - 1 do
+    let psi = bspline12.Spline.Basis.eval i in
+    let psi' = bspline12.Spline.Basis.deriv i in
+    same (Printf.sprintf "psi_%d" i) psi;
+    same (Printf.sprintf "beta psi_%d" i) (fun phi -> beta phi *. psi phi);
+    same (Printf.sprintf "psi'_%d" i) psi'
+  done
+
+let test_rows_are_simpson () =
+  (* The rows as written before tabulation, one Simpson call per integral. *)
+  let sw = Cellpop.Params.sw_volume_fraction in
+  let st = Cellpop.Params.st_volume_fraction in
+  let b0 = simpson_density beta in
+  let n = bspline12.Spline.Basis.size in
+  let conservation =
+    Array.init n (fun i ->
+        let psi = bspline12.Spline.Basis.eval i in
+        psi 1.0 -. (sw *. psi 0.0) -. (st *. simpson_density psi))
+  in
+  let rate =
+    Array.init n (fun i ->
+        let psi = bspline12.Spline.Basis.eval i in
+        let psi' = bspline12.Spline.Basis.deriv i in
+        (b0 *. psi 1.0) -. (b0 *. psi 0.0)
+        -. simpson_density (fun phi -> beta phi *. psi phi)
+        -. (sw *. psi' 0.0)
+        -. (st *. simpson_density psi')
+        +. psi' 1.0)
+  in
+  check_bits "beta0" b0 (Deconv.Constraints.beta0 params);
+  check_bits_vec "conservation row" conservation
+    (Deconv.Constraints.conservation_row params bspline12);
+  check_bits_vec "rate-continuity row" rate
+    (Deconv.Constraints.rate_continuity_row params bspline12)
+
+let test_problem_blocks () =
+  let k = Lazy.force kernel in
+  let measurements = Vec.zeros (Array.length times) in
+  let create ?use_positivity ?use_conservation ?use_rate_continuity () =
+    Deconv.Problem.create ?use_positivity ?use_conservation ?use_rate_continuity ~kernel:k
+      ~basis:bspline12 ~measurements ~params ()
+  in
+  let conservation = Deconv.Constraints.conservation_row params bspline12 in
+  let rate = Deconv.Constraints.rate_continuity_row params bspline12 in
+  let grid = Vec.concat [ [| 0.0 |]; k.Cellpop.Kernel.phases; [| 1.0 |] ] in
+  let positivity = Deconv.Constraints.positivity_rows bspline12 ~grid in
+  let rows_of name = function
+    | Some (m : Mat.t) -> Array.init m.Mat.rows (Mat.row m)
+    | None -> Alcotest.failf "%s: block missing" name
+  in
+  let full = create () in
+  (match rows_of "equality" full.Deconv.Problem.equality with
+  | [| c; r |] ->
+    check_bits_vec "equality row 0 is conservation" conservation c;
+    check_bits_vec "equality row 1 is rate continuity" rate r
+  | rows -> Alcotest.failf "expected 2 equality rows, got %d" (Array.length rows));
+  let pos = rows_of "positivity" full.Deconv.Problem.positivity in
+  Alcotest.(check int) "positivity rows" positivity.Mat.rows (Array.length pos);
+  Array.iteri
+    (fun g row -> check_bits_vec (Printf.sprintf "positivity row %d" g) (Mat.row positivity g) row)
+    pos;
+  (match rows_of "equality" (create ~use_conservation:false ()).Deconv.Problem.equality with
+  | [| r |] -> check_bits_vec "conservation off leaves rate continuity" rate r
+  | rows -> Alcotest.failf "expected 1 equality row, got %d" (Array.length rows));
+  (match rows_of "equality" (create ~use_rate_continuity:false ()).Deconv.Problem.equality with
+  | [| c |] -> check_bits_vec "rate continuity off leaves conservation" conservation c
+  | rows -> Alcotest.failf "expected 1 equality row, got %d" (Array.length rows));
+  check_true "both equalities off: no block"
+    (Option.is_none
+       (create ~use_conservation:false ~use_rate_continuity:false ()).Deconv.Problem.equality);
+  check_true "positivity off: no block"
+    (Option.is_none (create ~use_positivity:false ()).Deconv.Problem.positivity)
+
 (* --- Noise --- *)
 
 let test_no_noise () =
@@ -194,6 +299,9 @@ let tests =
         case "rate row closed forms" test_rate_row_values;
         case "residual helpers" test_residual_functions;
         case "positivity rows" test_positivity_rows;
+        case "density integral is Simpson bitwise" test_density_integral_is_simpson;
+        case "rows are Simpson bitwise" test_rows_are_simpson;
+        case "problem carries the blocks" test_problem_blocks;
       ] );
     ( "noise",
       [

@@ -234,6 +234,66 @@ let test_batch_jobs_independent () =
         estimates)
     [ 2; 4 ]
 
+(* Problem.create is the only place the constraint blocks (Simpson
+   integrals of every basis function, Ψ on the phase grid) are built, and
+   it counts each build in [constraints.builds]. Counting builds makes a
+   lost hoist visible on any machine, with no timing noise: a batch
+   builds once in [Batch.prepare], bootstrap replicates re-point their
+   problem and build nothing. *)
+let constraint_builds f =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Metrics.disable ();
+      Obs.Metrics.reset ())
+    (fun () ->
+      f ();
+      List.fold_left
+        (fun acc (m : Obs.Metrics.snapshot) ->
+          if String.equal m.Obs.Metrics.name "constraints.builds" then
+            Option.value ~default:acc (List.assoc_opt "value" m.Obs.Metrics.fields)
+          else acc)
+        0.0 (Obs.Metrics.snapshot ()))
+
+let test_constraint_blocks_built_once () =
+  let problem, estimate = Lazy.force problem_and_estimate in
+  let kernel = problem.Deconv.Problem.kernel in
+  let measurements =
+    Mat.of_rows
+      (Array.init 32 (fun g ->
+           let center = 0.1 +. (0.8 *. float_of_int g /. 31.0) in
+           Deconv.Forward.apply_fn kernel
+             (Biomodels.Gene_profile.gaussian_pulse ~center ~width:0.1 ~height:3.0 ())))
+  in
+  List.iter
+    (fun jobs ->
+      let builds =
+        constraint_builds (fun () ->
+            with_jobs jobs (fun () ->
+                let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
+                let outcome =
+                  Deconv.Batch.solve_all_result batch ~lambda:`Gcv ~measurements ()
+                in
+                Alcotest.(check int)
+                  (Printf.sprintf "32 genes solve at jobs=%d" jobs)
+                  32
+                  (Deconv.Batch.Outcome.ok_count outcome)))
+      in
+      check_bitwise_float (Printf.sprintf "batch builds at jobs=%d" jobs) 1.0 builds)
+    [ 1; 2 ];
+  let builds =
+    constraint_builds (fun () ->
+        with_jobs 2 (fun () ->
+            let outcome =
+              Deconv.Bootstrap.residual_result ~replicates:50 problem estimate
+                ~rng:(Rng.create 910)
+            in
+            Alcotest.(check int) "no replicate fails" 0
+              (List.length outcome.Deconv.Bootstrap.failures)))
+  in
+  check_bitwise_float "bootstrap replicate builds" 0.0 builds
+
 (* Regression for the k-fold seed derivation: fold assignment now comes
    from an [Rng.split] substream, so repeated selections with equal-seeded
    generators agree exactly, candidate order notwithstanding. *)
@@ -264,6 +324,7 @@ let tests =
         case "lambda select bitwise across jobs" test_lambda_select_jobs_independent;
         case "bootstrap bands bitwise across jobs" test_bootstrap_jobs_independent;
         case "batch solves bitwise across jobs" test_batch_jobs_independent;
+        case "constraint blocks built once per problem" test_constraint_blocks_built_once;
         case "kfold fold-seed determinism" test_kfold_fold_seed_determinism;
       ] );
   ]

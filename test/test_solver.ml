@@ -165,6 +165,76 @@ let test_solver_deterministic () =
   let b = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_vec ~tol:0.0 "identical estimates" a.Deconv.Solver.alpha b.Deconv.Solver.alpha
 
+(* Problem.with_data is the one way to re-point a problem at new data:
+   it makes create's typed length checks and shares every data-independent
+   field. *)
+let raised f =
+  match f () with
+  | (_ : Deconv.Problem.t) -> Alcotest.fail "expected Robust.Error.Invalid_input"
+  | exception Robust.Error.Error e -> e
+
+let check_invalid_field field e =
+  match e with
+  | Robust.Error.Invalid_input { field = f; _ } -> Alcotest.(check string) "field" field f
+  | e -> Alcotest.failf "expected Invalid_input on %s, got %s" field (Robust.Error.to_string e)
+
+let test_with_data_typed_errors () =
+  let problem = make_problem (Lazy.force clean_data) in
+  let n = Deconv.Problem.num_measurements problem in
+  let short = Vec.zeros (n - 1) in
+  let from_create = raised (fun () -> make_problem short) in
+  let from_with_data = raised (fun () -> Deconv.Problem.with_data problem short) in
+  check_invalid_field "measurements" from_with_data;
+  check_true "same measurements error as create" (Robust.Error.equal from_create from_with_data);
+  let sigmas = Vec.ones (n + 1) in
+  let from_create = raised (fun () -> make_problem ~sigmas (Vec.zeros n)) in
+  let from_with_data = raised (fun () -> Deconv.Problem.with_data ~sigmas problem (Vec.zeros n)) in
+  check_invalid_field "sigmas" from_with_data;
+  check_true "same sigmas error as create" (Robust.Error.equal from_create from_with_data)
+
+let test_with_data_shares_blocks () =
+  let problem = make_problem ~sigmas:(Vec.make 13 0.5) (Lazy.force clean_data) in
+  let g = Vec.make 13 1.0 in
+  let p = Deconv.Problem.with_data problem g in
+  check_true "measurements replaced" (p.Deconv.Problem.measurements == g);
+  check_true "sigmas kept by default" (p.Deconv.Problem.sigmas == problem.Deconv.Problem.sigmas);
+  check_true "design shared" (Deconv.Problem.design p == Deconv.Problem.design problem);
+  check_true "penalty shared" (Deconv.Problem.penalty p == Deconv.Problem.penalty problem);
+  check_true "equality block shared" (p.Deconv.Problem.equality == problem.Deconv.Problem.equality);
+  check_true "positivity block shared"
+    (p.Deconv.Problem.positivity == problem.Deconv.Problem.positivity);
+  let sigmas = Vec.make 13 2.0 in
+  check_true "sigmas replaced when given"
+    ((Deconv.Problem.with_data ~sigmas problem g).Deconv.Problem.sigmas == sigmas)
+
+let test_batch_bad_sigma_row_isolated () =
+  (* Genes re-point one prepared template; a gene whose sigma row is
+     unusable fails alone, with the typed error validation gives it. *)
+  let k = Lazy.force kernel in
+  let batch = Deconv.Batch.prepare ~kernel:k ~basis ~params () in
+  let genes = 4 in
+  let measurements =
+    Mat.of_rows
+      (Array.init genes (fun g ->
+           Deconv.Forward.apply_fn k
+             (Biomodels.Gene_profile.gaussian_pulse
+                ~center:(0.2 +. (0.2 *. float_of_int g))
+                ~width:0.1 ~height:3.0 ())))
+  in
+  let sigmas = Mat.make genes 13 0.1 in
+  Mat.set sigmas 2 5 0.0;
+  let outcome =
+    Deconv.Batch.solve_all_result batch ~sigmas ~lambda:(`Fixed 1e-4) ~measurements ()
+  in
+  Array.iteri
+    (fun g -> function
+      | Ok (_ : Deconv.Solver.estimate) ->
+        check_true (Printf.sprintf "gene %d solves" g) (g <> 2)
+      | Error e ->
+        check_true (Printf.sprintf "only gene 2 fails, not gene %d" g) (g = 2);
+        check_invalid_field "sigmas" e)
+    outcome.Deconv.Batch.Outcome.outcomes
+
 let tests =
   [
     ( "solver",
@@ -181,6 +251,9 @@ let tests =
         case "naive baseline worse under noise" test_naive_baseline_is_worse_under_noise;
         case "weighted fit respects sigmas" test_weighted_fit_respects_sigmas;
         case "solver deterministic" test_solver_deterministic;
+        case "with_data typed errors" test_with_data_typed_errors;
+        case "with_data shares the blocks" test_with_data_shares_blocks;
+        case "batch bad sigma row isolated" test_batch_bad_sigma_row_isolated;
       ] );
     ( "lambda",
       [
