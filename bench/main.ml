@@ -11,8 +11,10 @@
 
    plus the ablations and extensions indexed in DESIGN.md
    (abl_volume_model, abl_constraints, ext_noise_sweep,
-   ext_lambda_selection, ext_param_estimation) and Bechamel
-   micro-benchmarks of the computational kernels.
+   ext_lambda_selection, ext_param_estimation, ...) and `micro`, which
+   prints Bechamel timings of the computational kernels. Every section but
+   `micro` prints no timings, so its output is reproducible byte for byte.
+   Gated performance numbers come from perfbench/, not from here.
 
    Pass a subset of section names as argv to run only those sections, e.g.
    `dune exec bench/main.exe -- fig2_lv_noiseless micro`. *)
@@ -1263,29 +1265,6 @@ let ext_recovery_study () =
 (* Bechamel micro-benchmarks of the computational kernels.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Set by the --json flag in main: micro additionally writes its OLS fits
-   to BENCH_deconv.json for machine consumption. *)
-let json_out = ref false
-
-(* Fold [records] into the BENCH_deconv.json trajectory with [merge]:
-   [Obs.Trajectory.upsert] for micro fits, [append] for macro runs (every
-   run adds a point to the history that `bench compare` diffs). An
-   unreadable file is reported and replaced by a fresh trajectory. *)
-let save_trajectory merge ~what records =
-  let path = "BENCH_deconv.json" in
-  let existing =
-    match Obs.Trajectory.load ~path with
-    | Ok t -> t
-    | Error msg ->
-      Printf.eprintf "warning: %s unreadable (%s); starting a fresh trajectory\n" path msg;
-      Obs.Trajectory.empty
-  in
-  let merged = List.fold_left merge existing records in
-  Obs.Trajectory.save merged ~path;
-  Printf.printf "saved %d %s records to %s (%d records total)\n" (List.length records) what
-    path
-    (List.length (Obs.Trajectory.records merged))
-
 let micro () =
   section "micro (bechamel kernels)";
   let open Bechamel in
@@ -1317,13 +1296,9 @@ let micro () =
              for _ = 1 to 1000 do
                ignore (Cellpop.Cell.draw_phi_sst params rng)
              done));
-      (* A single forward application sits near the timer's noise floor
-         (r^2 hovered around the 0.9 `bench compare` gate, so the record
-         kept dropping out of comparison); 10 iterations behind
-         Sys.opaque_identity lift the fixture into a clean linear fit.
-         Renamed with the unit change — one run is now 10 applications —
-         so the trajectory never diffs the new shape against the old
-         per-application records. *)
+      (* A single forward application sits near the timer's noise floor;
+         10 iterations behind Sys.opaque_identity lift the fixture into a
+         clean linear fit. One run is 10 applications, hence the name. *)
       Test.make ~name:"fig2_forward_model_x10"
         (Staged.stage (fun () ->
              for _ = 1 to 10 do
@@ -1514,324 +1489,20 @@ let micro () =
     Benchmark.all cfg Instance.[ monotonic_clock ] (Test.make_grouped ~name:"deconv" tests)
   in
   let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
   in
   let results = Analyze.all ols Instance.monotonic_clock raw in
-  let t = Dataio.Table.create ~title:"kernel timings" ~headers:[ "test_index"; "ns_per_run" ] in
   let names = ref [] in
   Hashtbl.iter (fun name _ -> names := name :: !names) results;
-  let sorted = List.sort compare !names in
-  let fits =
-    List.map
-      (fun name ->
-        let est = Hashtbl.find results name in
-        let ns =
-          match Analyze.OLS.estimates est with Some (v :: _) -> v | _ -> Float.nan
-        in
-        let r2 =
-          match Analyze.OLS.r_square est with Some r -> r | None -> Float.nan
-        in
-        (name, ns, r2))
-      sorted
-  in
-  List.iteri
-    (fun i (name, ns, _) ->
-      Printf.printf "  %-40s %12.0f ns/run\n" name ns;
-      Dataio.Table.add_row t [| float_of_int i; ns |])
-    fits;
-  if !json_out then begin
-    (* Upsert, keyed by (name, rev): re-running refreshes this revision's
-       numbers while macro history and other revisions stay. *)
-    let rev = Obs.Trajectory.git_rev () in
-    save_trajectory Obs.Trajectory.upsert ~what:"micro"
-      (List.map
-         (fun (name, ns, r2) ->
-           {
-             Obs.Trajectory.name;
-             rev;
-             kind = Obs.Trajectory.Micro;
-             ns_per_run = ns;
-             r_square = r2;
-             runs = 0;
-             iterations = Float.nan;
-             domains = Parallel.jobs ();
-           })
-         fits)
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Macro benchmark: end-to-end Pipeline.run timed through Obs spans.   *)
-(* ------------------------------------------------------------------ *)
-
-let macro_profile phi = 1.0 +. (0.5 *. Float.sin (2.0 *. Float.pi *. phi))
-
-(* One traced pipeline run: returns the recorded event stream. The memory
-   sink is installed only for the duration of the run so span timings come
-   from Obs.Clock (rule R7: no raw timing calls outside lib/obs). *)
-let run_macro_once config =
-  let sink, recorded = Obs.Export.memory () in
-  Obs.Export.install sink;
-  Fun.protect
-    ~finally:(fun () -> Obs.Export.uninstall ())
-    (fun () -> ignore (Deconv.Pipeline.run config ~profile:macro_profile));
-  recorded ()
-
-let span_total_ns name events =
-  List.fold_left
-    (fun acc ev ->
-      match ev with
-      | Obs.Export.Span s when String.equal s.Obs.Export.name name ->
-        acc +. (1e9 *. (s.Obs.Export.stop_s -. s.Obs.Export.start_s))
-      | _ -> acc)
-    0.0 events
-
-let qp_iterations_total events =
-  List.fold_left
-    (fun acc ev ->
-      match ev with
-      | Obs.Export.Span s when String.equal s.Obs.Export.name "qp.solve" ->
-        (match List.assoc_opt "iterations" s.Obs.Export.attrs with
-        | Some (Obs.Export.Int i) -> acc +. float_of_int i
-        | _ -> acc)
-      | _ -> acc)
-    0.0 events
-
-let macro_section ~smoke () =
-  section
-    (if smoke then "macro_smoke (tiny pipeline, schema check only)"
-     else "macro (end-to-end pipeline via Obs spans)");
-  let times = Array.init 6 (fun i -> 30.0 *. float_of_int i) in
-  let config =
-    if smoke then
-      { (Deconv.Pipeline.default_config ~times) with
-        Deconv.Pipeline.n_cells_kernel = 200;
-        n_cells_data = 200;
-        n_phi = 31;
-        num_knots = 8;
-        selection = `Fixed 1e-4;
-        seed = 21;
-      }
-    else
-      { (Deconv.Pipeline.default_config ~times) with
-        Deconv.Pipeline.n_cells_kernel = 1000;
-        n_cells_data = 1000;
-        n_phi = 101;
-        num_knots = 12;
-        selection = `Gcv;
-        seed = 21;
-      }
-  in
-  let runs = if smoke then 1 else 3 in
-  (* One untimed warm-up run: the first pipeline execution pays allocator
-     and cache warm-up that would otherwise skew the recorded means (the
-     sub-millisecond stages by 2x or more). *)
-  if not smoke then ignore (run_macro_once config);
-  let traces = List.init runs (fun _ -> run_macro_once config) in
-  let mean f = List.fold_left (fun acc t -> acc +. f t) 0.0 traces /. float_of_int runs in
-  let rev = Obs.Trajectory.git_rev () in
-  let record name ns iters =
-    {
-      Obs.Trajectory.name;
-      rev;
-      kind = Obs.Trajectory.Macro;
-      ns_per_run = ns;
-      (* Macro timings are plain means over [runs], not OLS fits; NaN marks
-         "no fit" and exempts the record from the r² noise gate. *)
-      r_square = Float.nan;
-      runs;
-      iterations = iters;
-      domains = Parallel.jobs ();
-    }
-  in
-  let records =
-    [
-      record "macro.pipeline_run" (mean (span_total_ns "pipeline.run")) (mean qp_iterations_total);
-      record "macro.kernel_estimate" (mean (span_total_ns "kernel.estimate")) Float.nan;
-      record "macro.lambda_select" (mean (span_total_ns "pipeline.lambda")) Float.nan;
-      record "macro.solve" (mean (span_total_ns "pipeline.solve")) (mean qp_iterations_total);
-    ]
-  in
   List.iter
-    (fun (r : Obs.Trajectory.record) ->
-      Printf.printf "  %-28s %14.0f ns/run  (mean of %d, %s qp iters)\n" r.Obs.Trajectory.name
-        r.Obs.Trajectory.ns_per_run r.Obs.Trajectory.runs
-        (if Float.is_finite r.Obs.Trajectory.iterations then
-           Printf.sprintf "%.0f" r.Obs.Trajectory.iterations
-         else "n/a"))
-    records;
-  if smoke then begin
-    (* Smoke mode never touches the real trajectory: write a scratch file,
-       reload it, and assert only schema validity — no timing assertions,
-       so the check is deterministic. *)
-    let path = "BENCH_smoke.json" in
-    let t = List.fold_left Obs.Trajectory.append Obs.Trajectory.empty records in
-    Obs.Trajectory.save t ~path;
-    match Obs.Trajectory.load ~path with
-    | Error msg ->
-      Printf.eprintf "bench-smoke: reload failed: %s\n" msg;
-      exit 1
-    | Ok loaded ->
-      let loaded_records = Obs.Trajectory.records loaded in
-      let valid (r : Obs.Trajectory.record) =
-        String.length r.Obs.Trajectory.name > 0
-        && Float.is_finite r.Obs.Trajectory.ns_per_run
-        && r.Obs.Trajectory.ns_per_run >= 0.0
-        && r.Obs.Trajectory.runs = runs
-        && String.length r.Obs.Trajectory.rev > 0
+    (fun name ->
+      let ns =
+        match Analyze.OLS.estimates (Hashtbl.find results name) with
+        | Some (v :: _) -> v
+        | _ -> Float.nan
       in
-      if
-        List.length loaded_records = List.length records
-        && List.for_all valid loaded_records
-      then Printf.printf "  bench-smoke: %d records round-tripped, schema ok\n"
-             (List.length loaded_records)
-      else begin
-        Printf.eprintf "bench-smoke: record schema validation failed\n";
-        exit 1
-      end
-  end
-  else save_trajectory Obs.Trajectory.append ~what:"macro" records
-
-(* ------------------------------------------------------------------ *)
-(* Macro benchmark: multicore speedup of the parallel hot layers.      *)
-(* ------------------------------------------------------------------ *)
-
-(* Wall nanoseconds of one [f ()] through the sanctioned clock (rule R7:
-   no raw timing calls outside lib/obs). *)
-let clock_ns f =
-  let t0 = Obs.Clock.now () in
-  f ();
-  1e9 *. (Obs.Clock.now () -. t0)
-
-(* Times the two dominant parallel layers — kernel estimation (Monte
-   Carlo founder fan-out) and the GCV λ sweep — at --jobs 1 and at the
-   ambient jobs setting, prints the speedup, and appends records under
-   distinct [_mt] names so `bench compare` diffs multicore runs only
-   against earlier multicore runs, never against the sequential
-   [macro.*] history. *)
-let macro_mt () =
-  section "macro_mt (parallel layers: --jobs 1 vs the pool)";
-  let ambient = Parallel.jobs () in
-  let params = Cellpop.Params.paper_2011 in
-  let times = lv_times in
-  let kernel_job () =
-    ignore
-      (Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 311)
-         ~n_cells:8000 ~times ~n_phi:201)
-  in
-  let kernel =
-    Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 312)
-      ~n_cells:2000 ~times ~n_phi:101
-  in
-  let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:12 in
-  let f1, _ = Lazy.force lv_profiles in
-  let data = Deconv.Forward.apply_fn kernel f1 in
-  let problem = Deconv.Problem.create ~kernel ~basis ~measurements:data ~params () in
-  let lambdas = Optimize.Cross_validation.log_lambda_grid ~lo:(-6.0) ~hi:0.0 ~count:25 in
-  let lambda_job () = ignore (Deconv.Lambda.select problem ~method_:`Gcv ~lambdas ()) in
-  let runs = 3 in
-  let mean_ns ~jobs job =
-    Parallel.set_jobs jobs;
-    (* Force the pool into existence so worker spawning stays outside the
-       timed region (--jobs 1 never spawns anything). *)
-    ignore (Parallel.default ());
-    job ();
-    let acc = ref 0.0 in
-    for _ = 1 to runs do
-      acc := !acc +. clock_ns job
-    done;
-    !acc /. float_of_int runs
-  in
-  let rev = Obs.Trajectory.git_rev () in
-  let bench name job =
-    let seq = mean_ns ~jobs:1 job in
-    let par = if ambient = 1 then seq else mean_ns ~jobs:ambient job in
-    Printf.printf "  %-28s jobs=1 %12.0f ns  jobs=%d %12.0f ns  speedup %.2fx\n" name
-      seq ambient par (seq /. par);
-    {
-      Obs.Trajectory.name;
-      rev;
-      kind = Obs.Trajectory.Macro;
-      ns_per_run = par;
-      r_square = Float.nan;
-      runs;
-      iterations = Float.nan;
-      domains = ambient;
-    }
-  in
-  let records =
-    [
-      bench "macro.kernel_estimate_mt" kernel_job;
-      bench "macro.lambda_select_mt" lambda_job;
-    ]
-  in
-  Parallel.set_jobs ambient;
-  save_trajectory Obs.Trajectory.append ~what:"multicore" records
-
-(* ------------------------------------------------------------------ *)
-(* Macro benchmark: batch deconvolution throughput (genes/sec).        *)
-(* ------------------------------------------------------------------ *)
-
-(* A small genome-scale batch: the 12-gene cell-cycle panel tiled to 48
-   genes with fresh 5% noise each, solved through the fault-isolated
-   batch path with GCV per gene — so one shared spectral factorization
-   amortizes across the whole batch. The record stores ns per gene (a
-   size-independent number for `bench compare`); the console line adds
-   the genes/sec reading. *)
-let macro_batch () =
-  section "macro_batch (batch deconvolution throughput, genes/sec)";
-  let params = Cellpop.Params.paper_2011 in
-  let times = lv_times in
-  let kernel =
-    Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 313) ~n_cells:2000
-      ~times ~n_phi:101
-  in
-  let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:12 in
-  let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
-  let genes = Biomodels.Cell_cycle_genes.panel in
-  let tile = 4 in
-  let n_genes = tile * Array.length genes in
-  let rng = Rng.create 314 in
-  let rows =
-    Array.init n_genes (fun i ->
-        let g = genes.(i mod Array.length genes) in
-        let clean = Deconv.Forward.apply_fn kernel g.Biomodels.Cell_cycle_genes.profile in
-        fst (Deconv.Noise.apply (Deconv.Noise.Gaussian_fraction 0.05) (Rng.split rng) clean))
-  in
-  let measurements = Mat.of_rows rows in
-  let job () =
-    let outcome = Deconv.Batch.solve_all_result batch ~measurements () in
-    if not (Deconv.Batch.Outcome.fully_ok outcome) then begin
-      Printf.eprintf "macro_batch: %d/%d genes failed\n"
-        (Deconv.Batch.Outcome.failed_count outcome) n_genes;
-      exit 1
-    end
-  in
-  (* Warm-up: pool spawn, allocator, and the factorization's first miss
-     all land outside the timed region. *)
-  ignore (Parallel.default ());
-  job ();
-  let runs = 3 in
-  let acc = ref 0.0 in
-  for _ = 1 to runs do
-    acc := !acc +. clock_ns job
-  done;
-  let per_gene = !acc /. float_of_int runs /. float_of_int n_genes in
-  Printf.printf "  %-28s %14.0f ns/gene  (%.1f genes/sec, %d genes, mean of %d)\n"
-    "macro.batch_solve" per_gene (1e9 /. per_gene) n_genes runs;
-  let record =
-    {
-      Obs.Trajectory.name = "macro.batch_solve";
-      rev = Obs.Trajectory.git_rev ();
-      kind = Obs.Trajectory.Macro;
-      ns_per_run = per_gene;
-      r_square = Float.nan;
-      runs;
-      (* genes per batch, so a reader can reconstruct the total. *)
-      iterations = float_of_int n_genes;
-      domains = Parallel.jobs ();
-    }
-  in
-  save_trajectory Obs.Trajectory.append ~what:"batch" [ record ]
+      Printf.printf "  %-40s %12.0f ns/run\n" name ns)
+    (List.sort compare !names)
 
 (* ------------------------------------------------------------------ *)
 
@@ -1866,26 +1537,12 @@ let sections =
     ("ext_other_oscillators", ext_other_oscillators);
     ("ext_recovery_study", ext_recovery_study);
     ("micro", micro);
-    ("macro", macro_section ~smoke:false);
-    ("macro_mt", macro_mt);
-    ("macro_batch", macro_batch);
-    ("macro_smoke", macro_section ~smoke:true);
   ]
 
 let () =
   let argv = match Array.to_list Sys.argv with [] -> [] | _exe :: args -> args in
-  json_out := List.mem "--json" argv;
-  let requested = List.filter (fun a -> not (String.equal a "--json")) argv in
-  (* --json is a property of the micro section; asking for it implies micro. *)
-  let requested =
-    if !json_out && requested <> [] && not (List.mem "micro" requested) then
-      requested @ [ "micro" ]
-    else requested
-  in
   let to_run =
-    if requested = [] then sections
-    else
-      List.filter (fun (name, _) -> List.mem name requested) sections
+    if argv = [] then sections else List.filter (fun (name, _) -> List.mem name argv) sections
   in
   if to_run = [] then begin
     Printf.eprintf "unknown section(s); available:\n";

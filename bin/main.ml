@@ -10,8 +10,13 @@
      celltypes       print simulated cell-type fractions over time
      identifiability singular spectrum of the forward operator for a schedule
      schedule        D-optimal measurement times for a sampling budget
-     trace           summarize / convergence-plot / utilization / export / selfcheck traces
-     bench           compare the newest benchmark records against a baseline
+     calibrate       fit the asynchrony model to a cell-type fraction time course
+     trace           summarize / convergence-plot / utilization / export / selfcheck /
+                     diff traces
+     diagnose        per-solve quality report cards from a trace
+
+   Performance is measured by perfbench/ (gated by BENCHMARK.json);
+   `trace diff` compares two traces of one workload.
 *)
 
 open Numerics
@@ -944,10 +949,11 @@ let trace_diff_cmd =
          & info [] ~docv:"B.JSONL" ~doc:"Candidate trace, compared against the baseline.")
   in
   let tolerance_arg =
-    Arg.(value & opt float Obs.Trajectory.default_thresholds.Obs.Trajectory.tolerance
+    Arg.(value & opt float Obs.Tracediff.default_tolerance
          & info [ "tolerance" ] ~docv:"FRAC"
              ~doc:"Relative per-span slowdown tolerated before a time regression fires \
-                   (0.3 = 30%). Quality statistics are always compared exactly.")
+                   (0.3 = 30%); must be finite and >= 0. Quality statistics are always \
+                   compared exactly.")
   in
   let run file_a file_b tolerance =
     match read_trace_file file_a, read_trace_file file_b with
@@ -957,18 +963,19 @@ let trace_diff_cmd =
     | _, Error msg ->
       Printf.eprintf "error: %s: %s\n" file_b msg;
       1
-    | Ok a, Ok b ->
-      let thresholds =
-        { Obs.Trajectory.default_thresholds with Obs.Trajectory.tolerance }
-      in
-      let d = Obs.Tracediff.diff ~thresholds a b in
-      Obs.Tracediff.output stdout d;
-      if Obs.Tracediff.has_regression d then 1 else 0
+    | Ok a, Ok b -> (
+      match Obs.Tracediff.diff ~tolerance a b with
+      | exception Invalid_argument msg ->
+        Printf.eprintf "error: %s\n" msg;
+        2
+      | d ->
+        Obs.Tracediff.output stdout d;
+        if Obs.Tracediff.has_regression d then 1 else 0)
   in
   Cmd.v
     (Cmd.info "diff"
        ~doc:"Compare two traces of the same workload: per-span wall-time deltas gated with \
-             the bench-compare tolerance (plus an absolute noise floor), and per-solve \
+             a relative tolerance (plus absolute noise and delta floors), and per-solve \
              quality statistics compared exactly. Exit 1 on a time regression.")
     Term.(const run $ file_a_arg $ file_b_arg $ tolerance_arg)
 
@@ -1036,85 +1043,6 @@ let diagnose_cmd =
              whiteness and normality verdicts, active-constraint counts, and the robust-cascade \
              path, with flags for unhealthy solves.")
     Term.(const run $ file_arg $ json_arg $ no_plot_arg $ kappa_limit_arg)
-
-(* ---------------- bench ---------------- *)
-
-let bench_compare_cmd =
-  let file_arg =
-    Arg.(value & opt string "BENCH_deconv.json"
-         & info [ "file" ] ~docv:"FILE" ~doc:"Benchmark trajectory file.")
-  in
-  let baseline_arg =
-    Arg.(value & opt (some string) None
-         & info [ "baseline" ] ~docv:"REV"
-             ~doc:"Compare the newest record of each bench against its newest earlier record \
-                   at git revision $(docv) (default: the immediately preceding record).")
-  in
-  let tolerance_arg =
-    Arg.(value & opt float Obs.Trajectory.default_thresholds.Obs.Trajectory.tolerance
-         & info [ "tolerance" ] ~docv:"FRAC"
-             ~doc:"Relative slowdown tolerated before a regression fires (0.3 = 30%).")
-  in
-  let min_r2_arg =
-    Arg.(value & opt float Obs.Trajectory.default_thresholds.Obs.Trajectory.min_r_square
-         & info [ "min-r2" ] ~docv:"R2"
-             ~doc:"Skip gating records whose OLS fit has r_square below $(docv); records \
-                   without a fit (NaN r_square, e.g. macro means) are always gated.")
-  in
-  let run file baseline tolerance min_r2 =
-    match Obs.Trajectory.load ~path:file with
-    | Error msg ->
-      Printf.eprintf "error: %s: %s\n" file msg;
-      1
-    | Ok t when Obs.Trajectory.records t = [] ->
-      Printf.eprintf
-        "error: %s has no records; run `bench macro` or `bench micro --json` first\n" file;
-      1
-    | Ok t ->
-      let thresholds = { Obs.Trajectory.tolerance; min_r_square = min_r2 } in
-      let comparisons = Obs.Trajectory.compare_latest ?baseline_rev:baseline ~thresholds t in
-      Obs.Trajectory.output_comparisons stdout comparisons;
-      let gated =
-        List.filter
-          (fun c ->
-            match c.Obs.Trajectory.verdict with Obs.Trajectory.Skipped _ -> false | _ -> true)
-          comparisons
-      in
-      (* A macro regression can only fire when macro records exist on both
-         sides; say so out loud instead of passing vacuously. *)
-      let macro_gated =
-        List.exists
-          (fun c ->
-            c.Obs.Trajectory.latest.Obs.Trajectory.kind = Obs.Trajectory.Macro
-            && match c.Obs.Trajectory.verdict with Obs.Trajectory.Skipped _ -> false | _ -> true)
-          gated
-      in
-      if not macro_gated then
-        Printf.printf
-          "warning: no macro records gated%s — the end-to-end timings are not covered by \
-           this comparison; run `bench macro` (and `bench macro_mt`) at both revisions\n"
-          (match baseline with
-          | Some rev -> Printf.sprintf " against baseline %s" rev
-          | None -> "");
-      if Obs.Trajectory.has_regression comparisons then begin
-        Printf.printf "regression detected (tolerance %.0f%%)\n" (100.0 *. tolerance);
-        1
-      end
-      else begin
-        Printf.printf "no regressions across %d gated benches (tolerance %.0f%%)\n"
-          (List.length gated) (100.0 *. tolerance);
-        0
-      end
-  in
-  Cmd.v
-    (Cmd.info "compare"
-       ~doc:"Diff the newest benchmark records against a baseline; exit 1 on a regression.")
-    Term.(const run $ file_arg $ baseline_arg $ tolerance_arg $ min_r2_arg)
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench" ~doc:"Inspect the benchmark trajectory (BENCH_deconv.json).")
-    [ bench_compare_cmd ]
 
 (* ---------------- batch ---------------- *)
 
@@ -1381,7 +1309,7 @@ let () =
       (Cmd.group info
          [
            simulate_cmd; deconvolve_cmd; batch_cmd; chaos_cmd; kernel_cmd; celltypes_cmd;
-           identifiability_cmd; schedule_cmd; calibrate_cmd; trace_cmd; bench_cmd;
+           identifiability_cmd; schedule_cmd; calibrate_cmd; trace_cmd;
            diagnose_cmd;
          ])
   in

@@ -119,8 +119,8 @@ let all =
         "open_out / open_out_bin / open_out_gen (or Out_channel.open_* / \
          with_open_*) in library code outside lib/dataio/atomic_file.ml. A raw \
          open truncates the destination immediately, so a crash mid-write \
-         leaves a torn file — fatal for the checkpoint journal, kernel dumps \
-         and trajectory records that --resume and the bench gate re-read. \
+         leaves a torn file — fatal for the checkpoint journal that --resume \
+         re-reads, and for kernel dumps and CSV outputs. \
          Route final-path writes through Dataio.Atomic_file.write (same-dir \
          temp file + fsync + rename); only the atomic writer itself may open \
          an output channel.";

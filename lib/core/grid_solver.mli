@@ -5,7 +5,7 @@
     where f is the profile at every phase bin and D₂ is the discrete
     second-difference operator. This is the discretize-then-regularize
     alternative to the paper's spline representation (eq. 4); the
-    `abl_representation` bench compares them. *)
+    `abl_representation` bench section compares them. *)
 
 open Numerics
 

@@ -164,10 +164,11 @@ val aggregate_span_rows : event list -> (string * int * float * float) list
 
 (** {1 Generic JSON}
 
-    The recursive-descent parser behind [of_json], exposed so sibling
-    modules (e.g. {!Trajectory}) can parse other single-document JSON
-    files without a new dependency. Numbers stay raw strings until the
-    caller knows whether an int or float is wanted. *)
+    The recursive-descent parser behind [of_json], exposed so other
+    modules (e.g. the batch checkpoint journal) can parse their own
+    single-document JSON lines without a new dependency. Numbers stay
+    raw strings until the caller knows whether an int or float is
+    wanted. *)
 
 type json =
   | J_obj of (string * json) list

@@ -1,17 +1,20 @@
 (* Jitter floor: spans whose total is below this in both traces carry
    more scheduler noise than signal, so they are skipped rather than
-   gated (same spirit as Trajectory's min_r_square guard — don't gate
-   what you can't trust). *)
+   gated — don't gate what you can't trust. *)
 let noise_floor_s = 1e-4
 
-(* Delta floor: a trace total is ONE wall-clock sample per span, not an
-   OLS fit over many runs like the bench trajectory — across two process
-   invocations a few-millisecond span routinely drifts 30–50% from page
-   cache, frequency scaling and scheduling alone. So a verdict fires
+(* Delta floor: a trace total is ONE wall-clock sample per span, not a
+   fit over many runs — across two process invocations a
+   few-millisecond span routinely drifts 30–50% from page cache,
+   frequency scaling and scheduling alone. So a verdict fires
    only when the absolute drift also clears this floor; below it the
    span is "ok" (measured, inside single-sample noise). Real regressions
    in traces worth diffing move tens of milliseconds. *)
 let delta_floor_s = 5e-3
+
+let default_tolerance = 0.30
+
+type verdict = Regression | Improvement | Unchanged | Skipped of string
 
 type time_row = {
   span : string;
@@ -20,7 +23,7 @@ type time_row = {
   total_a : float;
   total_b : float;
   ratio : float;
-  verdict : Trajectory.verdict;
+  verdict : verdict;
 }
 
 type quality_row = {
@@ -38,7 +41,7 @@ type t = {
   only_b : string list;
 }
 
-let time_rows ?(thresholds = Trajectory.default_thresholds) events_a events_b =
+let time_rows ~tolerance events_a events_b =
   let rows_a = Export.aggregate_span_rows events_a in
   let rows_b = Export.aggregate_span_rows events_b in
   let tbl_b = Hashtbl.create 32 in
@@ -57,19 +60,18 @@ let time_rows ?(thresholds = Trajectory.default_thresholds) events_a events_b =
             total_a;
             total_b = Float.nan;
             ratio = Float.nan;
-            verdict = Trajectory.Skipped "absent from B";
+            verdict = Skipped "absent from B";
           }
         | Some (calls_b, total_b) ->
           let ratio = total_b /. total_a in
           let verdict =
             if Float.max total_a total_b < noise_floor_s then
-              Trajectory.Skipped "below noise floor"
-            else if not (Float.is_finite ratio) then Trajectory.Skipped "zero baseline"
-            else if Float.abs (total_b -. total_a) < delta_floor_s then Trajectory.Unchanged
-            else if ratio > 1.0 +. thresholds.Trajectory.tolerance then Trajectory.Regression
-            else if ratio < 1.0 /. (1.0 +. thresholds.Trajectory.tolerance) then
-              Trajectory.Improvement
-            else Trajectory.Unchanged
+              Skipped "below noise floor"
+            else if not (Float.is_finite ratio) then Skipped "zero baseline"
+            else if Float.abs (total_b -. total_a) < delta_floor_s then Unchanged
+            else if ratio > 1.0 +. tolerance then Regression
+            else if ratio < 1.0 /. (1.0 +. tolerance) then Improvement
+            else Unchanged
           in
           { span = name; calls_a; calls_b; total_a; total_b; ratio; verdict })
       rows_a
@@ -87,7 +89,7 @@ let time_rows ?(thresholds = Trajectory.default_thresholds) events_a events_b =
               total_a = Float.nan;
               total_b;
               ratio = Float.nan;
-              verdict = Trajectory.Skipped "absent from A";
+              verdict = Skipped "absent from A";
             })
       rows_b
   in
@@ -175,21 +177,26 @@ let quality_rows events_a events_b =
   List.iter (fun (solve, _) -> if Hashtbl.mem tbl_b solve then only_b := solve :: !only_b) groups_b;
   (List.rev !rows, !checked, List.rev !only_a, List.rev !only_b)
 
-let diff ?thresholds events_a events_b =
-  let time = time_rows ?thresholds events_a events_b in
+let diff ?(tolerance = default_tolerance) events_a events_b =
+  (* NaN fails both band comparisons in [time_rows], so it would pass
+     every slowdown as [Unchanged]; a negative band has no meaning. *)
+  if not (Float.is_finite tolerance && tolerance >= 0.0) then
+    invalid_arg
+      (Printf.sprintf "Obs.Tracediff.diff: tolerance must be finite and >= 0, got %g" tolerance);
+  let time = time_rows ~tolerance events_a events_b in
   let quality, quality_checked, only_a, only_b = quality_rows events_a events_b in
   { time; quality; quality_checked; only_a; only_b }
 
 let has_regression t =
-  List.exists (fun r -> match r.verdict with Trajectory.Regression -> true | _ -> false) t.time
+  List.exists (fun r -> match r.verdict with Regression -> true | _ -> false) t.time
 
 let has_quality_delta t = t.quality <> [] || t.only_a <> [] || t.only_b <> []
 
 let verdict_name = function
-  | Trajectory.Regression -> "REGRESSION"
-  | Trajectory.Improvement -> "improvement"
-  | Trajectory.Unchanged -> "ok"
-  | Trajectory.Skipped why -> Printf.sprintf "skipped (%s)" why
+  | Regression -> "REGRESSION"
+  | Improvement -> "improvement"
+  | Unchanged -> "ok"
+  | Skipped why -> Printf.sprintf "skipped (%s)" why
 
 let format_total s = if Float.is_nan s then "         -" else Printf.sprintf "%10.3f" (s *. 1e3)
 

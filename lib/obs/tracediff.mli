@@ -3,12 +3,11 @@
     Two JSONL traces of the same workload are compared on two axes:
 
     - {b wall time} — per-span-name totals (the [trace summarize --top]
-      table) diffed with the same noise-aware gate as [bench compare]:
-      a multiplicative {!Trajectory.thresholds.tolerance} band, plus an
-      absolute noise floor below which spans are skipped rather than
-      gated. Because a trace total is a single wall-clock sample (not an
-      OLS fit over many runs), a verdict additionally requires the
-      absolute drift to clear a 5 ms delta floor — ms-scale spans
+      table) diffed with a noise-aware gate: a multiplicative tolerance
+      band, plus an absolute noise floor below which spans are skipped
+      rather than gated. Because a trace total is a single wall-clock
+      sample (not a fit over many runs), a verdict additionally requires
+      the absolute drift to clear a 5 ms delta floor — ms-scale spans
       routinely drift 30–50% between process invocations from caching
       and scheduling alone.
     - {b quality} — per-solve diag records joined by solve id and
@@ -27,6 +26,12 @@
     Together they let a perf PR prove "faster and bit-identical quality"
     from two trace files alone. *)
 
+type verdict =
+  | Regression
+  | Improvement
+  | Unchanged
+  | Skipped of string  (** why this span could not be gated *)
+
 type time_row = {
   span : string;
   calls_a : int;
@@ -34,7 +39,7 @@ type time_row = {
   total_a : float;  (** summed wall seconds in A; NaN when absent *)
   total_b : float;
   ratio : float;  (** [total_b /. total_a]; NaN when either side absent *)
-  verdict : Trajectory.verdict;
+  verdict : verdict;
 }
 
 type quality_row = {
@@ -52,10 +57,14 @@ type t = {
   only_b : string list;
 }
 
-val diff :
-  ?thresholds:Trajectory.thresholds -> Export.event list -> Export.event list -> t
-(** [diff A B] treats A as the baseline. Thresholds default to
-    {!Trajectory.default_thresholds}. *)
+val default_tolerance : float
+(** 0.30: a span regresses when B's total exceeds A's by more than 30%. *)
+
+val diff : ?tolerance:float -> Export.event list -> Export.event list -> t
+(** [diff A B] treats A as the baseline. [tolerance] (default
+    {!default_tolerance}) is the relative slowdown tolerated before a time
+    regression fires. Raises [Invalid_argument] unless it is finite and
+    [>= 0]. *)
 
 val has_regression : t -> bool
 (** Any time row gated [Regression]. Quality drift is reported separately

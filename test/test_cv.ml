@@ -32,7 +32,7 @@ let test_kfold_score_simple_model () =
   let rng = Rng.create 33 in
   let data = Array.make 12 5.0 in
   let score =
-    Optimize.Cross_validation.kfold_score ~rng ~k:4 ~n:12
+    kfold_score ~rng ~k:4 ~n:12
       ~fit_on:(fun ~train _lambda ->
         Vec.mean (Array.map (fun i -> data.(i)) train))
       ~predict_error:(fun model ~test ->
@@ -47,7 +47,7 @@ let test_kfold_score_penalizes_variance () =
   let rng = Rng.create 35 in
   let data = Array.init 12 (fun i -> float_of_int i) in
   let score =
-    Optimize.Cross_validation.kfold_score ~rng ~k:3 ~n:12
+    kfold_score ~rng ~k:3 ~n:12
       ~fit_on:(fun ~train _ -> Vec.mean (Array.map (fun i -> data.(i)) train))
       ~predict_error:(fun model ~test ->
         Vec.mean (Array.map (fun i -> (data.(i) -. model) ** 2.0) test))

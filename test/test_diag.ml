@@ -263,10 +263,24 @@ let test_trace_diff_regression () =
   (match d.Obs.Tracediff.time with
   | [ row ] ->
     check_true "verdict is Regression"
-      (match row.Obs.Tracediff.verdict with Obs.Trajectory.Regression -> true | _ -> false);
+      (match row.Obs.Tracediff.verdict with Obs.Tracediff.Regression -> true | _ -> false);
     check_close ~tol:1e-9 "ratio" 2.5 row.Obs.Tracediff.ratio
   | rows -> Alcotest.failf "expected one time row, got %d" (List.length rows));
   check_true "no quality rows without diags" (not (Obs.Tracediff.has_quality_delta d))
+
+let test_trace_diff_rejects_bad_tolerance () =
+  (* NaN fails both band comparisons, so an unchecked NaN tolerance
+     passed this 2.5x slowdown as "ok"; a negative band means nothing. *)
+  let a = [ span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.10 ] in
+  let b = [ span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.25 ] in
+  List.iter
+    (fun tolerance ->
+      match Obs.Tracediff.diff ~tolerance a b with
+      | exception Invalid_argument _ -> ()
+      | d ->
+        Alcotest.failf "tolerance %g accepted (regression reported: %b)" tolerance
+          (Obs.Tracediff.has_regression d))
+    [ Float.nan; Float.infinity; -0.1 ]
 
 let test_trace_diff_jitter_passes () =
   (* 10% drift is inside the default 30% band: noise, not a regression. *)
@@ -282,7 +296,7 @@ let test_trace_diff_jitter_passes () =
   match d.Obs.Tracediff.time with
   | [ row ] ->
     check_true "verdict is Skipped"
-      (match row.Obs.Tracediff.verdict with Obs.Trajectory.Skipped _ -> true | _ -> false)
+      (match row.Obs.Tracediff.verdict with Obs.Tracediff.Skipped _ -> true | _ -> false)
   | rows -> Alcotest.failf "expected one time row, got %d" (List.length rows)
 
 let test_trace_diff_quality_delta () =
@@ -348,6 +362,80 @@ let test_trace_diff_identical_run =
   Alcotest.(check (list string)) "no unmatched solves in A" [] d.Obs.Tracediff.only_a;
   Alcotest.(check (list string)) "no unmatched solves in B" [] d.Obs.Tracediff.only_b
 
+let render_diff d =
+  let path = Filename.temp_file "deconv_trace_diff" ".txt" in
+  let oc = open_out path in
+  Obs.Tracediff.output oc d;
+  close_out oc;
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  text
+
+let diag_for solve =
+  Obs.Export.Diag (Obs.Diag.make ~solve ~stage:"solve" ~values:[ ("kappa", 1e9) ] ())
+
+let test_trace_diff_unmatched_solves () =
+  let a = [ diag_for "gene:0"; diag_for "gene:1" ] in
+  let b = [ diag_for "gene:0"; diag_for "gene:2" ] in
+  let d = Obs.Tracediff.diff a b in
+  Alcotest.(check (list string)) "solves only in A" [ "gene:1" ] d.Obs.Tracediff.only_a;
+  Alcotest.(check (list string)) "solves only in B" [ "gene:2" ] d.Obs.Tracediff.only_b;
+  Alcotest.(check int) "matched solve compared" 1 d.Obs.Tracediff.quality_checked;
+  check_true "no statistic drifted" (d.Obs.Tracediff.quality = []);
+  check_true "an unmatched solve is a quality delta" (Obs.Tracediff.has_quality_delta d)
+
+let test_trace_diff_curve_length () =
+  let a = curve_diag [| (1e-6, 0.25); (1e-5, 0.3); (1e-4, 0.5) |] in
+  let b = curve_diag [| (1e-6, 0.25); (1e-5, 0.3) |] in
+  match (Obs.Tracediff.diff [ a ] [ b ]).Obs.Tracediff.quality with
+  | [ row ] ->
+    Alcotest.(check string) "reported as a length change" "lambda/curve.length"
+      row.Obs.Tracediff.stat;
+    Alcotest.(check (float 0.0)) "length in A" 3.0 row.Obs.Tracediff.value_a;
+    Alcotest.(check (float 0.0)) "length in B" 2.0 row.Obs.Tracediff.value_b
+  | rows -> Alcotest.failf "expected one quality row, got %d" (List.length rows)
+
+let test_trace_diff_verdict_line () =
+  (* A time regression outranks quality drift in the one-line verdict. *)
+  let fast = span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.10 in
+  let slow = span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.25 in
+  let a = solve_diag ~kappa:1e9 ~rss:0.25 and b = solve_diag ~kappa:1e9 ~rss:0.5 in
+  List.iter
+    (fun (label, events_a, events_b, expected) ->
+      let text = render_diff (Obs.Tracediff.diff events_a events_b) in
+      check_true
+        (Printf.sprintf "%s: verdict %s" label expected)
+        (contains ~needle:(Printf.sprintf "\ntrace diff verdict: %s\n" expected) text))
+    [
+      ("identical", [ a; fast ], [ a; fast ], "no regressions");
+      ("quality only", [ a; fast ], [ b; fast ], "quality drift");
+      ("slowdown and drift", [ a; fast ], [ b; slow ], "REGRESSION");
+    ]
+
+let test_trace_diff_table_format () =
+  let a =
+    [ solve_diag ~kappa:1e9 ~rss:0.25; span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.10 ]
+  in
+  let b =
+    [
+      solve_diag ~kappa:1e9 ~rss:0.5;
+      span ~id:1 ~name:"qp.solve" ~start_s:0.0 ~stop_s:0.25;
+      span ~id:2 ~name:"extra" ~start_s:0.0 ~stop_s:0.01;
+    ]
+  in
+  let text = render_diff (Obs.Tracediff.diff a b) in
+  List.iter
+    (fun line -> check_true (Printf.sprintf "renders %S" line) (contains ~needle:line text))
+    [
+      "wall time by span (A -> B, ms total):\n";
+      "  qp.solve                                  1x      1x     100.000     250.000"
+      ^ "    2.50  REGRESSION\n";
+      "  extra                                     0x      1x           -      10.000"
+      ^ "       -  skipped (absent from A)\n";
+      "quality: 2 statistics compared, 1 deltas\n";
+      "  gene:0       solve/rss                    0.25 -> 0.5\n";
+    ]
+
 (* ---------------- the runs test ---------------- *)
 
 let test_runs_z_known_sequences () =
@@ -404,6 +492,11 @@ let tests =
         case "quality drift is exact" test_trace_diff_quality_delta;
         case "curve scores carry a relative band" test_trace_diff_curve_score_band;
         case "identical run diffs silent" test_trace_diff_identical_run;
+        case "non-finite or negative tolerance rejected" test_trace_diff_rejects_bad_tolerance;
+        case "unmatched solves listed" test_trace_diff_unmatched_solves;
+        case "curve length change is a delta" test_trace_diff_curve_length;
+        case "regression outranks drift in the verdict" test_trace_diff_verdict_line;
+        case "table rows keep their format" test_trace_diff_table_format;
       ] );
     ( "diag-stats",
       [

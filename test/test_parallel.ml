@@ -234,13 +234,15 @@ let test_batch_jobs_independent () =
         estimates)
     [ 2; 4 ]
 
-(* Problem.create is the only place the constraint blocks (Simpson
-   integrals of every basis function, Ψ on the phase grid) are built, and
-   it counts each build in [constraints.builds]. Counting builds makes a
-   lost hoist visible on any machine, with no timing noise: a batch
-   builds once in [Batch.prepare], bootstrap replicates re-point their
-   problem and build nothing. *)
-let constraint_builds f =
+(* Work counters make a lost hoist, a lost cache hit or a changed QP
+   path visible on any machine, with no timing noise. Problem.create is
+   the only place the constraint blocks (Simpson integrals of every basis
+   function, Ψ on the phase grid) are built, and it counts each build in
+   [constraints.builds]: a batch builds once in [Batch.prepare],
+   bootstrap replicates re-point their problem and build nothing.
+   [counters f] runs [f] on a fresh, enabled registry and returns a
+   reader for the counters it left (0 for one never incremented). *)
+let counters f =
   Obs.Metrics.reset ();
   Obs.Metrics.enable ();
   Fun.protect
@@ -249,12 +251,14 @@ let constraint_builds f =
       Obs.Metrics.reset ())
     (fun () ->
       f ();
-      List.fold_left
-        (fun acc (m : Obs.Metrics.snapshot) ->
-          if String.equal m.Obs.Metrics.name "constraints.builds" then
-            Option.value ~default:acc (List.assoc_opt "value" m.Obs.Metrics.fields)
-          else acc)
-        0.0 (Obs.Metrics.snapshot ()))
+      let snapshot = Obs.Metrics.snapshot () in
+      fun name ->
+        List.fold_left
+          (fun acc (m : Obs.Metrics.snapshot) ->
+            if String.equal m.Obs.Metrics.name name then
+              Option.value ~default:acc (List.assoc_opt "value" m.Obs.Metrics.fields)
+            else acc)
+          0.0 snapshot)
 
 let test_constraint_blocks_built_once () =
   let problem, estimate = Lazy.force problem_and_estimate in
@@ -266,10 +270,12 @@ let test_constraint_blocks_built_once () =
            Deconv.Forward.apply_fn kernel
              (Biomodels.Gene_profile.gaussian_pulse ~center ~width:0.1 ~height:3.0 ())))
   in
+  (* Each pinned count is the value read when its pin was added; a change
+     that moves one must explain why. *)
   List.iter
     (fun jobs ->
-      let builds =
-        constraint_builds (fun () ->
+      let count =
+        counters (fun () ->
             with_jobs jobs (fun () ->
                 let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
                 let outcome =
@@ -280,10 +286,25 @@ let test_constraint_blocks_built_once () =
                   32
                   (Deconv.Batch.Outcome.ok_count outcome)))
       in
-      check_bitwise_float (Printf.sprintf "batch builds at jobs=%d" jobs) 1.0 builds)
+      let pin name expected =
+        check_bitwise_float (Printf.sprintf "batch %s at jobs=%d" name jobs) expected (count name)
+      in
+      pin "constraints.builds" 1.0;
+      pin "qp.solves" 32.0;
+      pin "qp.iterations" 418.0;
+      (* Each gene looks the shared factorization up twice (λ selection,
+         then the solve). Until the first insert lands, every domain's
+         first lookup can miss and factor, so the misses (= factorizations)
+         are exactly 1 at jobs=1 and between 1 and [jobs] above it. *)
+      let misses = count "spectral.cache_misses" in
+      check_true
+        (Printf.sprintf "1 <= cache misses <= %d at jobs=%d" jobs jobs)
+        (misses >= 1.0 && misses <= float_of_int jobs);
+      pin "spectral.factorizations" misses;
+      pin "spectral.cache_hits" (64.0 -. misses))
     [ 1; 2 ];
-  let builds =
-    constraint_builds (fun () ->
+  let count =
+    counters (fun () ->
         with_jobs 2 (fun () ->
             let outcome =
               Deconv.Bootstrap.residual_result ~replicates:50 problem estimate
@@ -292,7 +313,12 @@ let test_constraint_blocks_built_once () =
             Alcotest.(check int) "no replicate fails" 0
               (List.length outcome.Deconv.Bootstrap.failures)))
   in
-  check_bitwise_float "bootstrap replicate builds" 0.0 builds
+  let pin name expected =
+    check_bitwise_float (Printf.sprintf "bootstrap %s" name) expected (count name)
+  in
+  pin "constraints.builds" 0.0;
+  pin "qp.solves" 50.0;
+  pin "qp.iterations" 371.0
 
 (* Regression for the k-fold seed derivation: fold assignment now comes
    from an [Rng.split] substream, so repeated selections with equal-seeded

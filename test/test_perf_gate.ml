@@ -1,188 +1,109 @@
-(* Performance observatory: trajectory persistence and merge semantics,
-   the noise-aware regression gate, and per-iteration convergence
-   telemetry from the QP and Richardson-Lucy solvers. *)
+(* Performance receipts: the noise-aware wall-time gate of [trace diff]
+   (tolerance band, noise and delta floors, unmatched spans), and
+   per-iteration convergence telemetry from the QP and Richardson-Lucy
+   solvers (one trace point per iteration, attached to its solver span). *)
 
 open Numerics
 open Testutil
 
-let record ?(rev = "r1") ?(kind = Obs.Trajectory.Micro) ?(r2 = 0.99) ?(runs = 0)
-    ?(iters = Float.nan) ?(domains = 1) name ns =
-  {
-    Obs.Trajectory.name;
-    rev;
-    kind;
-    ns_per_run = ns;
-    r_square = r2;
-    runs;
-    iterations = iters;
-    domains;
-  }
+(* ---------------- wall-time gate ---------------- *)
+
+(* A trace holding one root span per [(name, seconds)] pair. *)
+let trace spans =
+  List.mapi
+    (fun i (name, seconds) ->
+      Obs.Export.Span
+        { Obs.Export.id = i + 1; parent = None; name; start_s = 0.0; stop_s = seconds; attrs = [] })
+    spans
+
+let gate ?tolerance a b = Obs.Tracediff.diff ?tolerance (trace a) (trace b)
 
 let verdict_label = function
-  | Obs.Trajectory.Regression -> "regression"
-  | Obs.Trajectory.Improvement -> "improvement"
-  | Obs.Trajectory.Unchanged -> "unchanged"
-  | Obs.Trajectory.Skipped _ -> "skipped"
+  | Obs.Tracediff.Regression -> "regression"
+  | Obs.Tracediff.Improvement -> "improvement"
+  | Obs.Tracediff.Unchanged -> "unchanged"
+  | Obs.Tracediff.Skipped why -> "skipped: " ^ why
 
-let only_comparison comparisons =
-  match comparisons with
-  | [ c ] -> c
-  | cs -> Alcotest.failf "expected exactly one comparison, got %d" (List.length cs)
+let only_row (d : Obs.Tracediff.t) =
+  match d.time with
+  | [ row ] -> row
+  | rows -> Alcotest.failf "expected exactly one time row, got %d" (List.length rows)
 
-(* ---------------- regression gate ---------------- *)
+let check_verdict msg expected (row : Obs.Tracediff.time_row) =
+  Alcotest.(check string) msg expected (verdict_label row.verdict)
 
 let test_gate_flags_2x_regression () =
-  let t =
-    List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-      [ record "solve" 100.0 ~rev:"old"; record "solve" 200.0 ~rev:"new" ]
-  in
-  let c = only_comparison (Obs.Trajectory.compare_latest t) in
-  Alcotest.(check string) "2x slowdown is a regression" "regression"
-    (verdict_label c.Obs.Trajectory.verdict);
-  Alcotest.(check (float 1e-9)) "ratio" 2.0 c.Obs.Trajectory.ratio;
-  check_true "has_regression" (Obs.Trajectory.has_regression [ c ])
+  let d = gate [ ("solve", 0.10) ] [ ("solve", 0.20) ] in
+  let row = only_row d in
+  check_verdict "2x slowdown is a regression" "regression" row;
+  check_close ~tol:1e-9 "ratio" 2.0 row.ratio;
+  check_true "has_regression" (Obs.Tracediff.has_regression d)
 
 let test_gate_passes_jitter () =
   (* 10% jitter is inside the default 30% tolerance, both directions. *)
   List.iter
-    (fun latest_ns ->
-      let t =
-        List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-          [ record "solve" 100.0 ~rev:"old"; record "solve" latest_ns ~rev:"new" ]
-      in
-      let c = only_comparison (Obs.Trajectory.compare_latest t) in
-      Alcotest.(check string)
-        (Printf.sprintf "%.0f ns vs 100 ns is within tolerance" latest_ns)
-        "unchanged"
-        (verdict_label c.Obs.Trajectory.verdict);
-      check_true "no regression" (not (Obs.Trajectory.has_regression [ c ])))
-    [ 110.0; 90.0 ]
+    (fun latest ->
+      let d = gate [ ("solve", 0.10) ] [ ("solve", latest) ] in
+      check_verdict
+        (Printf.sprintf "%.0f ms vs 100 ms is within tolerance" (latest *. 1e3))
+        "unchanged" (only_row d);
+      check_true "no regression" (not (Obs.Tracediff.has_regression d)))
+    [ 0.11; 0.09 ]
 
-let test_gate_skips_noisy_fit () =
-  (* A baseline whose OLS fit explains little variance must not gate. *)
-  let t =
-    List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-      [ record "solve" 100.0 ~rev:"old" ~r2:0.2; record "solve" 300.0 ~rev:"new" ]
+let test_gate_flags_improvement () =
+  let d = gate [ ("solve", 0.20) ] [ ("solve", 0.10) ] in
+  check_verdict "2x speedup is an improvement" "improvement" (only_row d);
+  check_true "an improvement is not a regression" (not (Obs.Tracediff.has_regression d))
+
+let test_gate_delta_floor () =
+  (* A trace total is one wall-clock sample: a 3x ratio on 2 ms of drift
+     is inside single-sample noise, while 6 ms of drift is gated. *)
+  check_verdict "2 ms drift is ok at any ratio" "unchanged"
+    (only_row (gate [ ("solve", 0.001) ] [ ("solve", 0.003) ]));
+  check_verdict "6 ms drift clears the floor" "regression"
+    (only_row (gate [ ("solve", 0.001) ] [ ("solve", 0.007) ]))
+
+let test_gate_tolerance_sets_band () =
+  check_verdict "2.5x is inside a 200% band" "unchanged"
+    (only_row (gate ~tolerance:2.0 [ ("solve", 0.10) ] [ ("solve", 0.25) ]));
+  check_verdict "20% is outside a 10% band" "regression"
+    (only_row (gate ~tolerance:0.1 [ ("solve", 0.10) ] [ ("solve", 0.12) ]));
+  check_verdict "a zero band gates any slowdown past the delta floor" "regression"
+    (only_row (gate ~tolerance:0.0 [ ("solve", 0.100) ] [ ("solve", 0.106) ]));
+  check_verdict "a zero band gates any speedup past the delta floor" "improvement"
+    (only_row (gate ~tolerance:0.0 [ ("solve", 0.106) ] [ ("solve", 0.100) ]))
+
+let test_gate_skips_unmatched_spans () =
+  let d =
+    gate
+      [ ("kept", 0.10); ("gone", 0.10); ("zero", 0.0) ]
+      [ ("kept", 0.10); ("zero", 0.01); ("new", 0.10) ]
   in
-  let c = only_comparison (Obs.Trajectory.compare_latest t) in
-  Alcotest.(check string) "noisy baseline skipped" "skipped"
-    (verdict_label c.Obs.Trajectory.verdict);
-  check_true "skip is not a regression" (not (Obs.Trajectory.has_regression [ c ]))
-
-let test_gate_nan_r2_is_gated () =
-  (* Macro records carry NaN r_square (means, not fits): still gated. *)
-  let t =
-    List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-      [
-        record "macro.run" 100.0 ~rev:"old" ~kind:Obs.Trajectory.Macro ~r2:Float.nan;
-        record "macro.run" 250.0 ~rev:"new" ~kind:Obs.Trajectory.Macro ~r2:Float.nan;
-      ]
+  let row name =
+    match List.find_opt (fun (r : Obs.Tracediff.time_row) -> String.equal r.span name) d.time with
+    | Some r -> r
+    | None -> Alcotest.failf "no time row for %s" name
   in
-  let c = only_comparison (Obs.Trajectory.compare_latest t) in
-  Alcotest.(check string) "NaN r2 records are gated" "regression"
-    (verdict_label c.Obs.Trajectory.verdict)
+  Alcotest.(check int) "one row per span name" 4 (List.length d.time);
+  check_verdict "matched span" "unchanged" (row "kept");
+  check_verdict "span only in A" "skipped: absent from B" (row "gone");
+  check_verdict "span only in B" "skipped: absent from A" (row "new");
+  check_verdict "zero baseline" "skipped: zero baseline" (row "zero");
+  check_true "absent side has no total" (Float.is_nan (row "gone").total_b);
+  check_true "absent side has no ratio" (Float.is_nan (row "new").ratio);
+  (match List.rev d.time with
+  | last :: _ -> Alcotest.(check string) "B-only spans come after A's" "new" last.span
+  | [] -> Alcotest.fail "no time rows");
+  check_true "skips are not regressions" (not (Obs.Tracediff.has_regression d))
 
-let test_gate_baseline_rev_selection () =
-  let t =
-    List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-      [
-        record "solve" 100.0 ~rev:"a";
-        record "solve" 400.0 ~rev:"b";
-        record "solve" 120.0 ~rev:"c";
-      ]
-  in
-  (* Default baseline: the immediately preceding record (rev b). *)
-  let c = only_comparison (Obs.Trajectory.compare_latest t) in
-  (match c.Obs.Trajectory.baseline with
-  | Some b -> Alcotest.(check string) "default baseline is previous record" "b" b.Obs.Trajectory.rev
-  | None -> Alcotest.fail "expected a baseline");
-  Alcotest.(check string) "120 vs 400 improves" "improvement"
-    (verdict_label c.Obs.Trajectory.verdict);
-  (* Pinned baseline: rev a, against which 120 ns is plain jitter. *)
-  let c = only_comparison (Obs.Trajectory.compare_latest ~baseline_rev:"a" t) in
-  (match c.Obs.Trajectory.baseline with
-  | Some b -> Alcotest.(check string) "pinned baseline rev" "a" b.Obs.Trajectory.rev
-  | None -> Alcotest.fail "expected a baseline");
-  Alcotest.(check string) "120 vs 100 unchanged" "unchanged"
-    (verdict_label c.Obs.Trajectory.verdict)
-
-let test_gate_no_baseline_is_skip () =
-  let t = Obs.Trajectory.append Obs.Trajectory.empty (record "solve" 100.0) in
-  let c = only_comparison (Obs.Trajectory.compare_latest t) in
-  Alcotest.(check string) "single record skipped" "skipped"
-    (verdict_label c.Obs.Trajectory.verdict);
-  check_true "no baseline" (Option.is_none c.Obs.Trajectory.baseline)
-
-(* ---------------- trajectory store ---------------- *)
-
-let test_upsert_replaces_same_key () =
-  let t = Obs.Trajectory.append Obs.Trajectory.empty (record "a" 100.0) in
-  let t = Obs.Trajectory.append t (record "b" 50.0) in
-  let t = Obs.Trajectory.upsert t (record "a" 140.0) in
-  let rs = Obs.Trajectory.records t in
-  Alcotest.(check int) "upsert does not grow the history" 2 (List.length rs);
-  (match rs with
-  | [ a; b ] ->
-    Alcotest.(check string) "order preserved" "a" a.Obs.Trajectory.name;
-    Alcotest.(check (float 0.0)) "value refreshed" 140.0 a.Obs.Trajectory.ns_per_run;
-    Alcotest.(check string) "other record untouched" "b" b.Obs.Trajectory.name
-  | _ -> Alcotest.fail "expected two records");
-  (* A different rev is a different key: upsert appends instead. *)
-  let t = Obs.Trajectory.upsert t (record "a" 90.0 ~rev:"r2") in
-  Alcotest.(check int) "new rev appends" 3 (List.length (Obs.Trajectory.records t))
-
-let test_macro_append_builds_history () =
-  let t = Obs.Trajectory.append Obs.Trajectory.empty (record "m" 100.0 ~kind:Obs.Trajectory.Macro) in
-  let t = Obs.Trajectory.append t (record "m" 105.0 ~kind:Obs.Trajectory.Macro) in
-  Alcotest.(check int) "same name and rev, two history points" 2
-    (List.length (Obs.Trajectory.records t))
-
-let test_trajectory_json_round_trip () =
-  let t =
-    List.fold_left Obs.Trajectory.append Obs.Trajectory.empty
-      [
-        record "a" 123.456 ~rev:"abc" ~r2:0.97 ~runs:3 ~iters:42.0 ~domains:4;
-        record "b" 1e9 ~kind:Obs.Trajectory.Macro ~r2:Float.nan;
-      ]
-  in
-  match Obs.Trajectory.of_json_string (Obs.Trajectory.to_json_string t) with
-  | Error msg -> Alcotest.failf "round trip failed: %s" msg
-  | Ok t' ->
-    let rs = Obs.Trajectory.records t and rs' = Obs.Trajectory.records t' in
-    Alcotest.(check int) "record count" (List.length rs) (List.length rs');
-    List.iter2
-      (fun (a : Obs.Trajectory.record) (b : Obs.Trajectory.record) ->
-        Alcotest.(check string) "name" a.name b.name;
-        Alcotest.(check string) "rev" a.rev b.rev;
-        Alcotest.(check string) "kind" (Obs.Trajectory.kind_name a.kind)
-          (Obs.Trajectory.kind_name b.kind);
-        Alcotest.(check (float 0.0)) "ns" a.ns_per_run b.ns_per_run;
-        Alcotest.(check int) "runs" a.runs b.runs;
-        Alcotest.(check int) "domains" a.domains b.domains;
-        check_true "r_square matches (nan == nan)"
-          (Float.equal a.r_square b.r_square
-          || (Float.is_nan a.r_square && Float.is_nan b.r_square)))
-      rs rs'
-
-let test_trajectory_loads_legacy_format () =
-  let legacy =
-    "{\"suite\":\"deconv\",\"results\":[{\"name\":\"k\",\"ns_per_run\":42.0,\"r_square\":0.9}]}"
-  in
-  match Obs.Trajectory.of_json_string legacy with
-  | Error msg -> Alcotest.failf "legacy load failed: %s" msg
-  | Ok t -> (
-    match Obs.Trajectory.records t with
-    | [ r ] ->
-      Alcotest.(check string) "name" "k" r.Obs.Trajectory.name;
-      Alcotest.(check string) "rev defaults" "unknown" r.Obs.Trajectory.rev;
-      Alcotest.(check (float 0.0)) "ns" 42.0 r.Obs.Trajectory.ns_per_run;
-      Alcotest.(check int) "domains default to 1" 1 r.Obs.Trajectory.domains
-    | rs -> Alcotest.failf "expected 1 record, got %d" (List.length rs))
-
-let test_trajectory_missing_file_is_empty () =
-  match Obs.Trajectory.load ~path:"nonexistent-trajectory.json" with
-  | Ok t -> Alcotest.(check int) "empty" 0 (List.length (Obs.Trajectory.records t))
-  | Error msg -> Alcotest.failf "missing file should load as empty: %s" msg
+let test_gate_sums_repeated_spans () =
+  let d = gate [ ("qp.solve", 0.05); ("qp.solve", 0.05) ] [ ("qp.solve", 0.25) ] in
+  let row = only_row d in
+  Alcotest.(check int) "calls in A" 2 row.calls_a;
+  Alcotest.(check int) "calls in B" 1 row.calls_b;
+  check_close ~tol:1e-12 "A total sums its calls" 0.10 row.total_a;
+  check_close ~tol:1e-9 "ratio of totals" 2.5 row.ratio;
+  check_verdict "gated on the totals" "regression" row
 
 (* ---------------- convergence telemetry ---------------- *)
 
@@ -337,18 +258,11 @@ let tests =
       [
         case "2x regression fails" test_gate_flags_2x_regression;
         case "10% jitter passes" test_gate_passes_jitter;
-        case "noisy fit skipped" test_gate_skips_noisy_fit;
-        case "NaN r2 still gated" test_gate_nan_r2_is_gated;
-        case "baseline rev selection" test_gate_baseline_rev_selection;
-        case "no baseline is a skip" test_gate_no_baseline_is_skip;
-      ] );
-    ( "perf-trajectory",
-      [
-        case "upsert replaces same key" test_upsert_replaces_same_key;
-        case "macro append builds history" test_macro_append_builds_history;
-        case "json round-trip" test_trajectory_json_round_trip;
-        case "legacy format loads" test_trajectory_loads_legacy_format;
-        case "missing file is empty" test_trajectory_missing_file_is_empty;
+        case "2x speedup improves" test_gate_flags_improvement;
+        case "delta floor absorbs ms drift" test_gate_delta_floor;
+        case "tolerance sets the band" test_gate_tolerance_sets_band;
+        case "unmatched spans skipped" test_gate_skips_unmatched_spans;
+        case "repeated spans sum per name" test_gate_sums_repeated_spans;
       ] );
     ( "perf-convergence",
       [

@@ -231,7 +231,7 @@ let test_kfold_selector_matches_direct () =
     (fun i (p : Deconv.Lambda.curve_point) ->
       let lambda = grid.(i) in
       let reference =
-        Optimize.Cross_validation.kfold_score ~rng:(Rng.copy fold_master) ~k ~n
+        kfold_score ~rng:(Rng.copy fold_master) ~k ~n
           ~fit_on:(fun ~train lambda ->
             Optimize.Ridge.solve ~a:(submatrix train) ~b:(subvec train b)
               ~weights:(subvec train w) ~penalty:omega ~lambda ())

@@ -22,6 +22,26 @@ let check_vec ?(tol = 1e-9) msg expected actual =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Reference k-fold score, the oracle for [Deconv.Lambda.kfold]: the mean
+   held-out error of [lambda] across the folds of
+   [Optimize.Cross_validation.kfold_indices]. [fit_on ~train lambda] trains
+   a model on the index subset; [predict_error model ~test] returns its
+   mean squared error on the held-out subset. *)
+let kfold_score ~rng ~k ~n ~fit_on ~predict_error lambda =
+  let folds = Optimize.Cross_validation.kfold_indices rng ~n ~k in
+  let total = ref 0.0 in
+  Array.iter
+    (fun test ->
+      let in_test = Array.make n false in
+      Array.iter (fun i -> in_test.(i) <- true) test;
+      let train =
+        Array.of_list (List.filter (fun i -> not in_test.(i)) (List.init n (fun i -> i)))
+      in
+      let model = fit_on ~train lambda in
+      total := !total +. predict_error model ~test)
+    folds;
+  !total /. float_of_int k
+
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
