@@ -165,7 +165,8 @@ let no_rate = Arg.(value & flag & info [ "no-rate-continuity" ] ~doc:"Drop rate 
 let bootstrap_arg =
   Arg.(value & opt int 0
        & info [ "bootstrap" ] ~docv:"B"
-           ~doc:"Number of residual-bootstrap replicates for 90% bands (0 = off).")
+           ~doc:"Number of residual-bootstrap replicates for 90% bands (0 = off, otherwise at \
+                 least 10).")
 
 let input_arg =
   Arg.(required & pos 0 (some file) None
@@ -291,10 +292,16 @@ let run_deconvolve input seed cells phi_bins knots mu_sst cycle linear lambda no
    end);
   let minutes = Array.map (fun phi -> phi *. cycle) kernel.Cellpop.Kernel.phases in
   let bands =
-    if bootstrap > 0 then begin
+    if bootstrap <> 0 then begin
       let b =
-        Deconv.Bootstrap.residual ~replicates:bootstrap ~level:0.9 repaired_problem estimate
-          ~rng:(Rng.split rng)
+        match
+          Deconv.Bootstrap.residual ~replicates:bootstrap ~level:0.9 repaired_problem estimate
+            ~rng:(Rng.split rng)
+        with
+        | b -> b
+        | exception Robust.Error.Error e ->
+          Printf.eprintf "error: bootstrap: %s\n" (Robust.Error.to_string e);
+          exit 1
       in
       Printf.printf "bootstrap (%d replicates): mean 90%% band width %.4g\n" bootstrap
         (Vec.mean (Deconv.Bootstrap.width b));

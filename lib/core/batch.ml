@@ -19,24 +19,6 @@ let prepare ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_conti
 
 let problem_for t ?sigmas measurements = Problem.with_data ?sigmas t.template measurements
 
-let solve_gene t ?sigmas ?(lambda = `Gcv) ?cache ~measurements () =
-  let problem = problem_for t ?sigmas measurements in
-  let lambda =
-    match lambda with
-    | `Fixed l -> l
-    | `Gcv -> (
-      (* GCV scoring tolerates singular candidate systems (they score as
-         infinitely bad), but the final factorization at the chosen λ can
-         still fail; that failure crosses this typed-error boundary as
-         Robust.Error, matching Solver.solve. *)
-      match Lambda.select problem ~method_:`Gcv ?cache () with
-      | l -> l
-      | exception Linalg.Singular _ ->
-        Robust.Error.raise_error
-          (Robust.Error.Ill_conditioned { cond = Float.infinity }))
-  in
-  Solver.solve ~lambda ?cache problem
-
 (* ---------------- fault-isolated batch ---------------- *)
 
 let hex = Printf.sprintf "%h"
@@ -85,16 +67,7 @@ let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ?cache ~measurements ()
     match Problem.validate problem with
     | Error e -> Error e
     | Ok () -> (
-      match
-        match lambda with
-        | `Fixed l ->
-          if Float.is_finite l && l >= 0.0 then Ok l
-          else
-            Error
-              (Robust.Error.Invalid_input
-                 { field = "lambda"; why = Printf.sprintf "%g is not finite and >= 0" l })
-        | `Gcv -> Lambda.select_result problem ~method_:`Gcv ?cache ()
-      with
+      match Lambda.select_result problem ~method_:lambda ?cache () with
       | Error e -> Error e
       | Ok lam ->
         let est = Solver.solve ?budget ~lambda:lam ?cache problem in
@@ -286,11 +259,7 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
       outcomes;
     Quality.summarize (List.rev !per_gene)
   in
-  List.iter
-    (fun (key, (q : Quality.quantiles)) ->
-      Obs.Metrics.set ("batch.quality." ^ key ^ ".p50") q.Quality.q50;
-      Obs.Metrics.set ("batch.quality." ^ key ^ ".p90") q.Quality.q90)
-    quality;
+  Quality.publish ~prefix:"batch" quality;
   let outcome = { Outcome.outcomes; replayed = !replayed; quality } in
   Obs.Metrics.incr ~by:(float_of_int (Outcome.ok_count outcome)) "batch.genes_ok";
   Obs.Metrics.incr ~by:(float_of_int (Outcome.failed_count outcome)) "batch.genes_failed";

@@ -23,19 +23,6 @@ val prepare :
 (** Builds the template problem with {!Problem.create} (all constraints
     on by default): the one constraint build of the whole batch. *)
 
-val solve_gene :
-  t ->
-  ?sigmas:Vec.t ->
-  ?lambda:[ `Fixed of float | `Gcv ] ->
-  ?cache:Optimize.Spectral.Cache.t ->
-  measurements:Vec.t ->
-  unit ->
-  Solver.estimate
-(** Deconvolve one gene ([`Gcv] is the default λ policy). [cache] shares
-    the spectral factorization of the penalized system across genes — the
-    λ sweep and the QP warm start both read from it (see
-    {!Optimize.Spectral}). *)
-
 val solve_all :
   t ->
   ?sigmas:Mat.t ->
@@ -59,12 +46,15 @@ val solve_gene_result :
   measurements:Vec.t ->
   unit ->
   (Solver.estimate, Robust.Error.t) result
-(** Total per-gene solve: validates the problem, selects λ, solves, and
-    checks finiteness — any failure (including an arbitrary exception,
-    via {!Robust.Error.of_exn}) becomes a typed [Error] instead of a
-    raise. On a clean gene the estimate is bit-for-bit identical to
-    {!solve_gene}'s (given the same [cache] policy — {!solve_all_result}
-    always passes one, shared by the whole batch). *)
+(** Deconvolve one gene: validates the problem, selects λ with
+    {!Lambda.select_result} ([`Gcv] is the default policy; a [`Fixed]
+    λ that is not finite and ≥ 0 is [Invalid_input {field = "lambda"}]),
+    solves, and checks finiteness — any failure (including an arbitrary
+    exception, via {!Robust.Error.of_exn}) becomes a typed [Error]
+    instead of a raise. [cache] shares the spectral factorization of the
+    penalized system across genes — the λ sweep and the QP warm start
+    both read from it (see {!Optimize.Spectral}); {!solve_all_result}
+    always passes one, shared by the whole batch. *)
 
 (** Aggregate report of a fault-isolated batch. *)
 module Outcome : sig

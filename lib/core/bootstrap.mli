@@ -19,18 +19,6 @@ type bands = {
   replicates : Mat.t;  (** all bootstrap profiles (rows = replicates) *)
 }
 
-val residual :
-  ?replicates:int ->
-  ?level:float ->
-  Problem.t ->
-  Solver.estimate ->
-  rng:Rng.t ->
-  bands
-(** Standard residual bootstrap: resample standardized fit residuals with
-    replacement, add them back to the fitted values, re-solve with the same
-    λ, and take per-phase percentiles of the resulting profiles (defaults:
-    200 replicates, level 0.9). *)
-
 type outcome = {
   bands : bands option;  (** [None] only if every replicate failed *)
   failures : (int * Robust.Error.t) list;
@@ -53,17 +41,40 @@ val residual_result :
   Solver.estimate ->
   rng:Rng.t ->
   outcome
-(** Fault-isolated {!residual}: each replicate solves independently via
-    {!Parallel.parallel_map_result}; a failing replicate is recorded
-    instead of aborting the job, and the bands are computed over the
-    successful replicates (their rows, in replicate order). RNG
-    substreams are derived exactly as in {!residual}, so every successful
-    replicate's profile is bit-identical to the all-or-nothing path.
+(** Standard residual bootstrap: resample standardized fit residuals with
+    replacement, add them back to the fitted values, re-solve with the same
+    λ, and take per-phase percentiles of the resulting profiles (defaults:
+    200 replicates, level 0.9).
+
+    The one implementation of the replicate fan-out. Each replicate
+    solves independently via {!Parallel.parallel_map_result}; a failing
+    replicate is recorded instead of aborting the job, and the bands are
+    computed over the successful replicates (their rows, in replicate
+    order). One RNG substream per replicate is derived up front, so every
+    replicate's profile is bit-identical at every jobs setting.
     [max_seconds]/[max_iterations] give each replicate a fresh
-    {!Robust.Budget}. Failed-replicate counts are published as the
-    [bootstrap.replicates_failed] metric. [progress] receives one
+    {!Robust.Budget}. Per-replicate quality quantiles are published as
+    the [bootstrap.quality.<key>.p50]/[.p90] gauges and the failure count
+    as the [bootstrap.replicates_failed] metric. [progress] receives one
     {!Obs.Progress.record} per completed replicate (aggregation only;
-    profiles are unaffected). *)
+    profiles are unaffected).
+
+    Raises {!Robust.Error.Error} with [Invalid_input] when [replicates]
+    is below 10 or [level] is not in (0, 1). *)
+
+val residual :
+  ?replicates:int ->
+  ?level:float ->
+  Problem.t ->
+  Solver.estimate ->
+  rng:Rng.t ->
+  bands
+(** The raising wrapper over {!residual_result}, as {!Batch.solve_all}
+    is over {!Batch.solve_all_result}: returns the bands when every
+    replicate succeeded, and otherwise raises {!Robust.Error.Error} for
+    the failing replicate of {e lowest index}. Argument checks and the
+    published [bootstrap.quality.*] and [bootstrap.replicates_failed]
+    metrics are {!residual_result}'s. *)
 
 val width : bands -> Vec.t
 (** Upper − lower band width per phase point. *)

@@ -220,7 +220,7 @@ let method_name = function
   | `Lcurve -> "lcurve"
   | `Kfold _ -> "kfold"
 
-let select_with_curve problem ~method_ ?rng ?lambdas ?cache () =
+let select problem ~method_ ?rng ?lambdas ?cache () =
   let lambdas = match lambdas with Some l -> l | None -> default_grid in
   Obs.Span.with_ "lambda.select" (fun sp ->
       Obs.Span.set_str sp "method" (method_name method_);
@@ -252,17 +252,9 @@ let select_with_curve problem ~method_ ?rng ?lambdas ?cache () =
              ~tags:[ ("method", method_name method_) ]
              ~curve:(Array.map (fun p -> (p.lambda, p.score)) curve)
              ());
-      (chosen, curve))
-
-let select problem ~method_ ?rng ?lambdas ?cache () =
-  fst (select_with_curve problem ~method_ ?rng ?lambdas ?cache ())
+      chosen)
 
 let select_result problem ~method_ ?rng ?lambdas ?cache () =
   match select problem ~method_ ?rng ?lambdas ?cache () with
   | lambda -> Ok lambda
-  | exception Robust.Error.Error e -> Error e
-
-let select_with_curve_result problem ~method_ ?rng ?lambdas ?cache () =
-  match select_with_curve problem ~method_ ?rng ?lambdas ?cache () with
-  | r -> Ok r
   | exception Robust.Error.Error e -> Error e

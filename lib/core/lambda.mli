@@ -53,22 +53,9 @@ val lcurve :
     the `ext_lambda_selection` bench quantifies this. Robust GCV is the
     recommended default. *)
 
-val select_with_curve :
-  Problem.t ->
-  method_:[ `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
-  ?rng:Rng.t ->
-  ?lambdas:Vec.t ->
-  ?cache:Optimize.Spectral.Cache.t ->
-  unit ->
-  float * curve_point array
-(** As {!select}, also returning the full candidate profile the selector
-    scored ([[||]] for [`Fixed]) so callers need not re-run the sweep to
-    plot it. When a trace sink is installed the profile is additionally
-    emitted as a ["lambda"]-stage {!Obs.Diag} event. *)
-
 val select :
   Problem.t ->
-  method_:[ `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
+  method_:[< `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
   ?rng:Rng.t ->
   ?lambdas:Vec.t ->
   ?cache:Optimize.Spectral.Cache.t ->
@@ -82,25 +69,18 @@ val select :
     {!Linalg.Singular}) are skipped rather than allowed to win the argmin.
     When {e every} candidate is non-finite the selection raises
     {!Robust.Error.Error} with [Non_finite {stage = "lambda selection ..."}]
-    — use {!select_result} for the non-raising form. *)
+    — use {!select_result} for the non-raising form.
+
+    When a trace sink is installed, the full candidate profile the
+    selector scored (empty for [`Fixed]) is emitted as a ["lambda"]-stage
+    {!Obs.Diag} event. *)
 
 val select_result :
   Problem.t ->
-  method_:[ `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
+  method_:[< `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
   ?rng:Rng.t ->
   ?lambdas:Vec.t ->
   ?cache:Optimize.Spectral.Cache.t ->
   unit ->
   (float, Robust.Error.t) result
 (** As {!select}, returning the typed error instead of raising. *)
-
-val select_with_curve_result :
-  Problem.t ->
-  method_:[ `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
-  ?rng:Rng.t ->
-  ?lambdas:Vec.t ->
-  ?cache:Optimize.Spectral.Cache.t ->
-  unit ->
-  (float * curve_point array, Robust.Error.t) result
-(** As {!select_with_curve}, returning the typed error instead of
-    raising. *)

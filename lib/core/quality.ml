@@ -262,6 +262,13 @@ let summarize per_solve =
         } ))
     !order
 
+let publish ~prefix summary =
+  List.iter
+    (fun (key, q) ->
+      Obs.Metrics.set (prefix ^ ".quality." ^ key ^ ".p50") q.q50;
+      Obs.Metrics.set (prefix ^ ".quality." ^ key ^ ".p90") q.q90)
+    summary
+
 let output_quantiles oc summary =
   if summary <> [] then begin
     Printf.fprintf oc "per-gene quality quantiles:\n";

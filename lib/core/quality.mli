@@ -110,4 +110,8 @@ val summarize : (string * float) list list -> (string * quantiles) list
     gene); non-finite values are dropped. Keys appear in first-seen
     order. *)
 
+val publish : prefix:string -> (string * quantiles) list -> unit
+(** Publish each statistic's p50 and p90 as the {!Obs.Metrics} gauges
+    [<prefix>.quality.<key>.p50] and [<prefix>.quality.<key>.p90]. *)
+
 val output_quantiles : out_channel -> (string * quantiles) list -> unit

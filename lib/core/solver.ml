@@ -103,7 +103,7 @@ let solve ?budget ?(lambda = 1e-4) ?ridge ?cache problem =
   let warm_start = spectral_warm_start cache problem ~lambda in
   (* The boundary of the typed-error contract for the raw (non-cascade)
      entry point: a singular system and a stalled QP become Robust.Error
-     here, so direct callers — Batch.solve_gene, Bootstrap.residual's
+     here, so direct callers — Batch.solve_gene_result, the bootstrap's
      replicate re-solves — never see a bare Singular or a half-converged
      iterate. *)
   match solve_constrained ?warm_start ?on_iteration ?ridge ~lambda problem with

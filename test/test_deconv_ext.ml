@@ -23,7 +23,11 @@ let test_batch_matches_single () =
   let profile = Biomodels.Gene_profile.gaussian_pulse ~center:0.4 ~width:0.1 ~height:3.0 () in
   let g = Deconv.Forward.apply_fn (Lazy.force kernel) profile in
   let via_batch =
-    Deconv.Batch.solve_gene (Lazy.force batch) ~lambda:(`Fixed 1e-4) ~measurements:g ()
+    match
+      Deconv.Batch.solve_gene_result (Lazy.force batch) ~lambda:(`Fixed 1e-4) ~measurements:g ()
+    with
+    | Ok est -> est
+    | Error e -> Alcotest.failf "batch gene failed: %s" (Robust.Error.to_string e)
   in
   let problem =
     Deconv.Problem.create ~kernel:(Lazy.force kernel) ~basis ~measurements:g ~params ()

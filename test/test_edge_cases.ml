@@ -109,7 +109,11 @@ let test_classify_with_empty_boundaries () =
   let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:8 in
   let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
   let g = Deconv.Forward.apply_fn kernel (fun phi -> 1.0 +. phi) in
-  let estimate = Deconv.Batch.solve_gene batch ~lambda:(`Fixed 1e-3) ~measurements:g () in
+  let estimate =
+    match Deconv.Batch.solve_gene_result batch ~lambda:(`Fixed 1e-3) ~measurements:g () with
+    | Ok est -> est
+    | Error e -> Alcotest.failf "batch gene failed: %s" (Robust.Error.to_string e)
+  in
   (* Zero boundaries: everything lands in window 0. *)
   let classified = Deconv.Batch.classify_by_peak batch [| estimate |] ~boundaries:[||] in
   Alcotest.(check (array int)) "single window" [| 0 |] classified

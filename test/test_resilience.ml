@@ -368,17 +368,20 @@ let test_batch_journal_replay () =
 
 (* --- bootstrap isolation --- *)
 
+let bootstrap_fixture =
+  lazy
+    (let _, clean = Lazy.force fixture in
+     let kernel =
+       Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1203) ~n_cells:300 ~times
+         ~n_phi:31
+     in
+     let problem =
+       Deconv.Problem.create ~kernel ~basis ~measurements:(Mat.row clean 0) ~params ()
+     in
+     (problem, Deconv.Solver.solve ~lambda:1e-3 problem))
+
 let test_bootstrap_result_matches_residual () =
-  let _, clean = Lazy.force fixture in
-  let problem, estimate =
-    let kernel =
-      Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1203) ~n_cells:300
-        ~times ~n_phi:31
-    in
-    let measurements = Mat.row clean 0 in
-    let problem = Deconv.Problem.create ~kernel ~basis ~measurements ~params () in
-    (problem, Deconv.Solver.solve ~lambda:1e-3 problem)
-  in
+  let problem, estimate = Lazy.force bootstrap_fixture in
   let reference =
     Deconv.Bootstrap.residual ~replicates:16 ~level:0.9 problem estimate
       ~rng:(Rng.create 31)
@@ -392,26 +395,27 @@ let test_bootstrap_result_matches_residual () =
   match outcome.Deconv.Bootstrap.bands with
   | None -> Alcotest.fail "bands missing"
   | Some bands ->
-    Array.iteri
-      (fun i x ->
-        if
-          not
-            (Int64.equal (Int64.bits_of_float x)
-               (Int64.bits_of_float bands.Deconv.Bootstrap.lower.(i)))
-        then Alcotest.failf "lower.(%d) differs from all-or-nothing path" i)
-      reference.Deconv.Bootstrap.lower
+    let same_bits what a b =
+      Array.iteri
+        (fun i x ->
+          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float b.(i))) then
+            Alcotest.failf "%s.(%d) differs between residual and residual_result" what i)
+        a
+    in
+    same_bits "lower" reference.Deconv.Bootstrap.lower bands.Deconv.Bootstrap.lower;
+    same_bits "median" reference.Deconv.Bootstrap.median bands.Deconv.Bootstrap.median;
+    same_bits "upper" reference.Deconv.Bootstrap.upper bands.Deconv.Bootstrap.upper;
+    let rows = reference.Deconv.Bootstrap.replicates.Mat.rows in
+    Alcotest.(check int) "replicate rows" rows bands.Deconv.Bootstrap.replicates.Mat.rows;
+    for b = 0 to rows - 1 do
+      same_bits
+        (Printf.sprintf "replicates row %d" b)
+        (Mat.row reference.Deconv.Bootstrap.replicates b)
+        (Mat.row bands.Deconv.Bootstrap.replicates b)
+    done
 
 let test_bootstrap_result_contains_budget_failures () =
-  let _, clean = Lazy.force fixture in
-  let problem, estimate =
-    let kernel =
-      Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1203) ~n_cells:300
-        ~times ~n_phi:31
-    in
-    let measurements = Mat.row clean 0 in
-    let problem = Deconv.Problem.create ~kernel ~basis ~measurements ~params () in
-    (problem, Deconv.Solver.solve ~lambda:1e-3 problem)
-  in
+  let problem, estimate = Lazy.force bootstrap_fixture in
   let outcome =
     Deconv.Bootstrap.residual_result ~replicates:12 ~max_iterations:1 problem estimate
       ~rng:(Rng.create 32)
@@ -425,6 +429,30 @@ let test_bootstrap_result_contains_budget_failures () =
       check_true "typed budget_exhausted"
         (String.equal (Robust.Error.class_name e) "budget_exhausted"))
     outcome.Deconv.Bootstrap.failures
+
+(* Argument checks are typed: a replicate count below 10 or a level
+   outside (0, 1) is [Invalid_input] on both entry points, never an
+   assertion failure. *)
+let expect_invalid_input ~field what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Robust.Error.Error (Robust.Error.Invalid_input { field = got; _ }) ->
+    Alcotest.(check string) (what ^ ": field") field got
+
+let test_bootstrap_rejects_few_replicates () =
+  let problem, estimate = Lazy.force bootstrap_fixture in
+  expect_invalid_input ~field:"replicates" "residual_result" (fun () ->
+      Deconv.Bootstrap.residual_result ~replicates:5 problem estimate ~rng:(Rng.create 1));
+  expect_invalid_input ~field:"replicates" "residual" (fun () ->
+      Deconv.Bootstrap.residual ~replicates:5 problem estimate ~rng:(Rng.create 1))
+
+let test_bootstrap_rejects_level_one () =
+  let problem, estimate = Lazy.force bootstrap_fixture in
+  expect_invalid_input ~field:"level" "residual_result" (fun () ->
+      Deconv.Bootstrap.residual_result ~replicates:10 ~level:1.0 problem estimate
+        ~rng:(Rng.create 1));
+  expect_invalid_input ~field:"level" "residual" (fun () ->
+      Deconv.Bootstrap.residual ~replicates:10 ~level:1.0 problem estimate ~rng:(Rng.create 1))
 
 let tests =
   [
@@ -460,5 +488,7 @@ let tests =
       [
         case "isolated bootstrap matches residual bitwise" test_bootstrap_result_matches_residual;
         case "budget failures contained per replicate" test_bootstrap_result_contains_budget_failures;
+        case "replicates below 10 is a typed error" test_bootstrap_rejects_few_replicates;
+        case "level outside (0, 1) is a typed error" test_bootstrap_rejects_level_one;
       ] );
   ]
