@@ -70,7 +70,7 @@ let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ?cache ~measurements ()
       match Lambda.select_result problem ~method_:lambda ?cache () with
       | Error e -> Error e
       | Ok lam ->
-        let est = Solver.solve ?budget ~lambda:lam ?cache problem in
+        let est = Solver.solve ?budget ~lambda:lam problem in
         if Solver.finite_estimate est then begin
           (* Batch genes go through the raw solve (no cascade), so the
              per-solve quality record is emitted here; κ is recomputed

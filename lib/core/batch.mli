@@ -52,9 +52,9 @@ val solve_gene_result :
     solves, and checks finiteness — any failure (including an arbitrary
     exception, via {!Robust.Error.of_exn}) becomes a typed [Error]
     instead of a raise. [cache] shares the spectral factorization of the
-    penalized system across genes — the λ sweep and the QP warm start
-    both read from it (see {!Optimize.Spectral}); {!solve_all_result}
-    always passes one, shared by the whole batch. *)
+    penalized system across genes — the λ sweep reads it (see
+    {!Optimize.Spectral}); {!solve_all_result} always passes one, shared
+    by the whole batch. *)
 
 (** Aggregate report of a fault-isolated batch. *)
 module Outcome : sig

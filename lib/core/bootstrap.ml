@@ -37,11 +37,6 @@ let residual_result ?(replicates = 200) ?(level = 0.9) ?max_seconds ?max_iterati
      resampling draws are a function of the replicate index alone and the
      fan-out below is bit-identical at every jobs setting. *)
   let rngs = Array.init replicates (fun _ -> Rng.split rng) in
-  (* Replicates share the design, weights and penalty (only measurements
-     are resampled), so one locally created factorization cache serves the
-     whole fan-out: a single Demmler–Reinsch decomposition warm-starts
-     every replicate's QP. *)
-  let cache = Optimize.Spectral.Cache.create () in
   (* Same aggregation-only contract as Batch: fires on worker domains,
      Progress is mutex-guarded, replicate profiles are unaffected. *)
   let on_result _ res =
@@ -64,9 +59,7 @@ let residual_result ?(replicates = 200) ?(level = 0.9) ?max_seconds ?max_iterati
               if max_seconds = None && max_iterations = None then None
               else Some (Robust.Budget.create ?max_seconds ?max_iterations ())
             in
-            let estimate_b =
-              Solver.solve ?budget ~lambda:estimate.Solver.lambda ~cache problem_b
-            in
+            let estimate_b = Solver.solve ?budget ~lambda:estimate.Solver.lambda problem_b in
             if Solver.finite_estimate estimate_b then
               ( estimate_b.Solver.profile,
                 [

@@ -41,8 +41,7 @@ let solve ?(lambda = 1e-4) ?(use_positivity = true) kernel ~measurements ?sigmas
     if use_positivity then begin
       match
         Optimize.Qp.solve
-          { Optimize.Qp.h; g = g_lin; c_eq = None; d_eq = None;
-            a_ineq = Some (Mat.identity n_phi); b_ineq = Some (Vec.zeros n_phi) }
+          { Optimize.Qp.h; g = g_lin; ineq = Some (Mat.identity n_phi, Vec.zeros n_phi) }
       with
       | { Optimize.Qp.status = Optimize.Qp.Converged; x; _ } -> x
       | { Optimize.Qp.status = Optimize.Qp.Stalled; iterations; _ } ->

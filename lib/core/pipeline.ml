@@ -112,11 +112,6 @@ let run config ~profile =
       ~use_rate_continuity:config.use_rate_continuity ~sigmas ~kernel ~basis ~measurements:noisy
       ~params:inversion_params ()
   in
-  (* One factorization cache spans λ selection and the solve: when the
-     repaired problem equals the original (the common case) the sweep's
-     Demmler–Reinsch decomposition is reused verbatim to warm-start the
-     constrained QP. *)
-  let cache = Optimize.Spectral.Cache.create () in
   (* λ selection runs on the repaired copy: a single NaN measurement would
      otherwise poison every candidate score. If selection still fails
      (typed Robust error), fall back to the solver's default λ — the
@@ -124,7 +119,7 @@ let run config ~profile =
   let lambda =
     Obs.Span.with_ "pipeline.lambda" @@ fun sp ->
     let repaired, _ = Solver.repair_problem problem in
-    match Lambda.select_result repaired ~method_:config.selection ~rng:rng_cv ~cache () with
+    match Lambda.select_result repaired ~method_:config.selection ~rng:rng_cv () with
     | Ok lambda -> lambda
     | Error _ ->
       Obs.Span.set_bool sp "fallback" true;
@@ -133,7 +128,7 @@ let run config ~profile =
   Obs.Span.set_float pipeline_span "lambda" lambda;
   let estimate, report =
     Obs.Span.with_ "pipeline.solve" @@ fun _ ->
-    match Solver.solve_robust ~policy:config.solver_policy ~lambda ~cache problem with
+    match Solver.solve_robust ~policy:config.solver_policy ~lambda problem with
     | Ok (estimate, report) -> (estimate, report)
     | Error e -> Robust.Error.raise_error e
   in

@@ -9,6 +9,7 @@ type t = {
   design : Mat.t;
   penalty : Mat.t;
   equality : Mat.t option;
+  null_space : Mat.t;
   positivity : Mat.t option;
 }
 
@@ -58,12 +59,23 @@ let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_contin
         | [] -> None
         | rows -> Some (Mat.of_rows (Array.of_list rows))
       in
+      (* The equality rows hold by construction: solves run on the free
+         coefficients β with α = Zβ. Dependent rows leave no such Z. *)
+      let null_space =
+        match
+          Option.fold ~none:(Mat.identity basis.Spline.Basis.size) ~some:Linalg.null_space
+            equality
+        with
+        | z -> z
+        | exception Linalg.Singular why ->
+          Robust.Error.raise_error (Robust.Error.Invalid_input { field = "constraints"; why })
+      in
       let positivity =
         if use_positivity then
           (* Include the interval endpoints: the conservation constraints
              act on f(0) and f(1), which lie outside the bin-center grid. *)
           let grid = Vec.concat [ [| 0.0 |]; kernel.Cellpop.Kernel.phases; [| 1.0 |] ] in
-          Some (Constraints.positivity_rows basis ~grid)
+          Some (Mat.matmul (Constraints.positivity_rows basis ~grid) null_space)
         else None
       in
       let rows = Option.fold ~none:0 ~some:(fun (m : Mat.t) -> m.Mat.rows) in
@@ -79,6 +91,7 @@ let create ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_contin
         design = Forward.matrix_basis kernel basis;
         penalty = Spline.Penalty.second_derivative basis;
         equality;
+        null_space;
         positivity;
       })
 

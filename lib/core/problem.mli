@@ -20,16 +20,21 @@ type t = {
           conservation row ({!Constraints.conservation_row}), then the
           rate-continuity row ({!Constraints.rate_continuity_row}), each
           present only when its flag is on; [None] when both are off *)
+  null_space : Mat.t;
+      (** Z = {!Numerics.Linalg.null_space} of [equality] (CZ = 0), or the
+          identity when [equality] is [None], built once by {!create}. The
+          constrained solve runs on the free coefficients β and returns
+          α = Zβ, so the equality rows hold by construction. *)
   positivity : Mat.t option;
-      (** inequality rows Ψ(φ_g) with Ψα ≥ 0 on g ∈ [0; kernel phases; 1]
-          ({!Constraints.positivity_rows}), built once by {!create}; [None]
-          when positivity is off *)
+      (** inequality rows Ψ(φ_g)·Z with ΨZβ ≥ 0 on g ∈ [0; kernel phases; 1]
+          ({!Constraints.positivity_rows} times [null_space]), built once
+          by {!create}; [None] when positivity is off *)
 }
-(** [design], [penalty], [equality] and [positivity] depend only on the
-    kernel, basis, params and constraint flags. {!with_data} is the one
-    way to re-point a problem at new measurements or sigmas and keeps
-    them; swapping the kernel, basis, params or constraint flags must go
-    through {!create}, which rebuilds them. *)
+(** [design], [penalty], [equality], [null_space] and [positivity] depend
+    only on the kernel, basis, params and constraint flags. {!with_data}
+    is the one way to re-point a problem at new measurements or sigmas and
+    keeps them; swapping the kernel, basis, params or constraint flags
+    must go through {!create}, which rebuilds them. *)
 
 val create :
   ?use_positivity:bool ->
@@ -46,6 +51,8 @@ val create :
     default to all-ones (unweighted fit). Dimension compatibility is
     checked; a mismatch raises {!Robust.Error.Error} ([Invalid_input]),
     keeping the typed-error contract from the very first entry point.
+    Equality rows that are linearly dependent (so no null-space basis can
+    be built) raise [Invalid_input {field = "constraints"}].
 
     The only place the constraint blocks are built: each call runs inside
     a [problem.create] span (attributes [m_eq], [m_ineq]) and adds one to
@@ -85,6 +92,5 @@ val spectral :
 (** Demmler–Reinsch factorization of the penalized system (through [cache]
     when given, so problems sharing a kernel pay for it once) plus the
     measurements in its spectral coordinates — the input of every λ
-    candidate evaluation and of the QP's spectral warm start. Raises
-    {!Numerics.Linalg.Singular} when even the anchored Gram side cannot be
-    factored. *)
+    candidate evaluation. Raises {!Numerics.Linalg.Singular} when even the
+    anchored Gram side cannot be factored. *)

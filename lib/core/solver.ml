@@ -58,21 +58,35 @@ let finish problem lambda a w omega (alpha : Vec.t) iterations active =
 
 (* The full constrained solve, returning the raw QP solution alongside the
    estimate so the cascade can distinguish "converged" from "gave up" and
-   reuse the iterate + active set to warm-start the next retry. *)
+   reuse the iterate + active set to warm-start the next retry. The QP
+   runs on the free coefficients β of α = Zβ (ZᵀHZ, Zᵀg and the positivity
+   rows ΨZ), so the equality rows hold by construction and the solution's
+   [x] and [active] are in β coordinates. Without [warm_start] it starts
+   from the minimizer without positivity, which is equality-feasible by
+   construction. *)
 let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
     ~lambda problem =
   Obs.Span.with_ "solver.constrained" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
       Obs.Span.set_float sp "ridge" ridge;
       let a, w, omega, h, g_lin = quadratic_pieces ~ridge problem lambda in
-      let c_eq = problem.Problem.equality in
-      let d_eq = Option.map (fun (c : Mat.t) -> Vec.zeros c.Mat.rows) c_eq in
-      let a_ineq = problem.Problem.positivity in
-      let b_ineq = Option.map (fun (a : Mat.t) -> Vec.zeros a.Mat.rows) a_ineq in
-      let qp = { Optimize.Qp.h; g = g_lin; c_eq; d_eq; a_ineq; b_ineq } in
-      let solution = Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter qp in
+      let z = problem.Problem.null_space in
+      let h = Mat.matmul (Mat.transpose z) (Mat.matmul h z) and g_lin = Mat.tmv z g_lin in
+      let ineq =
+        Option.map (fun (p : Mat.t) -> (p, Vec.zeros p.Mat.rows)) problem.Problem.positivity
+      in
+      let warm_start =
+        match (warm_start, ineq) with
+        | None, Some _ -> Some { Optimize.Qp.x0 = Optimize.Qp.unconstrained h g_lin; active0 = [] }
+        | hint, _ -> hint
+      in
+      let solution =
+        Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter
+          { Optimize.Qp.h; g = g_lin; ineq }
+      in
       let est =
-        finish problem lambda a w omega solution.Optimize.Qp.x solution.Optimize.Qp.iterations
+        finish problem lambda a w omega (Mat.mv z solution.Optimize.Qp.x)
+          solution.Optimize.Qp.iterations
           (List.length solution.Optimize.Qp.active)
       in
       Obs.Span.set_int sp "qp_iterations" est.qp_iterations;
@@ -82,31 +96,14 @@ let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(m
       Obs.Metrics.observe "solver.active_positivity" (float_of_int est.active_positivity);
       (est, solution))
 
-(* Spectral warm-start hint for the constrained QP at λ: the unconstrained
-   minimizer read off the Demmler–Reinsch factorization. Only a caller's
-   factorization cache opts into it — genes/replicates sharing one kernel
-   pay for the factorization once. A failed factorization just means a
-   cold start: the hint is an optimization, never a requirement. *)
-let spectral_warm_start cache problem ~lambda =
-  match cache with
-  | None -> None
-  | Some cache -> (
-    match
-      let fact, proj = Problem.spectral ~cache problem in
-      Optimize.Spectral.solution fact proj ~lambda
-    with
-    | x0 -> Some { Optimize.Qp.x0; active0 = [] }
-    | exception Linalg.Singular _ -> None)
-
-let solve ?budget ?(lambda = 1e-4) ?ridge ?cache problem =
+let solve ?budget ?(lambda = 1e-4) ?ridge problem =
   let on_iteration = Option.map Robust.Budget.on_iteration budget in
-  let warm_start = spectral_warm_start cache problem ~lambda in
   (* The boundary of the typed-error contract for the raw (non-cascade)
      entry point: a singular system and a stalled QP become Robust.Error
      here, so direct callers — Batch.solve_gene_result, the bootstrap's
      replicate re-solves — never see a bare Singular or a half-converged
      iterate. *)
-  match solve_constrained ?warm_start ?on_iteration ?ridge ~lambda problem with
+  match solve_constrained ?on_iteration ?ridge ~lambda problem with
   | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } -> est
   | _, { Optimize.Qp.status = Optimize.Qp.Stalled; iterations; _ } ->
     Robust.Error.raise_error (Robust.Error.Qp_stalled { iterations })
@@ -252,7 +249,7 @@ type rung = {
       (* the estimate, or the mapped error with the iterations spent *)
 }
 
-let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
+let solve_robust_validated ~policy ~budget ~lambda problem =
   let attempts = ref [] in
   (* One budget covers the whole cascade: iterations spent by an attempt
      that failed still count against the later stages, and a blown budget
@@ -318,11 +315,11 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
         solved_by = stage;
       }
     in
-    (* Warm-start state of the constrained rungs: seeded from the spectral
-       unconstrained solution when a factorization cache is in play, then
-       replaced by a stalled attempt's iterate + active set for the next
-       escalation retry (neighboring λ share their active faces). *)
-    let warm = ref (spectral_warm_start cache problem ~lambda) in
+    (* Warm-start override of the constrained rungs: none at first (each
+       solve starts from its own minimizer without positivity), then a
+       stalled attempt's iterate + active set for the next escalation
+       retry (neighboring λ share their active faces). *)
+    let warm = ref None in
     (* Stage 1: constrained QP with bounded retry — escalating λ boost and
        ridge floor over the regularization strength. *)
     let constrained k =
@@ -488,7 +485,7 @@ let solve_robust_validated ?cache ~policy ~budget ~lambda problem =
       Ok (est, rep)
     | Error _ as failed -> failed
 
-let solve_robust ?(policy = default_policy) ?budget ?(lambda = 1e-4) ?cache problem =
+let solve_robust ?(policy = default_policy) ?budget ?(lambda = 1e-4) problem =
   Obs.Span.with_ "solver.solve_robust" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
       let budget =
@@ -499,7 +496,7 @@ let solve_robust ?(policy = default_policy) ?budget ?(lambda = 1e-4) ?cache prob
           Error
             (Robust.Error.Invalid_input
                { field = "lambda"; why = Printf.sprintf "%g is not finite and >= 0" lambda })
-        else solve_robust_validated ?cache ~policy ~budget ~lambda problem
+        else solve_robust_validated ~policy ~budget ~lambda problem
       in
       (match result with
       | Ok (_, rep) ->

@@ -22,7 +22,6 @@ val solve :
   ?budget:Robust.Budget.t ->
   ?lambda:float ->
   ?ridge:float ->
-  ?cache:Optimize.Spectral.Cache.t ->
   Problem.t ->
   estimate
 (** Default λ = 1e-4 (use {!Lambda} for data-driven selection). [ridge]
@@ -35,12 +34,11 @@ val solve :
     cap unconverged as [Qp_stalled] carrying the iterations it spent —
     never a bare internal exception or a half-converged estimate.
 
-    [cache] opts the solve into the spectral warm start: the constrained
-    QP starts from the unconstrained Demmler–Reinsch solution at λ (the
-    factorization coming from / going into the cache), which typically
-    saves the interior-point method its early centering iterations.
-    Results are unaffected beyond the QP tolerance — the warm start moves
-    the starting iterate, not the optimum. *)
+    The QP runs on the free coefficients β of α = Zβ, with Z the
+    problem's [null_space]: it minimizes the reduced cost (ZᵀHZ, Zᵀg)
+    subject to the positivity rows ΨZβ ≥ 0 only, so the conservation and
+    rate-continuity rows hold by construction. It warm-starts from the
+    reduced minimizer without positivity. *)
 
 val solve_unconstrained : ?lambda:float -> ?ridge:float -> Problem.t -> estimate
 (** The same objective ignoring all constraints — the pure smoothing-spline
@@ -97,13 +95,12 @@ val solve_robust :
   ?policy:policy ->
   ?budget:Robust.Budget.t ->
   ?lambda:float ->
-  ?cache:Optimize.Spectral.Cache.t ->
   Problem.t ->
   (estimate * Robust.Report.t, Robust.Error.t) result
-(** Fault-tolerant solve. [cache] enables the spectral warm start for the
-    first constrained attempt (see {!solve}); escalation retries always
-    warm-start from the previous attempt's iterate and active set —
-    neighboring λ share their active faces. The cascade:
+(** Fault-tolerant solve. The first constrained attempt starts as
+    {!solve} does; escalation retries warm-start from the previous
+    attempt's iterate and active set — neighboring λ share their active
+    faces. The cascade:
 
     {ol
      {- repair inputs (if [policy.repair_inputs]) and {!Problem.validate};

@@ -2,8 +2,7 @@ exception Singular of string
 
 type lu = { lu : Mat.t; pivots : int array; sign : float }
 
-(* LU with partial pivoting, in place on a copy. Runs once per
-   interior-point pass on the QP's KKT system, so the loops index the
+(* LU with partial pivoting, in place on a copy. The loops index the
    backing array directly, as [jacobi_eigen] does: same operations in the
    same order, without a boxed float per cross-module Mat.get/set. *)
 let lu_factor a =
@@ -238,7 +237,42 @@ let lower_transpose_solve (l : cholesky) b =
   done;
   x
 
-let solve_sym_indefinite a b = solve a b
+(* Gauss–Jordan elimination with complete pivoting on rows scaled to unit
+   max-norm (same null space, scale-free dependence test). After step i,
+   row i reads α_{pivot i} + Σ_free r_{i,f}·α_f = 0. A zero row scales to
+   NaNs, which never win the pivot search, so it fails that test too. *)
+let null_space c =
+  let k, n = Mat.dims c in
+  let rows =
+    Array.init k (fun i ->
+        let row = Mat.row c i in
+        Vec.scale (1.0 /. Vec.norm_inf row) row)
+  in
+  let pivot_row = Array.make n (-1) in
+  for step = 0 to k - 1 do
+    let best = ref 0.0 and pr = ref step and pc = ref 0 in
+    for i = step to k - 1 do
+      Array.iteri
+        (fun j v ->
+          if pivot_row.(j) < 0 && Float.abs v > !best then begin
+            best := Float.abs v;
+            pr := i;
+            pc := j
+          end)
+        rows.(i)
+    done;
+    if !best <= 1e-12 then raise (Singular "null_space: dependent rows");
+    let p = Vec.scale (1.0 /. rows.(!pr).(!pc)) rows.(!pr) in
+    rows.(!pr) <- rows.(step);
+    rows.(step) <- p;
+    Array.iteri (fun i row -> if i <> step then Vec.axpy (-.row.(!pc)) p row) rows;
+    pivot_row.(!pc) <- step
+  done;
+  let free = Array.of_list (List.filter (fun j -> pivot_row.(j) < 0) (List.init n Fun.id)) in
+  Mat.init n (n - k) (fun j col ->
+      if j = free.(col) then 1.0
+      else if pivot_row.(j) < 0 then 0.0
+      else -.rows.(pivot_row.(j)).(free.(col)))
 
 let jacobi_eigen ?(tol = 1e-12) ?(max_sweeps = 64) a =
   let n, m = Mat.dims a in

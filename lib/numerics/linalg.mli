@@ -40,8 +40,17 @@ val qr_lstsq : Mat.t -> Vec.t -> Vec.t
 (** Least-squares solution of an overdetermined system [a x ~ b]
     ([rows >= cols], full column rank) via Householder QR. *)
 
-val solve_sym_indefinite : Mat.t -> Vec.t -> Vec.t
-(** Solve a symmetric (possibly indefinite, e.g. KKT) system by pivoted LU. *)
+val null_space : Mat.t -> Mat.t
+(** [null_space c] for a k × n matrix [c] of independent rows returns an
+    n × (n − k) basis [z] of its null space ([c z = 0]) by variable
+    elimination: Gauss–Jordan with complete pivoting picks k pivot
+    columns, and each column of [z] sets one free coefficient to 1, the
+    other free ones to 0, and solves the pivot ones from [c]. The rows of
+    [z] at the free columns are therefore the identity, so [z] keeps the
+    magnitudes of the coordinates it parametrizes (it is not
+    orthonormal). Raises {!Singular} when the rows are dependent: a zero
+    row, more rows than columns, or a pivot below 1e-12 once each row is
+    scaled to unit max-norm. *)
 
 val jacobi_eigen : ?tol:float -> ?max_sweeps:int -> Mat.t -> Vec.t * Mat.t
 (** [jacobi_eigen a] for symmetric [a] returns [(eigenvalues, eigenvectors)]

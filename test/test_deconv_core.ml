@@ -186,10 +186,16 @@ let test_problem_blocks () =
     check_bits_vec "equality row 0 is conservation" conservation c;
     check_bits_vec "equality row 1 is rate continuity" rate r
   | rows -> Alcotest.failf "expected 2 equality rows, got %d" (Array.length rows));
+  (* The solve runs on the free coefficients of α = Zβ, so the stored
+     positivity block is Ψ·Z with Z the null space of the equality rows. *)
+  let z = Linalg.null_space (Mat.of_rows [| conservation; rate |]) in
+  check_true "null space of the equality rows"
+    (Mat.approx_equal ~tol:0.0 z full.Deconv.Problem.null_space);
+  let reduced = Mat.matmul positivity z in
   let pos = rows_of "positivity" full.Deconv.Problem.positivity in
   Alcotest.(check int) "positivity rows" positivity.Mat.rows (Array.length pos);
   Array.iteri
-    (fun g row -> check_bits_vec (Printf.sprintf "positivity row %d" g) (Mat.row positivity g) row)
+    (fun g row -> check_bits_vec (Printf.sprintf "positivity row %d" g) (Mat.row reduced g) row)
     pos;
   (match rows_of "equality" (create ~use_conservation:false ()).Deconv.Problem.equality with
   | [| r |] -> check_bits_vec "conservation off leaves rate continuity" rate r
@@ -197,9 +203,15 @@ let test_problem_blocks () =
   (match rows_of "equality" (create ~use_rate_continuity:false ()).Deconv.Problem.equality with
   | [| c |] -> check_bits_vec "rate continuity off leaves conservation" conservation c
   | rows -> Alcotest.failf "expected 1 equality row, got %d" (Array.length rows));
-  check_true "both equalities off: no block"
-    (Option.is_none
-       (create ~use_conservation:false ~use_rate_continuity:false ()).Deconv.Problem.equality);
+  let unconstrained = create ~use_conservation:false ~use_rate_continuity:false () in
+  check_true "both equalities off: no block, identity null space"
+    (Option.is_none unconstrained.Deconv.Problem.equality
+    && Mat.approx_equal ~tol:0.0 (Mat.identity bspline12.Spline.Basis.size)
+         unconstrained.Deconv.Problem.null_space);
+  (match unconstrained.Deconv.Problem.positivity with
+  | Some stored ->
+    check_true "both equalities off: positivity is Ψ" (Mat.approx_equal ~tol:0.0 positivity stored)
+  | None -> Alcotest.fail "positivity block missing");
   check_true "positivity off: no block"
     (Option.is_none (create ~use_positivity:false ()).Deconv.Problem.positivity)
 

@@ -137,6 +137,46 @@ let prop_solve_residual =
       | x -> Vec.norm_inf (Vec.sub (Mat.mv a x) b) < 1e-6
       | exception Linalg.Singular _ -> true)
 
+(* Z from variable elimination: C·Z = 0 to rounding, and the rows of Z at
+   the free (non-pivot) columns form the identity. *)
+let test_null_space () =
+  let rng = Rng.create 733 in
+  List.iter
+    (fun (k, n) ->
+      (* Rows of very different scales, as the conservation and
+         rate-continuity rows are. *)
+      let c =
+        Mat.init k n (fun i _ -> (10.0 ** float_of_int i) *. Rng.uniform rng ~lo:(-1.0) ~hi:1.0)
+      in
+      let z = Linalg.null_space c in
+      Alcotest.(check (pair int int)) "dims" (n, n - k) (Mat.dims z);
+      check_true
+        (Printf.sprintf "CZ = 0 (%dx%d)" k n)
+        (Mat.max_abs (Mat.matmul c z) <= 1e-14 *. Mat.max_abs c *. float_of_int n);
+      let unit_rows =
+        List.filter
+          (fun p ->
+            let row = Mat.row z p in
+            Array.for_all (fun v -> Float.equal v 0.0 || Float.equal v 1.0) row
+            && Float.equal (Array.fold_left ( +. ) 0.0 row) 1.0)
+          (List.init n Fun.id)
+      in
+      Alcotest.(check int) "one unit row per free column" (n - k) (List.length unit_rows);
+      let block = Mat.of_rows (Array.of_list (List.map (Mat.row z) unit_rows)) in
+      check_true "identity block at the free columns"
+        (Mat.approx_equal ~tol:0.0 (Mat.identity (n - k)) block))
+    [ (1, 2); (2, 12); (3, 7); (2, 3) ]
+
+let test_null_space_dependent_rows () =
+  let raises name c =
+    match Linalg.null_space c with
+    | _ -> Alcotest.failf "%s: expected Singular" name
+    | exception Linalg.Singular _ -> ()
+  in
+  raises "proportional rows" (Mat.of_rows [| [| 1.0; 2.0; 3.0 |]; [| -2.0; -4.0; -6.0 |] |]);
+  raises "zero row" (Mat.of_rows [| [| 1.0; 2.0; 3.0 |]; [| 0.0; 0.0; 0.0 |] |]);
+  raises "more rows than columns" (Mat.of_rows [| [| 1.0 |]; [| 2.0 |] |])
+
 let tests =
   [
     ( "linalg",
@@ -157,6 +197,8 @@ let tests =
         case "jacobi eigen reconstruction" test_jacobi_eigen_reconstruction;
         case "condition number" test_condition_spd;
         case "solve many" test_solve_many;
+        case "null space by elimination" test_null_space;
+        case "null space rejects dependent rows" test_null_space_dependent_rows;
         prop_solve_residual;
       ] );
   ]

@@ -133,8 +133,7 @@ let test_qp_emits_one_point_per_iteration =
   let a = Mat.of_rows [| [| 1.0; 0.0 |] |] in
   let solution =
     Optimize.Qp.solve
-      { h = spd_2; g = [| 2.0; -4.0 |]; c_eq = None; d_eq = None; a_ineq = Some a;
-        b_ineq = Some [| 0.0 |] }
+      { h = spd_2; g = [| 2.0; -4.0 |]; ineq = Some (a, [| 0.0 |]) }
   in
   let events = recorded () in
   let points =
@@ -184,7 +183,7 @@ let test_qp_direct_solve_emits_single_point =
   let spd_2 = Mat.of_rows [| [| 2.0; 0.0 |]; [| 0.0; 2.0 |] |] in
   let solution =
     Optimize.Qp.solve
-      { h = spd_2; g = [| -2.0; -4.0 |]; c_eq = None; d_eq = None; a_ineq = None; b_ineq = None }
+      { h = spd_2; g = [| -2.0; -4.0 |]; ineq = None }
   in
   let points =
     List.filter

@@ -103,8 +103,7 @@ let prop_qp_optimality =
       let g = Array.init n (fun _ -> Rng.uniform rng ~lo:(-2.0) ~hi:2.0) in
       let solution =
         Optimize.Qp.solve
-          { h; g; c_eq = None; d_eq = None; a_ineq = Some (Mat.identity n);
-            b_ineq = Some (Vec.zeros n) }
+          { h; g; ineq = Some (Mat.identity n, Vec.zeros n) }
       in
       let objective x = (0.5 *. Vec.dot x (Mat.mv h x)) +. Vec.dot g x in
       let x = solution.Optimize.Qp.x in

@@ -8,35 +8,19 @@ let test_unconstrained () =
   let x = Optimize.Qp.unconstrained spd_2 [| -2.0; -4.0 |] in
   check_vec ~tol:1e-10 "unconstrained min" [| 1.0; 2.0 |] x
 
-let test_equality_constrained () =
-  (* min x^2 + y^2 s.t. x + y = 2 -> (1, 1). *)
-  let c = Mat.of_rows [| [| 1.0; 1.0 |] |] in
-  let x, multipliers = Optimize.Qp.solve_equality spd_2 [| 0.0; 0.0 |] ~c ~d:[| 2.0 |] in
-  check_vec ~tol:1e-10 "equality min" [| 1.0; 1.0 |] x;
-  Alcotest.(check int) "one multiplier" 1 (Array.length multipliers)
-
 let test_solve_no_constraints () =
   let solution =
-    Optimize.Qp.solve { h = spd_2; g = [| -2.0; -4.0 |]; c_eq = None; d_eq = None; a_ineq = None; b_ineq = None }
+    Optimize.Qp.solve { h = spd_2; g = [| -2.0; -4.0 |]; ineq = None }
   in
   check_vec ~tol:1e-10 "solve without constraints" [| 1.0; 2.0 |] solution.Optimize.Qp.x;
   check_true "tiny KKT residual" (solution.Optimize.Qp.kkt_residual < 1e-8)
-
-let test_solve_equality_only () =
-  let c = Mat.of_rows [| [| 1.0; -1.0 |] |] in
-  let solution =
-    Optimize.Qp.solve
-      { h = spd_2; g = [| -2.0; -4.0 |]; c_eq = Some c; d_eq = Some [| 0.0 |]; a_ineq = None; b_ineq = None }
-  in
-  (* min (x-1)^2 + (y-2)^2 s.t. x = y -> (1.5, 1.5). *)
-  check_vec ~tol:1e-10 "equality-only" [| 1.5; 1.5 |] solution.Optimize.Qp.x
 
 let test_inactive_inequality () =
   (* Constraint x >= 0 is inactive at the unconstrained optimum (1,2). *)
   let a = Mat.of_rows [| [| 1.0; 0.0 |] |] in
   let solution =
     Optimize.Qp.solve
-      { h = spd_2; g = [| -2.0; -4.0 |]; c_eq = None; d_eq = None; a_ineq = Some a; b_ineq = Some [| 0.0 |] }
+      { h = spd_2; g = [| -2.0; -4.0 |]; ineq = Some (a, [| 0.0 |]) }
   in
   check_vec ~tol:1e-5 "inactive constraint ignored" [| 1.0; 2.0 |] solution.Optimize.Qp.x
 
@@ -45,28 +29,27 @@ let test_active_inequality () =
   let a = Mat.of_rows [| [| 1.0; 0.0 |] |] in
   let solution =
     Optimize.Qp.solve
-      { h = spd_2; g = [| 2.0; -4.0 |]; c_eq = None; d_eq = None; a_ineq = Some a; b_ineq = Some [| 0.0 |] }
+      { h = spd_2; g = [| 2.0; -4.0 |]; ineq = Some (a, [| 0.0 |]) }
   in
   check_vec ~tol:1e-5 "clamped solution" [| 0.0; 2.0 |] solution.Optimize.Qp.x;
   check_true "constraint reported active" (List.mem 0 solution.Optimize.Qp.active)
 
 let test_mixed_constraints () =
-  (* min (x-2)^2 + (y-2)^2 s.t. x + y = 2 (equality), x >= 1.5 (ineq).
-     Without the inequality: (1,1). With it: x = 1.5, y = 0.5. *)
-  let c = Mat.of_rows [| [| 1.0; 1.0 |] |] in
+  (* min (x-2)^2 + (y-2)^2 s.t. x - y = 0 (equality), x >= 2.5 (ineq).
+     The equality holds by construction on x = Z beta with Z the one-column
+     null space of [1 -1]; the reduced QP carries the inequality alone.
+     Without the inequality: (2, 2). With it: (2.5, 2.5). *)
+  let z = Linalg.null_space (Mat.of_rows [| [| 1.0; -1.0 |] |]) in
   let a = Mat.of_rows [| [| 1.0; 0.0 |] |] in
   let solution =
     Optimize.Qp.solve
       {
-        h = spd_2;
-        g = [| -4.0; -4.0 |];
-        c_eq = Some c;
-        d_eq = Some [| 2.0 |];
-        a_ineq = Some a;
-        b_ineq = Some [| 1.5 |];
+        h = Mat.matmul (Mat.transpose z) (Mat.matmul spd_2 z);
+        g = Mat.tmv z [| -4.0; -4.0 |];
+        ineq = Some (Mat.matmul a z, [| 2.5 |]);
       }
   in
-  check_vec ~tol:1e-5 "mixed constraints" [| 1.5; 0.5 |] solution.Optimize.Qp.x
+  check_vec ~tol:1e-5 "mixed constraints" [| 2.5; 2.5 |] (Mat.mv z solution.Optimize.Qp.x)
 
 let test_many_redundant_inequalities () =
   (* The positivity-on-a-grid pattern: many nearly identical rows. *)
@@ -78,7 +61,7 @@ let test_many_redundant_inequalities () =
   let a = Mat.of_rows rows in
   let solution =
     Optimize.Qp.solve
-      { h; g; c_eq = None; d_eq = None; a_ineq = Some a; b_ineq = Some (Vec.zeros (3 * n)) }
+      { h; g; ineq = Some (a, Vec.zeros (3 * n)) }
   in
   check_close ~tol:1e-5 "first coordinate clamped" 0.0 solution.Optimize.Qp.x.(0);
   for i = 1 to n - 1 do
@@ -94,7 +77,7 @@ let test_kkt_residual_small () =
   let a = Mat.identity n in
   let solution =
     Optimize.Qp.solve
-      { h; g; c_eq = None; d_eq = None; a_ineq = Some a; b_ineq = Some (Vec.zeros n) }
+      { h; g; ineq = Some (a, Vec.zeros n) }
   in
   check_true "KKT residual" (solution.Optimize.Qp.kkt_residual < 1e-6);
   Array.iter (fun xi -> check_true "feasible" (xi >= -1e-7)) solution.Optimize.Qp.x
@@ -109,7 +92,7 @@ let prop_ipm_matches_projection =
       let g = Vec.scale (-2.0) c in
       let solution =
         Optimize.Qp.solve
-          { h; g; c_eq = None; d_eq = None; a_ineq = Some (Mat.identity n); b_ineq = Some (Vec.zeros n) }
+          { h; g; ineq = Some (Mat.identity n, Vec.zeros n) }
       in
       let expected = Array.map (fun v -> Float.max v 0.0) c in
       Vec.approx_equal ~tol:1e-5 expected solution.Optimize.Qp.x)
@@ -119,9 +102,7 @@ let tests =
     ( "qp",
       [
         case "unconstrained" test_unconstrained;
-        case "equality constrained" test_equality_constrained;
         case "solve without constraints" test_solve_no_constraints;
-        case "solve equality only" test_solve_equality_only;
         case "inactive inequality" test_inactive_inequality;
         case "active inequality" test_active_inequality;
         case "mixed constraints" test_mixed_constraints;

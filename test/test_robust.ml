@@ -462,14 +462,7 @@ let stall_problem () =
   let g = [| -2.0; -2.0 |] in
   let a_ineq = Mat.of_rows [| [| -1.0; 0.0 |]; [| 0.0; -1.0 |] |] in
   let b_ineq = [| -0.5; -0.5 |] in
-  {
-    Optimize.Qp.h;
-    g;
-    c_eq = None;
-    d_eq = None;
-    a_ineq = Some a_ineq;
-    b_ineq = Some b_ineq;
-  }
+  { Optimize.Qp.h; g; ineq = Some (a_ineq, b_ineq) }
 
 let test_qp_stall_status () =
   let s = Optimize.Qp.solve ~max_iter:1 (stall_problem ()) in

@@ -68,6 +68,51 @@ let test_equality_constraints_satisfied () =
   check_close ~tol:1e-6 "rate continuity satisfied" 0.0
     (Deconv.Constraints.residual_rate_continuity params basis est.Deconv.Solver.alpha)
 
+(* The equality rows hold by construction (α = Zβ), so whatever else is
+   switched on, each enforced row is zero to rounding, not to the QP
+   tolerance. *)
+let test_equality_rows_by_construction () =
+  let bools = [ false; true ] in
+  List.iter
+    (fun use_positivity ->
+      List.iter
+        (fun use_conservation ->
+          List.iter
+            (fun use_rate_continuity ->
+              let problem =
+                make_problem ~use_positivity ~use_conservation ~use_rate_continuity
+                  (Lazy.force clean_data)
+              in
+              let alpha = (Deconv.Solver.solve ~lambda:1e-4 problem).Deconv.Solver.alpha in
+              let bound = 1e-12 *. (1.0 +. Vec.norm_inf alpha) in
+              let check on name residual =
+                if on then
+                  check_true
+                    (Printf.sprintf "%s |%.3g| <= %.3g (positivity %b, conservation %b, rate %b)"
+                       name residual bound use_positivity use_conservation use_rate_continuity)
+                    (Float.abs residual <= bound)
+              in
+              check use_conservation "conservation"
+                (Deconv.Constraints.residual_conservation params basis alpha);
+              check use_rate_continuity "rate continuity"
+                (Deconv.Constraints.residual_rate_continuity params basis alpha))
+            bools)
+        bools)
+    bools
+
+(* Two equality rows on a one-function basis are necessarily dependent:
+   no null-space basis exists, and create says so with a typed error
+   rather than a bare Linalg.Singular. *)
+let test_dependent_equality_rows_rejected () =
+  let basis = { basis with Spline.Basis.size = 1 } in
+  match
+    Deconv.Problem.create ~kernel:(Lazy.force kernel) ~basis ~measurements:(Vec.zeros 13)
+      ~params ()
+  with
+  | (_ : Deconv.Problem.t) -> Alcotest.fail "expected Invalid_input on constraints"
+  | exception Robust.Error.Error (Robust.Error.Invalid_input { field; _ }) ->
+    Alcotest.(check string) "field" "constraints" field
+
 let test_constraints_can_be_disabled () =
   let problem =
     make_problem ~use_conservation:false ~use_rate_continuity:false ~use_positivity:false
@@ -201,6 +246,8 @@ let test_with_data_shares_blocks () =
   check_true "design shared" (Deconv.Problem.design p == Deconv.Problem.design problem);
   check_true "penalty shared" (Deconv.Problem.penalty p == Deconv.Problem.penalty problem);
   check_true "equality block shared" (p.Deconv.Problem.equality == problem.Deconv.Problem.equality);
+  check_true "null space shared"
+    (p.Deconv.Problem.null_space == problem.Deconv.Problem.null_space);
   check_true "positivity block shared"
     (p.Deconv.Problem.positivity == problem.Deconv.Problem.positivity);
   let sigmas = Vec.make 13 2.0 in
@@ -245,6 +292,8 @@ let tests =
         case "positivity enforced" test_positivity_enforced;
         case "unconstrained goes negative" test_unconstrained_goes_negative;
         case "equality constraints satisfied" test_equality_constraints_satisfied;
+        case "equality rows hold by construction" test_equality_rows_by_construction;
+        case "dependent equality rows rejected" test_dependent_equality_rows_rejected;
         case "constraints can be disabled" test_constraints_can_be_disabled;
         case "cost decomposition" test_cost_decomposition;
         case "lambda tradeoff" test_lambda_tradeoff;

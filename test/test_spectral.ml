@@ -309,18 +309,47 @@ let test_cache_does_not_change_selection () =
 
 let test_warm_start_same_solution_fewer_iterations () =
   let problem = Lazy.force problem_well in
-  let cold = Deconv.Solver.solve ~lambda:1e-4 problem in
-  let cache = Optimize.Spectral.Cache.create () in
-  let warm = Deconv.Solver.solve ~lambda:1e-4 ~cache problem in
+  let lambda = 1e-4 in
+  let warm = Deconv.Solver.solve ~lambda problem in
+  (* The cold reference: the same reduced QP over the free coefficients β
+     of α = Zβ (eq. 5's H and g projected on Z, positivity rows ΨZ), solved
+     from the interior-point method's default start. *)
+  let a = Deconv.Problem.design problem in
+  let w = Deconv.Problem.weights problem in
+  let omega = Deconv.Problem.penalty problem in
+  let h = Mat.scale 2.0 (Optimize.Ridge.normal_matrix ~a ~weights:w ~penalty:omega ~lambda) in
+  let g = Vec.scale (-2.0) (Mat.tmv a (Vec.mul w problem.Deconv.Problem.measurements)) in
+  let z = problem.Deconv.Problem.null_space in
+  let positivity =
+    match problem.Deconv.Problem.positivity with
+    | Some p -> p
+    | None -> Alcotest.fail "positivity block missing"
+  in
+  let cold =
+    Optimize.Qp.solve
+      {
+        Optimize.Qp.h = Mat.matmul (Mat.transpose z) (Mat.matmul h z);
+        g = Mat.tmv z g;
+        ineq = Some (positivity, Vec.zeros positivity.Mat.rows);
+      }
+  in
+  check_true "cold QP converges" (cold.Optimize.Qp.status = Optimize.Qp.Converged);
+  let cost alpha =
+    let r = Vec.sub problem.Deconv.Problem.measurements (Mat.mv a alpha) in
+    Vec.dot r (Vec.mul w r) +. (lambda *. Vec.dot alpha (Mat.mv omega alpha))
+  in
+  let cold_cost = cost (Mat.mv z cold.Optimize.Qp.x) in
   (* Warm and cold runs take different interior-point trajectories to the
-     same optimum; each stops at the QP tolerance, so they agree to the
-     QP's terminal accuracy in the coefficients' scale, not to rounding. *)
-  check_vec_scaled ~tol:1e-6 "warm-started QP reaches the same optimum"
-    cold.Deconv.Solver.alpha warm.Deconv.Solver.alpha;
+     same optimum; each stops at the QP tolerance, so the eq. 5 costs agree
+     to the QP's terminal accuracy, not to rounding. *)
+  check_true
+    (Printf.sprintf "warm-started QP reaches the same eq. 5 cost (%.17g warm vs %.17g cold)"
+       warm.Deconv.Solver.cost cold_cost)
+    (Float.abs (warm.Deconv.Solver.cost -. cold_cost) <= 1e-6 *. cold_cost);
   check_true
     (Printf.sprintf "warm start does not add iterations (%d warm vs %d cold)"
-       warm.Deconv.Solver.qp_iterations cold.Deconv.Solver.qp_iterations)
-    (warm.Deconv.Solver.qp_iterations <= cold.Deconv.Solver.qp_iterations)
+       warm.Deconv.Solver.qp_iterations cold.Optimize.Qp.iterations)
+    (warm.Deconv.Solver.qp_iterations <= cold.Optimize.Qp.iterations)
 
 (* ---------------- batch determinism on the cached path ---------------- *)
 
