@@ -314,8 +314,8 @@ let confinement =
          definition, and emit it as an Obs.Diag event instead of printing it";
     };
     (* lib/core consumes factorizations through Optimize.Spectral and
-       Optimize.Ridge, which own the anchoring, the cross-solve cache and
-       the spans: a raw eigensolver or triangular-substitution call
+       Optimize.Ridge, which own the anchoring, the factorization counter
+       and the spans: a raw eigensolver or triangular-substitution call
        bypasses all three. *)
     {
       rule = "R14"; lib_only = true; allowed = [ "numerics"; "optimize" ]; data_exempt = false;
@@ -330,7 +330,7 @@ let confinement =
               fn);
       hint =
         "consume the decomposition through Optimize.Spectral (or Optimize.Ridge), which \
-         owns the anchoring, the factorization cache and the telemetry spans";
+         owns the anchoring, the factorization counter and the telemetry spans";
     };
   ]
 

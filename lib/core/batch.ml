@@ -1,87 +1,100 @@
 open Numerics
 
-(* One prepared template problem: its design, penalty and constraint
-   blocks are built once here and every gene re-points it at its own
-   data. [flags] are the constraint switches as the checkpoint key spells
-   them. *)
-type t = { template : Problem.t; flags : string }
+(* One prepared template problem: its design, penalty, constraint blocks
+   and Demmler–Reinsch factorization are built once here, and every gene
+   re-points it at its own data. [spectral] is [None] when the template's
+   system cannot be factored (a gene then fails its own λ selection with
+   the typed error). [key] has the checkpoint key parts every gene shares
+   already fed: kernel, basis, parameters and constraint switches. *)
+type t = { template : Problem.t; spectral : Optimize.Spectral.t option; key : Checkpoint.key_state }
+
+let hex = Printf.sprintf "%h"
 
 let prepare ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_continuity = true)
     ~kernel ~basis ~params () =
   let measurements = Vec.zeros (Array.length kernel.Cellpop.Kernel.times) in
+  let template =
+    Problem.create ~use_positivity ~use_conservation ~use_rate_continuity ~kernel ~basis
+      ~measurements ~params ()
+  in
   let flag v = if v then "1" else "0" in
   {
-    template =
-      Problem.create ~use_positivity ~use_conservation ~use_rate_continuity ~kernel ~basis
-        ~measurements ~params ();
-    flags = flag use_positivity ^ flag use_conservation ^ flag use_rate_continuity;
+    template;
+    spectral =
+      (match Problem.factorize template with
+      | fact -> Some fact
+      | exception Linalg.Singular _ -> None);
+    key =
+      Checkpoint.feed_key Checkpoint.key_seed
+        [
+          "kernel";
+          Checkpoint.vec_part kernel.Cellpop.Kernel.phases;
+          hex kernel.Cellpop.Kernel.bin_width;
+          Checkpoint.vec_part kernel.Cellpop.Kernel.times;
+          Checkpoint.mat_part kernel.Cellpop.Kernel.q;
+          "basis";
+          basis.Spline.Basis.name;
+          string_of_int basis.Spline.Basis.size;
+          hex basis.Spline.Basis.lo;
+          hex basis.Spline.Basis.hi;
+          "params";
+          hex params.Cellpop.Params.mu_sst;
+          hex params.Cellpop.Params.cv_sst;
+          hex params.Cellpop.Params.mean_cycle_minutes;
+          hex params.Cellpop.Params.cv_cycle;
+          hex params.Cellpop.Params.v0;
+          (match params.Cellpop.Params.volume_model with
+          | Cellpop.Params.Linear -> "linear"
+          | Cellpop.Params.Smooth -> "smooth");
+          (match params.Cellpop.Params.initial_condition with
+          | Cellpop.Params.Synchronized_swarmer -> "swarmer"
+          | Cellpop.Params.Uniform_phase -> "uniform");
+          "constraints";
+          flag use_positivity ^ flag use_conservation ^ flag use_rate_continuity;
+        ];
   }
 
 let problem_for t ?sigmas measurements = Problem.with_data ?sigmas t.template measurements
 
 (* ---------------- fault-isolated batch ---------------- *)
 
-let hex = Printf.sprintf "%h"
-
 let gene_key t ?sigmas ~lambda ~measurements () =
-  let k = t.template.Problem.kernel in
-  let b = t.template.Problem.basis in
-  let p = t.template.Problem.params in
-  Checkpoint.key_of_parts
-    [
-      "kernel";
-      Checkpoint.vec_part k.Cellpop.Kernel.phases;
-      hex k.Cellpop.Kernel.bin_width;
-      Checkpoint.vec_part k.Cellpop.Kernel.times;
-      Checkpoint.mat_part k.Cellpop.Kernel.q;
-      "basis";
-      b.Spline.Basis.name;
-      string_of_int b.Spline.Basis.size;
-      hex b.Spline.Basis.lo;
-      hex b.Spline.Basis.hi;
-      "params";
-      hex p.Cellpop.Params.mu_sst;
-      hex p.Cellpop.Params.cv_sst;
-      hex p.Cellpop.Params.mean_cycle_minutes;
-      hex p.Cellpop.Params.cv_cycle;
-      hex p.Cellpop.Params.v0;
-      (match p.Cellpop.Params.volume_model with
-      | Cellpop.Params.Linear -> "linear"
-      | Cellpop.Params.Smooth -> "smooth");
-      (match p.Cellpop.Params.initial_condition with
-      | Cellpop.Params.Synchronized_swarmer -> "swarmer"
-      | Cellpop.Params.Uniform_phase -> "uniform");
-      "constraints";
-      t.flags;
-      "lambda";
-      (match lambda with `Gcv -> "gcv" | `Fixed l -> "fixed:" ^ hex l);
-      "gene";
-      Checkpoint.vec_part measurements;
-      "sigmas";
-      (match sigmas with None -> "none" | Some s -> Checkpoint.vec_part s);
-    ]
+  Checkpoint.finish_key
+    (Checkpoint.feed_key t.key
+       [
+         "lambda";
+         (match lambda with `Gcv -> "gcv" | `Fixed l -> "fixed:" ^ hex l);
+         "gene";
+         Checkpoint.vec_part measurements;
+         "sigmas";
+         (match sigmas with None -> "none" | Some s -> Checkpoint.vec_part s);
+       ])
 
-let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ?cache ~measurements () =
+let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ~measurements () =
   match
     let problem = problem_for t ?sigmas measurements in
     match Problem.validate problem with
     | Error e -> Error e
     | Ok () -> (
-      match Lambda.select_result problem ~method_:lambda ?cache () with
+      (* A gene with its own σ row has its own weights, hence its own
+         system, which its λ selection factors. *)
+      let spectral = if Option.is_none sigmas then t.spectral else None in
+      match Lambda.select_result problem ~method_:lambda ?spectral () with
       | Error e -> Error e
       | Ok lam ->
         let est = Solver.solve ?budget ~lambda:lam problem in
         if Solver.finite_estimate est then begin
           (* Batch genes go through the raw solve (no cascade), so the
-             per-solve quality record is emitted here; κ is recomputed
+             per-solve quality record, κ included, is computed here,
              only under an active sink. *)
           if Obs.Diag.enabled () then
-            Quality.emit_solve ~problem ~fitted:est.Solver.fitted ~lambda:est.Solver.lambda
-              ~entry_lambda:lam ~rss:est.Solver.data_misfit
-              ~kappa:(Quality.kappa problem ~lambda:est.Solver.lambda)
-              ~degradation:0 ~active_positivity:est.Solver.active_positivity
-              ~qp_iterations:est.Solver.qp_iterations ~solved_by:"constrained_qp"
-              ~cascade:"constrained_qp" ();
+            Obs.Span.with_ "quality.emit" (fun _ ->
+                Quality.emit_solve ~problem ~fitted:est.Solver.fitted ~lambda:est.Solver.lambda
+                  ~entry_lambda:lam ~rss:est.Solver.data_misfit
+                  ~kappa:(Quality.kappa problem ~lambda:est.Solver.lambda)
+                  ~degradation:0 ~active_positivity:est.Solver.active_positivity
+                  ~qp_iterations:est.Solver.qp_iterations ~solved_by:"constrained_qp"
+                  ~cascade:"constrained_qp" ());
           Ok est
         end
         else Error (Robust.Error.Non_finite { stage = "constrained QP solution" }))
@@ -137,7 +150,17 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
   if block < 1 then
     Robust.Error.raise_error
       (Robust.Error.Invalid_input { field = "block"; why = "must be >= 1" });
-  let genes, _ = Mat.dims measurements in
+  let genes, n_m = Mat.dims measurements in
+  (match sigmas with
+  | Some s when Mat.dims s <> (genes, n_m) ->
+    let rows, cols = Mat.dims s in
+    Robust.Error.raise_error
+      (Robust.Error.Invalid_input
+         {
+           field = "sigmas";
+           why = Printf.sprintf "%dx%d for %dx%d measurements" rows cols genes n_m;
+         })
+  | Some _ | None -> ());
   let sigma_row g = Option.map (fun s -> Mat.row s g) sigmas in
   let keys =
     match journal with
@@ -163,14 +186,6 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
     Array.of_list
       (List.filter (fun g -> outcomes.(g) = None) (List.init genes (fun g -> g)))
   in
-  (* One factorization cache for the whole batch: genes share the kernel
-     (and, absent per-gene sigmas, the weights), so their penalized
-     systems hash to the same key and the Demmler–Reinsch decomposition
-     is computed once, not per gene. Created locally and passed down —
-     never module-level state — so worker-domain access stays inside the
-     cache's lock-free CAS discipline and results cannot depend on jobs
-     count (cache entries are pure functions of their keys). *)
-  let cache = Optimize.Spectral.Cache.create () in
   (match progress with
   | Some p -> Obs.Progress.record_replayed p !replayed
   | None -> ());
@@ -207,7 +222,7 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
           (* Diag records emitted inside key by gene id, so trace diff
              can join per-gene quality across two batch runs. *)
           Obs.Diag.with_solve (Printf.sprintf "gene:%d" g) (fun () ->
-              solve_gene_result t ?sigmas:(sigma_row g) ~lambda ?budget ~cache
+              solve_gene_result t ?sigmas:(sigma_row g) ~lambda ?budget
                 ~measurements:(Mat.row measurements g) ()))
     in
     let fresh = ref [] in

@@ -1,15 +1,16 @@
 (** Batch deconvolution of many genes sharing one population kernel — the
     regime of a real microarray study (thousands of genes, one asynchrony
     model). Kernel-, basis- and constraint-dependent quantities are
-    assembled once and reused across genes. *)
+    assembled (and factored) once and reused across genes. *)
 
 open Numerics
 
 type t
 (** Prepared context: one template {!Problem.t} holding the forward
-    matrix, penalty and constraint blocks, built once by {!prepare}. Every
-    gene re-points it at its own data through {!Problem.with_data}, so no
-    per-gene path assembles a matrix or integrates a constraint row. *)
+    matrix, penalty, constraint blocks and {!Problem.factorize}, built once
+    by {!prepare}. Every gene re-points it at its own data through
+    {!Problem.with_data}, so no per-gene path assembles a matrix,
+    integrates a constraint row or factors the shared system. *)
 
 val prepare :
   ?use_positivity:bool ->
@@ -21,7 +22,9 @@ val prepare :
   unit ->
   t
 (** Builds the template problem with {!Problem.create} (all constraints
-    on by default): the one constraint build of the whole batch. *)
+    on by default) and factors it: the batch's one constraint build and
+    one factorization. A template that cannot be factored is kept without
+    one, and its genes fail λ selection with the typed [Non_finite]. *)
 
 val solve_all :
   t ->
@@ -42,7 +45,6 @@ val solve_gene_result :
   ?sigmas:Vec.t ->
   ?lambda:[ `Fixed of float | `Gcv ] ->
   ?budget:Robust.Budget.t ->
-  ?cache:Optimize.Spectral.Cache.t ->
   measurements:Vec.t ->
   unit ->
   (Solver.estimate, Robust.Error.t) result
@@ -51,10 +53,9 @@ val solve_gene_result :
     λ that is not finite and ≥ 0 is [Invalid_input {field = "lambda"}]),
     solves, and checks finiteness — any failure (including an arbitrary
     exception, via {!Robust.Error.of_exn}) becomes a typed [Error]
-    instead of a raise. [cache] shares the spectral factorization of the
-    penalized system across genes — the λ sweep reads it (see
-    {!Optimize.Spectral}); {!solve_all_result} always passes one, shared
-    by the whole batch. *)
+    instead of a raise. Without [sigmas] the λ sweep reads the template's
+    factorization; a gene with its own σ factors its own system. Under a
+    trace sink the quality record is computed in a [quality.emit] span. *)
 
 (** Aggregate report of a fault-isolated batch. *)
 module Outcome : sig
@@ -95,7 +96,7 @@ val gene_key :
 (** The checkpoint content key for one gene: an FNV-1a 64 hash over the
     kernel (phases, times, Q), basis, population parameters, constraint
     flags, λ policy and the gene's data — everything that determines the
-    solve's result. *)
+    solve's result. {!prepare} hashes the shared parts once. *)
 
 val solve_all_result :
   t ->
@@ -115,6 +116,9 @@ val solve_all_result :
     outcomes, and per-class counts are published to {!Obs.Metrics}
     ([batch.genes_ok], [batch.genes_failed], [batch.genes_replayed],
     [batch.failures.<class>]).
+
+    [sigmas] of other dimensions than [measurements] raise
+    [Invalid_input {field = "sigmas"}] before any gene runs.
 
     [max_seconds]/[max_iterations] cap each gene's solve with a fresh
     {!Robust.Budget} (omitted = unlimited; no budget object is created

@@ -20,8 +20,12 @@ let float_of_token s =
 
 (* FNV-1a 64-bit over length-prefixed parts (the prefix keeps part
    boundaries from aliasing: ["ab";"c"] and ["a";"bc"] hash apart). *)
-let key_of_parts parts =
-  let h = ref 0xcbf29ce484222325L in
+type key_state = int64
+
+let key_seed = 0xcbf29ce484222325L
+
+let feed_key h parts =
+  let h = ref h in
   let feed s =
     String.iter
       (fun c ->
@@ -34,7 +38,9 @@ let key_of_parts parts =
       feed ":";
       feed part)
     parts;
-  Printf.sprintf "%016Lx" !h
+  !h
+
+let finish_key = Printf.sprintf "%016Lx"
 
 let vec_part v = String.concat "," (Array.to_list (Array.map hex v))
 

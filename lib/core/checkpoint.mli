@@ -14,7 +14,7 @@
     appended batch, so after SIGKILL the file on disk is always a valid
     journal — the last complete batch, never a torn line.
 
-    {b Keys.} Each entry carries a content hash ({!key_of_parts}, FNV-1a
+    {b Keys.} Each entry carries a content hash ({!feed_key}, FNV-1a
     64) of everything that determines the gene's result: kernel, basis,
     constraint set, λ policy and the gene's data row. [--resume] only
     replays an entry when both the gene index and the key match, so a
@@ -27,8 +27,16 @@ type entry = {
   outcome : (Solver.estimate, Robust.Error.t) result;
 }
 
-val key_of_parts : string list -> string
-(** FNV-1a 64-bit hash of the length-prefixed parts, as 16 hex digits. *)
+type key_state
+(** FNV-1a 64-bit state part way through a key's length-prefixed parts.
+    Feeding [a] then [b] equals feeding [a @ b], so parts that many keys
+    share can be fed once. *)
+
+val key_seed : key_state
+val feed_key : key_state -> string list -> key_state
+
+val finish_key : key_state -> string
+(** The key: the state as 16 hex digits. *)
 
 val vec_part : Numerics.Vec.t -> string
 (** Canonical (hex-float) key part for a vector. *)

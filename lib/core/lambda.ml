@@ -43,14 +43,22 @@ let selection_failed ~selector =
 let fail_if_all_non_finite ~selector best_score =
   if not (Float.is_finite best_score) then selection_failed ~selector
 
-(* The spectral factorization is the only route to the candidate scores:
-   when even the anchored Gram side cannot be factored, no candidate can
-   be scored, which is reported right here as the selector's typed
-   error. *)
-let spectral ~selector ?cache problem =
-  match Problem.spectral ?cache problem with
-  | r -> r
-  | exception Linalg.Singular _ -> selection_failed ~selector
+(* The spectral factorization is the only route to the candidate scores.
+   Unless passed in, it is formed here; when even the anchored Gram side
+   cannot be factored, no candidate can be scored, which is reported right
+   here as the selector's typed error. *)
+let factorization ~selector ?spectral problem =
+  let fact =
+    match spectral with
+    | Some fact -> fact
+    | None -> (
+      match Problem.factorize problem with
+      | fact -> fact
+      | exception Linalg.Singular _ -> selection_failed ~selector)
+  in
+  ( fact,
+    Optimize.Spectral.project_data fact ~a:(Problem.design problem)
+      ~weights:(Problem.weights problem) ~b:problem.Problem.measurements )
 
 (* Sequential sweep: each candidate costs O(n), far below the pool's
    dispatch overhead, so fanning out would only slow it down. The argmin
@@ -68,8 +76,8 @@ let gcv_score ~n ~rss ~edf =
   let denom = n -. (robust_gamma *. edf) in
   if denom <= 0.0 then Float.infinity else n *. rss /. (denom *. denom)
 
-let gcv ?cache problem ~lambdas =
-  let fact, proj = spectral ~selector:"GCV" ?cache problem in
+let gcv ?spectral problem ~lambdas =
+  let fact, proj = factorization ~selector:"GCV" ?spectral problem in
   let n = float_of_int (Problem.num_measurements problem) in
   (* The Singular catch sits inside [score_of] itself, at the raise's
      nearest boundary — a candidate whose shifted system is singular
@@ -113,11 +121,11 @@ let kfold problem ~rng ~k ~lambdas =
         in
         let a_train = submatrix a train in
         let w_train = subvec train w in
-        (* As in [spectral]: an unfactorable fold is the selector's typed
+        (* As in [factorization]: an unfactorable fold is the selector's typed
            error, raised at the factorization. *)
         let fact =
           match
-            Optimize.Spectral.factorize_problem ~a:a_train ~weights:w_train ~penalty:omega ()
+            Optimize.Spectral.factorize_problem ~a:a_train ~weights:w_train ~penalty:omega
           with
           | fact -> fact
           | exception Linalg.Singular _ -> selection_failed ~selector:"k-fold CV"
@@ -192,9 +200,9 @@ let lcurve_corner ~lambdas points =
    solution. Candidates whose evaluation fails or yields non-finite
    coordinates are dropped (None): they take no part in the curvature
    search. *)
-let lcurve ?cache problem ~lambdas =
+let lcurve ?spectral problem ~lambdas =
   assert (Array.length lambdas >= 3);
-  let fact, proj = spectral ~selector:"L-curve" ?cache problem in
+  let fact, proj = factorization ~selector:"L-curve" ?spectral problem in
   let points =
     Array.map
       (fun lambda ->
@@ -220,7 +228,7 @@ let method_name = function
   | `Lcurve -> "lcurve"
   | `Kfold _ -> "kfold"
 
-let select problem ~method_ ?rng ?lambdas ?cache () =
+let select problem ~method_ ?rng ?lambdas ?spectral () =
   let lambdas = match lambdas with Some l -> l | None -> default_grid in
   Obs.Span.with_ "lambda.select" (fun sp ->
       Obs.Span.set_str sp "method" (method_name method_);
@@ -233,8 +241,8 @@ let select problem ~method_ ?rng ?lambdas ?cache () =
             Robust.Error.raise_error
               (Robust.Error.Invalid_input
                  { field = "lambda"; why = Printf.sprintf "fixed lambda %g is not usable" lambda })
-        | `Gcv -> gcv ?cache problem ~lambdas
-        | `Lcurve -> lcurve ?cache problem ~lambdas
+        | `Gcv -> gcv ?spectral problem ~lambdas
+        | `Lcurve -> lcurve ?spectral problem ~lambdas
         | `Kfold k ->
           let rng = match rng with Some r -> r | None -> Rng.create 42 in
           kfold problem ~rng ~k ~lambdas
@@ -242,9 +250,8 @@ let select problem ~method_ ?rng ?lambdas ?cache () =
       Obs.Span.set_float sp "chosen" chosen;
       Obs.Metrics.set "lambda.chosen" chosen;
       (* The full candidate profile goes on the trace stream instead of
-         being dropped: diagnose plots it, trace diff compares it
-         point-by-point, and the Demmler-Reinsch fast path (ROADMAP item
-         1) can prove score-equivalence against it. *)
+         being dropped: diagnose plots it and trace diff compares it
+         point-by-point. *)
       if Obs.Diag.enabled () then
         Obs.Diag.emit
           (Obs.Diag.make ~stage:"lambda"
@@ -254,7 +261,7 @@ let select problem ~method_ ?rng ?lambdas ?cache () =
              ());
       chosen)
 
-let select_result problem ~method_ ?rng ?lambdas ?cache () =
-  match select problem ~method_ ?rng ?lambdas ?cache () with
+let select_result problem ~method_ ?rng ?lambdas ?spectral () =
+  match select problem ~method_ ?rng ?lambdas ?spectral () with
   | lambda -> Ok lambda
   | exception Robust.Error.Error e -> Error e

@@ -2,7 +2,7 @@
     ("λ ... may be selected via cross validation", citing Craven–Wahba).
 
     Every selector runs on one spectral path: one Demmler–Reinsch
-    factorization of the penalized system ({!Problem.spectral},
+    factorization of the penalized system ({!Problem.factorize},
     {!Optimize.Spectral}) turns every λ candidate's misfit, roughness and
     edf into O(n) diagonal operations, so a k-candidate sweep costs about
     one factorization instead of k Cholesky solves; the scores agree with
@@ -11,16 +11,16 @@
     even with the anchored Gram side) no candidate can be scored, and the
     selector raises {!Robust.Error.Error} with
     [Non_finite {stage = "lambda selection (...)"}] — the same error as
-    when every candidate scores non-finite. Pass [cache] to reuse
-    factorizations across solves that share a kernel (batch genes,
-    bootstrap replicates). *)
+    when every candidate scores non-finite. GCV and the L-curve read
+    [spectral] instead when given ({!Problem.factorize} of the same system,
+    as {!Batch} shares it); results are bit-identical either way. *)
 
 open Numerics
 
 type curve_point = { lambda : float; score : float }
 
 val gcv :
-  ?cache:Optimize.Spectral.Cache.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array
+  ?spectral:Optimize.Spectral.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array
 (** Robust generalized cross-validation on the unconstrained smoothing
     problem: score(λ) = N·RSS_w / (N − γ·edf)² with γ = 1.4 (Cummins,
     Filloon & Nychka). Plain GCV (γ = 1) occasionally collapses to a
@@ -41,7 +41,7 @@ val kfold :
     sees the same folds. *)
 
 val lcurve :
-  ?cache:Optimize.Spectral.Cache.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array
+  ?spectral:Optimize.Spectral.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array
 (** L-curve selection: pick the λ of maximum curvature of the parametric
     curve (log misfit, log roughness) over the grid (Hansen's criterion).
     The returned curve's [score] field carries the (negated) discrete
@@ -58,7 +58,7 @@ val select :
   method_:[< `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
   ?rng:Rng.t ->
   ?lambdas:Vec.t ->
-  ?cache:Optimize.Spectral.Cache.t ->
+  ?spectral:Optimize.Spectral.t ->
   unit ->
   float
 (** Unified entry point; the default grid is 25 points, logarithmic in
@@ -80,7 +80,7 @@ val select_result :
   method_:[< `Gcv | `Kfold of int | `Lcurve | `Fixed of float ] ->
   ?rng:Rng.t ->
   ?lambdas:Vec.t ->
-  ?cache:Optimize.Spectral.Cache.t ->
+  ?spectral:Optimize.Spectral.t ->
   unit ->
   (float, Robust.Error.t) result
 (** As {!select}, returning the typed error instead of raising. *)

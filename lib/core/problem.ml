@@ -120,8 +120,5 @@ let design t = t.design
 
 let penalty t = t.penalty
 
-let spectral ?cache t =
-  let a = design t in
-  let weights = weights t in
-  let fact = Optimize.Spectral.factorize_problem ?cache ~a ~weights ~penalty:(penalty t) () in
-  (fact, Optimize.Spectral.project_data fact ~a ~weights ~b:t.measurements)
+let factorize t =
+  Optimize.Spectral.factorize_problem ~a:(design t) ~weights:(weights t) ~penalty:(penalty t)

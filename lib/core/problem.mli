@@ -87,10 +87,8 @@ val design : t -> Mat.t
 val penalty : t -> Mat.t
 (** Roughness penalty Ω for the basis. Precomputed by {!create}. *)
 
-val spectral :
-  ?cache:Optimize.Spectral.Cache.t -> t -> Optimize.Spectral.t * Optimize.Spectral.projection
-(** Demmler–Reinsch factorization of the penalized system (through [cache]
-    when given, so problems sharing a kernel pay for it once) plus the
-    measurements in its spectral coordinates — the input of every λ
-    candidate evaluation. Raises {!Numerics.Linalg.Singular} when even the
+val factorize : t -> Optimize.Spectral.t
+(** Demmler–Reinsch factorization of the penalized system (AᵀWA, Ω), the
+    one place it is formed. It depends on kernel, basis and σ only, not
+    on the measurements. Raises {!Numerics.Linalg.Singular} when even the
     anchored Gram side cannot be factored. *)

@@ -46,7 +46,7 @@ val solve_unconstrained : ?lambda:float -> ?ridge:float -> Problem.t -> estimate
     A direct Cholesky solve of the normal equations, the one unconstrained
     path that accepts a [ridge] (default 0); λ selection reads the same
     minimizer off the spectral factorization instead
-    ({!Problem.spectral}). *)
+    ({!Problem.factorize}). *)
 
 val naive : Problem.t -> estimate
 (** The no-regularization baseline: λ = 0 with a vanishing ridge for

@@ -84,89 +84,5 @@ let evaluate t proj ~lambda =
      cancellation can push it a hair below zero. *)
   { rss = Float.max 0.0 !rss; roughness = !roughness; edf = !edf }
 
-(* ---------------- cross-solve factorization reuse ---------------- *)
-
-type factorization = t
-
-module Cache = struct
-  type entry = { key : string; fact : factorization }
-
-  type t = {
-    slots : entry list Atomic.t;
-    hit_count : int Atomic.t;
-    miss_count : int Atomic.t;
-    cap : int;
-  }
-
-  let create ?(cap = 64) () =
-    assert (cap >= 1);
-    {
-      slots = Atomic.make [];
-      hit_count = Atomic.make 0;
-      miss_count = Atomic.make 0;
-      cap;
-    }
-
-  let hits c = Atomic.get c.hit_count
-  let misses c = Atomic.get c.miss_count
-  let length c = List.length (Atomic.get c.slots)
-  let find c key = List.find_opt (fun e -> String.equal e.key key) (Atomic.get c.slots)
-
-  (* Lock-free insert: CAS-prepend onto an immutable list, retrying on a
-     racing writer. Losing a race (or hitting the cap) only means the
-     factorization is recomputed next time — it is a pure function of the
-     key's content, so every candidate value is bit-identical and the cache
-     never affects results, only work. *)
-  let insert c key fact =
-    let rec attempt () =
-      let cur = Atomic.get c.slots in
-      if
-        List.length cur >= c.cap
-        || List.exists (fun e -> String.equal e.key key) cur
-      then ()
-      else if not (Atomic.compare_and_set c.slots cur ({ key; fact } :: cur)) then
-        attempt ()
-    in
-    attempt ()
-end
-
-(* Content hash of the penalized-system inputs the factorization depends
-   on: dimensions plus the exact bit patterns of the design, weights and
-   penalty entries. Hashing bits (not decimal renderings) makes the key
-   exact — two problems collide only if their systems are bit-identical,
-   in which case sharing the factorization is the whole point. *)
-let problem_key ~a ~weights ~penalty =
-  let buf = Buffer.create (8 * (Array.length a.Mat.data + Array.length weights + 16)) in
-  Buffer.add_string buf "spectral-v1:";
-  let add_int i = Buffer.add_int64_le buf (Int64.of_int i) in
-  let add_float x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
-  add_int a.Mat.rows;
-  add_int a.Mat.cols;
-  Array.iter add_float a.Mat.data;
-  add_int (Array.length weights);
-  Array.iter add_float weights;
-  add_int penalty.Mat.rows;
-  add_int penalty.Mat.cols;
-  Array.iter add_float penalty.Mat.data;
-  Digest.to_hex (Digest.bytes (Buffer.to_bytes buf))
-
-let factorize_problem ?cache ~a ~weights ~penalty () =
-  let compute () =
-    let gram = Ridge.normal_matrix ~a ~weights ~penalty ~lambda:0.0 in
-    factorize_auto ~gram ~penalty
-  in
-  match cache with
-  | None -> compute ()
-  | Some c -> (
-    let key = problem_key ~a ~weights ~penalty in
-    match Cache.find c key with
-    | Some e ->
-      Atomic.incr c.Cache.hit_count;
-      Obs.Metrics.incr "spectral.cache_hits";
-      e.Cache.fact
-    | None ->
-      Atomic.incr c.Cache.miss_count;
-      Obs.Metrics.incr "spectral.cache_misses";
-      let fact = compute () in
-      Cache.insert c key fact;
-      fact)
+let factorize_problem ~a ~weights ~penalty =
+  factorize_auto ~gram:(Ridge.normal_matrix ~a ~weights ~penalty ~lambda:0.0) ~penalty

@@ -67,37 +67,7 @@ val evaluate : t -> projection -> lambda:float -> scores
     solution. [rss] is the weighted residual sum of squares, clamped at 0
     against cancellation near interpolation. Raises like {!solution}. *)
 
-(** {1 Cross-solve factorization reuse}
-
-    Genes of a batch and bootstrap replicates share one kernel (and
-    usually one weight vector): their penalized systems are bit-identical,
-    so one factorization serves them all. The cache is lock-free (CAS on
-    an immutable list) and keyed by a content hash of the exact bit
-    patterns of design, weights and penalty — results can never depend on
-    cache state, only the amount of work can. Create one cache per batch
-    call and pass it down; module-level mutable state is deliberately
-    avoided (rule R11). *)
-
-module Cache : sig
-  type t
-
-  val create : ?cap:int -> unit -> t
-  (** [cap] (default 64) bounds the entry count; once full, further keys
-      are computed fresh each time (no eviction — the common case is a
-      single shared kernel, not churn). *)
-
-  val hits : t -> int
-  val misses : t -> int
-  val length : t -> int
-end
-
-val problem_key : a:Mat.t -> weights:Vec.t -> penalty:Mat.t -> string
-(** Content hash (hex digest) of the penalized-system inputs: dimensions
-    plus [Int64.bits_of_float] of every design, weight and penalty entry. *)
-
-val factorize_problem :
-  ?cache:Cache.t -> a:Mat.t -> weights:Vec.t -> penalty:Mat.t -> unit -> t
+val factorize_problem : a:Mat.t -> weights:Vec.t -> penalty:Mat.t -> t
 (** Factorization for the weighted problem [(AᵀWA, Ω)] at the automatic
-    anchor, through [cache] when given. Raises {!Linalg.Singular} when even
-    the anchored side cannot be factored (callers fall back to the direct
-    per-candidate path). *)
+    anchor. Raises {!Linalg.Singular} when even the anchored side cannot
+    be factored. *)

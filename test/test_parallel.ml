@@ -234,7 +234,7 @@ let test_batch_jobs_independent () =
         estimates)
     [ 2; 4 ]
 
-(* Work counters make a lost hoist, a lost cache hit or a changed QP
+(* Work counters make a lost hoist, a repeated factorization or a changed QP
    path visible on any machine, with no timing noise. Problem.create is
    the only place the constraint blocks (Simpson integrals of every basis
    function, Ψ on the phase grid) are built, and it counts each build in
@@ -295,17 +295,11 @@ let test_constraint_blocks_built_once () =
          started cold; 278 since it solves on the free coefficients from
          the reduced minimizer without positivity. *)
       pin "qp.iterations" 278.0;
-      (* Each gene looks the shared factorization up once, for λ selection
-         (the solve no longer reads it: 64 lookups before). Until the
-         first insert lands, every domain's first lookup can miss and
-         factor, so the misses (= factorizations) are exactly 1 at jobs=1
-         and between 1 and [jobs] above it. *)
-      let misses = count "spectral.cache_misses" in
-      check_true
-        (Printf.sprintf "1 <= cache misses <= %d at jobs=%d" jobs jobs)
-        (misses >= 1.0 && misses <= float_of_int jobs);
-      pin "spectral.factorizations" misses;
-      pin "spectral.cache_hits" (32.0 -. misses))
+      (* Batch.prepare factors the template once and every gene without
+         its own σ reads that value, so the count is exact at any jobs.
+         The spectral cache this replaced could factor once per domain
+         (1 <= misses <= jobs), so it was only bounded then. *)
+      pin "spectral.factorizations" 1.0)
     [ 1; 2 ];
   let count =
     counters (fun () ->
@@ -326,9 +320,9 @@ let test_constraint_blocks_built_once () =
      cache; now each starts from its reduced minimizer without positivity
      and the bootstrap neither factors nor looks anything up. *)
   pin "qp.iterations" 339.0;
-  pin "spectral.factorizations" 0.0;
-  pin "spectral.cache_hits" 0.0;
-  pin "spectral.cache_misses" 0.0
+  (* No cache hit/miss pins: the cache and its counters are gone, and
+     this count alone shows that the bootstrap factors nothing. *)
+  pin "spectral.factorizations" 0.0
 
 (* Regression for the k-fold seed derivation: fold assignment now comes
    from an [Rng.split] substream, so repeated selections with equal-seeded

@@ -236,6 +236,65 @@ let test_batch_budget_exhaustion () =
         (String.equal (Robust.Error.class_name e) "budget_exhausted"))
     (Outcome.failures outcome)
 
+(* Under a trace sink each solved gene's quality record (κ, edf and the
+   residual tests) is computed inside one quality.emit span, so its time
+   is attributed; failed genes emit no record and get no span. *)
+let test_batch_quality_span_per_solved_gene () =
+  let batch, clean = Lazy.force fixture in
+  Obs.Span.reset ();
+  let sink, recorded = Obs.Export.memory () in
+  Obs.Export.install sink;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Export.uninstall ();
+      Obs.Span.reset ())
+    (fun () ->
+      let outcome =
+        Deconv.Batch.solve_all_result batch ~lambda:`Gcv
+          ~measurements:(corrupt [| 2; 9 |] clean) ()
+      in
+      Alcotest.(check int) "solved genes" 10 (Deconv.Batch.Outcome.ok_count outcome);
+      let count name =
+        List.length
+          (List.filter
+             (function
+               | Obs.Export.Span s -> String.equal s.Obs.Export.name name
+               | _ -> false)
+             (recorded ()))
+      in
+      Alcotest.(check int) "one quality.emit span per solved gene" 10 (count "quality.emit"))
+
+(* A σ matrix whose shape differs from the measurements' is a typed
+   input error raised before any gene runs, with or without a journal:
+   both the journal keys and the per-gene problems would otherwise read
+   σ rows that do not exist. *)
+let test_batch_rejects_misshaped_sigmas () =
+  let batch, clean = Lazy.force fixture in
+  let genes, n_m = Mat.dims clean in
+  let path = Filename.temp_file "deconv-test-sigmas" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      List.iter
+        (fun (label, sigmas) ->
+          List.iter
+            (fun (mode, journal) ->
+              match
+                Deconv.Batch.solve_all_result batch ~sigmas ?journal ~measurements:clean ()
+              with
+              | (_ : Deconv.Batch.Outcome.t) -> Alcotest.failf "%s, %s: accepted" label mode
+              | exception Robust.Error.Error (Robust.Error.Invalid_input { field; _ }) ->
+                Alcotest.(check string) (label ^ ", " ^ mode ^ ": field") "sigmas" field)
+            [ ("no journal", None); ("journal", Some (Deconv.Checkpoint.create ~path)) ])
+        [
+          ("too few rows", Mat.make 2 n_m 0.5);
+          ("too few columns", Mat.make genes (n_m - 1) 0.5);
+        ];
+      match Deconv.Checkpoint.load ~path with
+      | Ok [] -> ()
+      | Ok es -> Alcotest.failf "a rejected call journaled %d entries" (List.length es)
+      | Error msg -> Alcotest.failf "reload failed: %s" msg)
+
 (* --- checkpoint journal --- *)
 
 let sample_estimate () =
@@ -327,6 +386,25 @@ let test_checkpoint_file_lifecycle () =
       | Ok [] -> ()
       | Ok es -> Alcotest.failf "stale journal leaked %d entries" (List.length es)
       | Error msg -> Alcotest.failf "reload failed: %s" msg)
+
+(* Keys captured before the template part of the key was hashed once in
+   Batch.prepare: a journal written by the earlier code must still
+   resume, so the bytes fed to the hash may not change. *)
+let test_gene_key_golden () =
+  let times = Dataio.Datasets.lv_measurement_times in
+  let kernel =
+    Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 1) ~n_cells:1000 ~times
+      ~n_phi:101
+  in
+  let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:12 in
+  let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
+  let measurements = Vec.ones (Array.length times) in
+  Alcotest.(check string) "gcv, no sigmas" "5ccc755147a8e4db"
+    (Deconv.Batch.gene_key batch ~lambda:`Gcv ~measurements ());
+  Alcotest.(check string) "fixed 1e-4, sigma 0.5" "bbc20def4b4e67f3"
+    (Deconv.Batch.gene_key batch
+       ~sigmas:(Array.make (Array.length times) 0.5)
+       ~lambda:(`Fixed 1e-4) ~measurements ())
 
 let test_batch_journal_replay () =
   let batch, clean = Lazy.force fixture in
@@ -477,11 +555,14 @@ let tests =
       [
         case "outcome counts and classes" test_batch_outcome_counts;
         case "budget exhaustion contained per gene" test_batch_budget_exhaustion;
+        case "mis-shaped sigmas rejected up front" test_batch_rejects_misshaped_sigmas;
+        case "one quality.emit span per solved gene" test_batch_quality_span_per_solved_gene;
       ] );
     ( "resilience-checkpoint",
       [
         case "entry JSON round-trip is bit-exact" test_checkpoint_entry_roundtrip;
         case "journal lifecycle on disk" test_checkpoint_file_lifecycle;
+        case "gene keys match the golden keys" test_gene_key_golden;
         case "batch replay from journal" test_batch_journal_replay;
       ] );
     ( "resilience-bootstrap",

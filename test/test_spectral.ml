@@ -1,9 +1,9 @@
 (* The Demmler-Reinsch spectral fast path: factorization identities,
    spectral-vs-direct equivalence (solution, GCV / L-curve / k-fold
-   scores, edf) on well- and ill-conditioned fixtures, factorization-cache
-   behaviour, the QP warm start, and bitwise determinism of the cached
-   batch path. The direct per-candidate path is the oracle throughout —
-   the two routes must agree to ~1e-8. *)
+   scores, edf) on well- and ill-conditioned fixtures, selection on a
+   factorization passed in, the QP warm start, and bitwise determinism of
+   the batch path that shares one factorization. The direct per-candidate
+   path is the oracle throughout — the two routes must agree to ~1e-8. *)
 
 open Numerics
 open Testutil
@@ -73,7 +73,7 @@ let pieces problem =
 
 let spectral_of problem =
   let a, w, omega = pieces problem in
-  let fact = Optimize.Spectral.factorize_problem ~a ~weights:w ~penalty:omega () in
+  let fact = Optimize.Spectral.factorize_problem ~a ~weights:w ~penalty:omega in
   let proj =
     Optimize.Spectral.project_data fact ~a ~weights:w ~b:problem.Deconv.Problem.measurements
   in
@@ -251,50 +251,20 @@ let test_kfold_selector_matches_direct () =
     curve;
   check_true "chosen lambda is a grid member" (Array.exists (fun l -> Float.equal l chosen) grid)
 
-(* ---------------- factorization cache ---------------- *)
+(* ---------------- factorization passed in ---------------- *)
 
-let test_cache_hit_miss () =
+(* Selection on a factorization formed by the caller agrees bit-for-bit
+   with selection that factors inside the call: passing it in only
+   changes where the factorization comes from, never its value. *)
+let test_passed_factorization_does_not_change_selection () =
   let problem = Lazy.force problem_well in
-  let a, w, omega = pieces problem in
-  let cache = Optimize.Spectral.Cache.create () in
-  let f1 = Optimize.Spectral.factorize_problem ~cache ~a ~weights:w ~penalty:omega () in
-  Alcotest.(check int) "first call misses" 1 (Optimize.Spectral.Cache.misses cache);
-  Alcotest.(check int) "no hit yet" 0 (Optimize.Spectral.Cache.hits cache);
-  let f2 = Optimize.Spectral.factorize_problem ~cache ~a ~weights:w ~penalty:omega () in
-  Alcotest.(check int) "second call hits" 1 (Optimize.Spectral.Cache.hits cache);
-  Alcotest.(check int) "still one miss" 1 (Optimize.Spectral.Cache.misses cache);
-  Alcotest.(check int) "one entry" 1 (Optimize.Spectral.Cache.length cache);
-  check_vec ~tol:0.0 "hit returns the identical factorization"
-    f1.Optimize.Spectral.gamma f2.Optimize.Spectral.gamma;
-  (* A different weight vector is a different key. *)
-  let w' = Array.map (fun v -> 2.0 *. v) w in
-  let f3 = Optimize.Spectral.factorize_problem ~cache ~a ~weights:w' ~penalty:omega () in
-  Alcotest.(check int) "changed weights miss" 2 (Optimize.Spectral.Cache.misses cache);
-  Alcotest.(check int) "two entries" 2 (Optimize.Spectral.Cache.length cache);
-  check_true "different weights, different spectrum"
-    (not (Vec.approx_equal ~tol:1e-12 f1.Optimize.Spectral.gamma f3.Optimize.Spectral.gamma))
-
-let test_problem_key_is_content_hash () =
-  let problem = Lazy.force problem_well in
-  let a, w, omega = pieces problem in
-  let k1 = Optimize.Spectral.problem_key ~a ~weights:w ~penalty:omega in
-  let k2 = Optimize.Spectral.problem_key ~a ~weights:(Array.copy w) ~penalty:omega in
-  Alcotest.(check string) "same content, same key" k1 k2;
-  let w' = Array.copy w in
-  w'.(0) <- w'.(0) *. (1.0 +. epsilon_float);
-  let k3 = Optimize.Spectral.problem_key ~a ~weights:w' ~penalty:omega in
-  check_true "one-ulp weight change flips the key" (not (String.equal k1 k3))
-
-(* Cached and uncached selection agree bit-for-bit: the cache only changes
-   where the factorization comes from, never its value. *)
-let test_cache_does_not_change_selection () =
-  let problem = Lazy.force problem_well in
-  let cache = Optimize.Spectral.Cache.create () in
   let plain, curve_plain = Deconv.Lambda.gcv problem ~lambdas:grid in
-  let cached, curve_cached = Deconv.Lambda.gcv ~cache problem ~lambdas:grid in
+  let passed, curve_passed =
+    Deconv.Lambda.gcv ~spectral:(Deconv.Problem.factorize problem) problem ~lambdas:grid
+  in
   Alcotest.(check int) "same bits for chosen lambda"
     0
-    (Int64.compare (Int64.bits_of_float plain) (Int64.bits_of_float cached));
+    (Int64.compare (Int64.bits_of_float plain) (Int64.bits_of_float passed));
   Array.iteri
     (fun i (p : Deconv.Lambda.curve_point) ->
       Alcotest.(check int)
@@ -302,7 +272,7 @@ let test_cache_does_not_change_selection () =
         0
         (Int64.compare
            (Int64.bits_of_float p.Deconv.Lambda.score)
-           (Int64.bits_of_float curve_cached.(i).Deconv.Lambda.score)))
+           (Int64.bits_of_float curve_passed.(i).Deconv.Lambda.score)))
     curve_plain
 
 (* ---------------- QP warm start ---------------- *)
@@ -351,7 +321,7 @@ let test_warm_start_same_solution_fewer_iterations () =
        warm.Deconv.Solver.qp_iterations cold.Optimize.Qp.iterations)
     (warm.Deconv.Solver.qp_iterations <= cold.Optimize.Qp.iterations)
 
-(* ---------------- batch determinism on the cached path ---------------- *)
+(* ---------------- batch determinism on the shared factorization ---------------- *)
 
 let batch_measurements =
   lazy
@@ -366,7 +336,7 @@ let with_jobs n f =
   Parallel.set_jobs n;
   Fun.protect ~finally:(fun () -> Parallel.set_jobs 1) f
 
-let test_batch_cached_path_jobs_independent () =
+let test_batch_shared_factorization_jobs_independent () =
   let batch = Deconv.Batch.prepare ~kernel:(Lazy.force kernel) ~basis ~params () in
   let measurements = Lazy.force batch_measurements in
   let run () =
@@ -401,8 +371,8 @@ let test_diag_curve_survives_fast_path () =
       Obs.Span.reset ())
     (fun () ->
       let problem = Lazy.force problem_well in
-      let cache = Optimize.Spectral.Cache.create () in
-      let chosen = Deconv.Lambda.select problem ~method_:`Gcv ~lambdas:grid ~cache () in
+      let spectral = Deconv.Problem.factorize problem in
+      let chosen = Deconv.Lambda.select problem ~method_:`Gcv ~lambdas:grid ~spectral () in
       let lambda_events =
         List.filter_map
           (function
@@ -450,12 +420,12 @@ let tests =
         case "gcv selector equals direct" test_gcv_selector_matches_direct;
         case "lcurve points equal direct" test_lcurve_points_match_direct;
         case "kfold selector equals direct" test_kfold_selector_matches_direct;
-        case "cache hit/miss" test_cache_hit_miss;
-        case "problem key is a content hash" test_problem_key_is_content_hash;
-        case "cache never changes selection" test_cache_does_not_change_selection;
+        case "passed factorization never changes selection"
+          test_passed_factorization_does_not_change_selection;
         case "warm start: same optimum, no extra iterations"
           test_warm_start_same_solution_fewer_iterations;
-        case "cached batch is jobs-independent" test_batch_cached_path_jobs_independent;
+        case "shared-factorization batch is jobs-independent"
+          test_batch_shared_factorization_jobs_independent;
         case "diag curve survives the fast path" test_diag_curve_survives_fast_path;
         case "degenerate weights -> Non_finite" test_degenerate_weights_non_finite;
       ] );
