@@ -691,7 +691,7 @@ let trace_convergence_cmd =
                 | p :: _ -> List.mem_assoc k p.Obs.Export.values
                 | [] -> false
               in
-              if has "kkt_residual" then "kkt_residual"
+              if has "max_violation" then "max_violation"
               else if has "rel_change" then "rel_change"
               else
                 match pts with
@@ -710,7 +710,9 @@ let trace_convergence_cmd =
                        | Some v -> v
                        | None -> Float.nan
                      in
-                     Float.log10 (Float.max 1e-300 v))
+                     (* An exactly feasible pass (max_violation 0) plots
+                        at the rounding floor, not at 1e-300. *)
+                     Float.log10 (Float.max 1e-16 v))
                    pts)
             in
             let context =
@@ -761,7 +763,9 @@ let trace_convergence_cmd =
   in
   Cmd.v
     (Cmd.info "convergence"
-       ~doc:"Plot per-solve convergence curves (KKT residual, RL relative change) from a trace.")
+       ~doc:
+         "Plot per-solve convergence curves (QP max violation, RL relative change) from a \
+          trace.")
     Term.(const run $ file_arg $ series_arg)
 
 (* ---------------- trace utilization ---------------- *)

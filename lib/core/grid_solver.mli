@@ -29,6 +29,8 @@ val solve :
   unit ->
   estimate
 (** Default λ = 1e-4 and positivity on. The QP has one unknown per phase
-    bin (e.g. 201), solved with the same interior-point machinery as the
-    spline estimator; a QP that stalls at its iteration cap raises
-    {!Robust.Error.Error} [(Qp_stalled _)]. *)
+    bin (e.g. 201), solved by the same dual active-set QP as the spline
+    estimator, with x ≥ 0 as identity rows. Its default cycle guard,
+    2·(n + m) passes, covers the one pass per zero bin a narrow pulse
+    needs; a QP that stalls at that cap raises {!Robust.Error.Error}
+    [(Qp_stalled _)]. *)

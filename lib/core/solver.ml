@@ -57,14 +57,11 @@ let finish problem lambda a w omega (alpha : Vec.t) iterations active =
   }
 
 (* The full constrained solve, returning the raw QP solution alongside the
-   estimate so the cascade can distinguish "converged" from "gave up" and
-   reuse the iterate + active set to warm-start the next retry. The QP
-   runs on the free coefficients β of α = Zβ (ZᵀHZ, Zᵀg and the positivity
-   rows ΨZ), so the equality rows hold by construction and the solution's
-   [x] and [active] are in β coordinates. Without [warm_start] it starts
-   from the minimizer without positivity, which is equality-feasible by
-   construction. *)
-let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
+   estimate so the cascade can distinguish "converged" from "gave up". The
+   QP runs on the free coefficients β of α = Zβ (ZᵀHZ, Zᵀg and the
+   positivity rows ΨZ), so the equality rows hold by construction and the
+   solution's [x] and [active] are in β coordinates. *)
+let solve_constrained ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
     ~lambda problem =
   Obs.Span.with_ "solver.constrained" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
@@ -75,13 +72,8 @@ let solve_constrained ?warm_start ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(m
       let ineq =
         Option.map (fun (p : Mat.t) -> (p, Vec.zeros p.Mat.rows)) problem.Problem.positivity
       in
-      let warm_start =
-        match (warm_start, ineq) with
-        | None, Some _ -> Some { Optimize.Qp.x0 = Optimize.Qp.unconstrained h g_lin; active0 = [] }
-        | hint, _ -> hint
-      in
       let solution =
-        Optimize.Qp.solve ?warm_start ?on_iteration ~tol ~max_iter
+        Optimize.Qp.solve ?on_iteration ~tol ~max_iter
           { Optimize.Qp.h; g = g_lin; ineq }
       in
       let est =
@@ -315,11 +307,6 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
         solved_by = stage;
       }
     in
-    (* Warm-start override of the constrained rungs: none at first (each
-       solve starts from its own minimizer without positivity), then a
-       stalled attempt's iterate + active set for the next escalation
-       retry (neighboring λ share their active faces). *)
-    let warm = ref None in
     (* Stage 1: constrained QP with bounded retry — escalating λ boost and
        ridge floor over the regularization strength. *)
     let constrained k =
@@ -342,18 +329,12 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
         run =
           (fun () ->
             match
-              solve_constrained ?warm_start:!warm ~on_iteration ~ridge ~tol:policy.qp_tol
+              solve_constrained ~on_iteration ~ridge ~tol:policy.qp_tol
                 ~max_iter:policy.qp_max_iter ~lambda:lam problem
             with
             | exception Linalg.Singular _ -> Error (ill_conditioned, 0)
             | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } -> Ok est
-            | est, ({ Optimize.Qp.status = Optimize.Qp.Stalled; _ } as sol) ->
-              (* The stalled iterate is still the best point seen at this
-                 λ — reuse it (and its active set) to start the boosted
-                 retry. *)
-              if finite_vec sol.Optimize.Qp.x then
-                warm :=
-                  Some { Optimize.Qp.x0 = sol.Optimize.Qp.x; active0 = sol.Optimize.Qp.active };
+            | est, { Optimize.Qp.status = Optimize.Qp.Stalled; _ } ->
               let iterations = est.qp_iterations in
               Error (Robust.Error.Qp_stalled { iterations }, iterations));
       }

@@ -27,7 +27,8 @@ val solve :
 (** Default λ = 1e-4 (use {!Lambda} for data-driven selection). [ridge]
     (default 0) adds ridge·I to the normal matrix — the knob the robust
     cascade escalates to fight ill-conditioning. [budget] (default
-    unlimited) is ticked once per QP interior-point pass; when it fires
+    unlimited) is ticked once per QP pass (an add or a drop of one
+    positivity row, and the first scan); when it fires
     the solve raises {!Robust.Error.Error} [(Budget_exhausted _)]. All
     failures cross this boundary as {!Robust.Error.Error}: a singular
     system surfaces as [Ill_conditioned], a QP that reaches its iteration
@@ -37,8 +38,9 @@ val solve :
     The QP runs on the free coefficients β of α = Zβ, with Z the
     problem's [null_space]: it minimizes the reduced cost (ZᵀHZ, Zᵀg)
     subject to the positivity rows ΨZβ ≥ 0 only, so the conservation and
-    rate-continuity rows hold by construction. It warm-starts from the
-    reduced minimizer without positivity. *)
+    rate-continuity rows hold by construction. The QP starts from the
+    reduced minimizer without positivity and adds the violated rows one
+    at a time ({!Optimize.Qp}). *)
 
 val solve_unconstrained : ?lambda:float -> ?ridge:float -> Problem.t -> estimate
 (** The same objective ignoring all constraints — the pure smoothing-spline
@@ -97,10 +99,8 @@ val solve_robust :
   ?lambda:float ->
   Problem.t ->
   (estimate * Robust.Report.t, Robust.Error.t) result
-(** Fault-tolerant solve. The first constrained attempt starts as
-    {!solve} does; escalation retries warm-start from the previous
-    attempt's iterate and active set — neighboring λ share their active
-    faces. The cascade:
+(** Fault-tolerant solve. Every constrained attempt solves as {!solve}
+    does, at its own λ and ridge. The cascade:
 
     {ol
      {- repair inputs (if [policy.repair_inputs]) and {!Problem.validate};
@@ -118,7 +118,7 @@ val solve_robust :
     λ, ridge, wall-clock, outcome) is recorded in the report.
 
     [budget] (default unlimited) is one {!Robust.Budget} shared across the
-    whole cascade: every QP interior-point pass and Richardson–Lucy update
+    whole cascade: every QP pass and Richardson–Lucy update
     ticks it, and when it fires the remaining stages are skipped and the
     result is [Error (Budget_exhausted _)] — a runaway gene is cut off
     rather than handed to a cheaper stage with the clock already blown. *)

@@ -3,14 +3,22 @@
     minimize ½ xᵀ H x + gᵀ x
     subject to  A x ≥ b
 
-    A primal-dual interior-point method (infeasible-start path following
-    with a Mehrotra-style centering parameter), which is robust to the
-    heavy degeneracy of "function ≥ 0 on a fine grid" constraint sets;
-    without inequalities the minimizer is one direct solve. [H] must be
-    symmetric positive definite (the deconvolution problem guarantees this
-    through the λ-regularizer). Equality constraints are not supported:
-    callers with homogeneous equalities C x = 0 solve on a null-space
-    basis Z of C ({!Numerics.Linalg.null_space}), x = Z β, so they hold by
+    The Goldfarb–Idnani dual active-set method (Math. Programming 27,
+    1983). It factors H = LLᵀ once, starts at the unconstrained minimizer
+    −H⁻¹g, and adds the most violated row (the lowest slack aᵢᵀx − bᵢ,
+    ties to the lowest index) one at a time, dropping an active row when
+    its multiplier would turn negative. J = L⁻ᵀ and the triangular factor
+    of the active rows are updated by Givens rotations, so the method ends
+    in finitely many steps with exact multipliers and an exact active set.
+    A row whose component outside the active rows' span is negligible
+    (‖d₂‖² ≤ 1e-14‖d‖² in J coordinates) is dependent: it forces a drop
+    and is never divided by. Without inequalities the minimizer is the one
+    Cholesky solve. [H] must be symmetric positive definite (the
+    deconvolution problem guarantees this through the λ-regularizer);
+    otherwise the factorization raises {!Numerics.Linalg.Singular}.
+    Equality constraints are not supported: callers with homogeneous
+    equalities C x = 0 solve on a null-space basis Z of C
+    ({!Numerics.Linalg.null_space}), x = Z β, so they hold by
     construction. *)
 
 open Numerics
@@ -22,54 +30,46 @@ type problem = {
 }
 
 type status =
-  | Converged  (** all KKT tolerances met *)
-  | Stalled  (** iteration cap reached first — the iterate is best-effort *)
+  | Converged  (** every row holds to the feasibility tolerance *)
+  | Stalled
+      (** the cycle guard fired first, or the rows admit no feasible
+          point — the iterate is dual feasible but violates a row *)
 
 type solution = {
   x : Vec.t;
-  active : int list;  (** inequality constraints essentially active at the solution *)
-  iterations : int;
-  kkt_residual : float;  (** infinity norm of the stationarity residual *)
+  active : int list;  (** the active set at the solution, ascending *)
+  iterations : int;  (** passes: the first scan, then one per add or drop *)
+  kkt_residual : float;
+      (** infinity norm of the stationarity residual Hx + g − Aᵀu over the
+          exact multipliers u, relative to max(1, ‖g‖∞, ‖H‖max) *)
   status : status;
 }
-
-type warm_start = {
-  x0 : Vec.t;  (** initial primal point, length n *)
-  active0 : int list;  (** inequality rows believed active at the solution *)
-}
-(** Warm-start hint for the interior-point method — typically the
-    minimizer without the inequalities ({!unconstrained}), or the previous
-    solution and active set when sweeping neighboring λ values (the robust
-    cascade's escalation retries). Affects only the starting iterate:
-    slacks are read off [x0] (floored away from the boundary) and duals
-    are placed on the central path at a small μ₀, so a good hint saves
-    the early centering iterations while a poor one (violating A x ≥ b by
-    more than a tenth of max(1, ‖b‖∞, ‖A x0‖∞)) is rejected for the cold
-    start. Ignored when there are no inequalities. *)
 
 val unconstrained : Mat.t -> Vec.t -> Vec.t
 (** Minimizer of the pure quadratic: solves [H x = −g]. *)
 
-val solve :
-  ?warm_start:warm_start ->
-  ?on_iteration:(int -> unit) ->
-  ?tol:float ->
-  ?max_iter:int ->
-  problem ->
-  solution
-(** Full solve. [tol] bounds the complementarity measure and the
-    stationarity residual, both relative to max(1, ‖g‖∞, ‖H‖max, ‖b‖∞),
-    and the feasibility residual of A x ≥ b, relative to
-    max(1, ‖b‖∞, ‖A x‖∞), at termination (default 1e-9); [max_iter] defaults
-    to 100 interior-point steps. Reaching the iteration cap without
-    convergence is not an exception: the last iterate comes back with
-    [status = Stalled] (and [iterations = max_iter]), so callers decide
-    what a stall means — [Solver.solve] turns it into a typed
-    [Qp_stalled] error, the robust cascade retries from the stalled
-    iterate.
+val solve : ?on_iteration:(int -> unit) -> ?tol:float -> ?max_iter:int -> problem -> solution
+(** Full solve. It stops when the lowest slack of the rows outside the
+    active set is at least −tol·max(1, ‖b‖∞, ‖A x‖∞) (default [tol] 1e-9,
+    floored at 1e-12 so rounding-level slacks of dependent rows do not
+    count as violations).
 
-    [on_iteration] is invoked with the 1-based iteration count at the top
-    of every interior-point pass (and once, with [1], for the direct solve
-    without inequalities) before any work for that pass is done. It may
-    raise to abort the solve — the hook for external deadline/budget
-    enforcement without this module depending on any policy layer. *)
+    One iteration is one pass: pass 1 is the unconstrained minimizer plus
+    the first scan, and every later pass is one add or one drop. The
+    method is finite, so [max_iter] is a cycle guard. Each pass adds at
+    most one row, so its default is sized to the problem: 2·(n + m)
+    passes for m rows.
+    Reaching it without convergence is not an exception: the last iterate
+    comes back with [status = Stalled] (and [iterations = max_iter]), so
+    callers decide what a stall means — [Solver.solve] turns it into a
+    typed [Qp_stalled] error. Rows that admit no feasible point (a
+    violated row dependent on the active set, with no active multiplier
+    to drop for it) also end as [Stalled], at the pass that finds it.
+
+    [on_iteration] is invoked with the 1-based pass count at the top of
+    every pass, before any work for that pass is done, so every solve
+    calls it at least once. It may raise to abort the solve — the hook
+    for external deadline/budget enforcement without this module
+    depending on any policy layer. Each pass emits one ["qp.iteration"]
+    point on the [qp.solve] span with the scaled [max_violation] of the
+    rows outside the active set and the [active] count. *)

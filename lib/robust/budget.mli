@@ -3,10 +3,12 @@
     degenerate row cannot stall a worker domain indefinitely.
 
     A budget is threaded into the inner QP / Richardson–Lucy loops through
-    their neutral [?on_iteration] callbacks; when a cap is crossed the
-    guard raises {!Error.Error} [(Budget_exhausted _)], which the cascade
-    treats as non-recoverable (it stops instead of trying a cheaper stage
-    with the clock already blown).
+    their neutral [?on_iteration] callbacks: one tick per QP pass (the
+    first scan, then one per add or drop of an active row, so every QP
+    solve ticks at least once) and per Richardson–Lucy update. When a cap
+    is crossed the guard raises {!Error.Error} [(Budget_exhausted _)],
+    which the cascade treats as non-recoverable (it stops instead of
+    trying a cheaper stage with the clock already blown).
 
     The iteration cap is deterministic. The wall-clock deadline reads
     {!Obs.Clock.now}, so it is only deterministic under a manual clock —

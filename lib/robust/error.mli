@@ -9,8 +9,9 @@ type t =
       (** The penalized normal matrix has an estimated spectral condition
           number too large for a trustworthy direct solve. *)
   | Qp_stalled of { iterations : int }
-      (** The interior-point QP hit its iteration cap without meeting the
-          KKT tolerances. *)
+      (** The QP hit its cycle guard (the pass cap) with a positivity row
+          still violated beyond its feasibility tolerance; [iterations] is
+          the passes it spent. *)
   | Non_finite of { stage : string }
       (** A NaN or infinity was detected at the named stage (e.g.
           "measurements", "kernel", "constrained QP solution"). *)

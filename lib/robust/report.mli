@@ -20,8 +20,9 @@ type attempt = {
           (never [Sys.time], which is processor time and undercounts any
           wait) *)
   iterations : int;
-      (** solver iterations the attempt consumed (QP interior-point or
-          Richardson–Lucy passes); 0 when the stage has no iterative
+      (** solver iterations the attempt consumed (QP passes — the first
+          scan, then one per add or drop of an active row — or
+          Richardson–Lucy updates); 0 when the stage has no iterative
           solver or failed before reaching it *)
   outcome : (unit, Error.t) result;
 }

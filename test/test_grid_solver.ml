@@ -67,6 +67,39 @@ let test_grid_matches_spline_scale () =
   check_true "representations agree"
     (Stats.correlation grid.Deconv.Grid_solver.profile spline.Deconv.Solver.profile > 0.97)
 
+(* A narrow pulse on a 201-phase grid at λ = 1e-8: the estimate is zero
+   on most of the grid, and the dual active-set method adds those bins one
+   pass at a time. It needs more than 100 passes, so a flat cap of 100
+   would stall it; the default cap, 2·(n + m) = 804 passes, does not. *)
+let test_grid_narrow_pulse_converges () =
+  let kernel =
+    Cellpop.Kernel.estimate ~smooth_window:5 params ~rng:(Rng.create 2600) ~n_cells:2000 ~times
+      ~n_phi:201
+  in
+  let narrow = Biomodels.Gene_profile.gaussian_pulse ~center:0.5 ~width:0.05 ~height:4.0 () in
+  let clean = Deconv.Forward.apply_fn kernel narrow in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let passes =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.disable ();
+        Obs.Metrics.reset ())
+      (fun () ->
+        let est = Deconv.Grid_solver.solve ~lambda:1e-8 kernel ~measurements:clean () in
+        let profile = est.Deconv.Grid_solver.profile in
+        check_true
+          (Printf.sprintf "nonnegative to rounding (min %g)" (Vec.min profile))
+          (Vec.min profile >= -1e-12 *. Float.max 1.0 (Vec.norm_inf profile));
+        List.fold_left
+          (fun acc (m : Obs.Metrics.snapshot) ->
+            if String.equal m.Obs.Metrics.name "qp.iterations" then
+              Option.value ~default:acc (List.assoc_opt "value" m.Obs.Metrics.fields)
+            else acc)
+          0.0 (Obs.Metrics.snapshot ()))
+  in
+  check_true (Printf.sprintf "more passes than a flat cap of 100 (%g)" passes) (passes > 100.0)
+
 let tests =
   [
     ( "grid-solver",
@@ -77,5 +110,6 @@ let tests =
         case "positivity" test_grid_positivity;
         case "lambda tradeoff" test_grid_lambda_tradeoff;
         case "agrees with spline estimator" test_grid_matches_spline_scale;
+        case "narrow pulse converges" test_grid_narrow_pulse_converges;
       ] );
   ]

@@ -125,8 +125,8 @@ let test_qp_emits_one_point_per_iteration =
   Obs.Clock.with_source source @@ fun () ->
   let sink, recorded = Obs.Export.memory () in
   Obs.Export.install sink;
-  (* min (x+1)^2 + (y-2)^2 s.t. x >= 0: active constraint forces real
-     interior-point iterations. Advance the mock clock per event so span
+  (* min (x+1)^2 + (y-2)^2 s.t. x >= 0: the unconstrained minimizer
+     violates the row, so the solve takes a second pass to add it. Advance the mock clock per event so span
      timings stay deterministic. *)
   advance 1.0;
   let spd_2 = Mat.of_rows [| [| 2.0; 0.0 |]; [| 0.0; 2.0 |] |] in
@@ -139,7 +139,7 @@ let test_qp_emits_one_point_per_iteration =
   let points =
     List.filter (fun p -> String.equal p.Obs.Export.series "qp.iteration") (points_of events)
   in
-  Alcotest.(check int) "one point per interior-point iteration"
+  Alcotest.(check int) "one point per pass"
     solution.Optimize.Qp.iterations (List.length points);
   (* Iteration indices are 1..n in emission order. *)
   List.iteri
@@ -164,17 +164,27 @@ let test_qp_emits_one_point_per_iteration =
     match List.assoc_opt "iterations" s.Obs.Export.attrs with
     | Some (Obs.Export.Int n) -> Alcotest.(check int) "span attr matches" n (List.length points)
     | _ -> Alcotest.fail "qp.solve span lacks an iterations attribute");
+  Alcotest.(check int) "two passes: the first scan, then the add" 2 (List.length points);
   List.iter
     (fun (p : Obs.Export.point) ->
-      check_true "kkt_residual present" (List.mem_assoc "kkt_residual" p.Obs.Export.values);
-      check_true "mu present" (List.mem_assoc "mu" p.Obs.Export.values))
+      check_true "max_violation present" (List.mem_assoc "max_violation" p.Obs.Export.values);
+      check_true "active present" (List.mem_assoc "active" p.Obs.Export.values))
     points;
-  (* The residual curve ends below the default tolerance scale: converged. *)
-  match List.rev points with
-  | last :: _ ->
-    let kkt = List.assoc "kkt_residual" last.Obs.Export.values in
-    check_true "final scaled KKT residual small" (kkt < 1e-6)
-  | [] -> Alcotest.fail "no points recorded"
+  check_true "exact KKT residual" (solution.Optimize.Qp.kkt_residual < 1e-12);
+  (* The violation curve starts at the unconstrained minimizer's violation
+     of x >= 0 (x = -1, scale max(1, |b|, |Ax|) = 1) and ends feasible,
+     with the row active. *)
+  match points with
+  | [ first; last ] ->
+    check_close ~tol:1e-12 "first scan's violation" 1.0
+      (List.assoc "max_violation" first.Obs.Export.values);
+    check_close ~tol:0.0 "no active row at the first scan" 0.0
+      (List.assoc "active" first.Obs.Export.values);
+    check_true "final violation within tolerance"
+      (List.assoc "max_violation" last.Obs.Export.values <= 1e-9);
+    check_close ~tol:0.0 "one active row at the end" 1.0
+      (List.assoc "active" last.Obs.Export.values)
+  | _ -> Alcotest.fail "expected two points"
 
 let test_qp_direct_solve_emits_single_point =
   with_clean_obs @@ fun () ->

@@ -223,10 +223,13 @@ let test_batch_outcome_counts () =
       | Error err -> Alcotest.failf "gene %d failed: %s" g (Robust.Error.to_string err))
     strict
 
+(* At λ = 1e-5 every gene's QP needs 3 to 8 passes, so a two-pass cap
+   stops each of them. *)
 let test_batch_budget_exhaustion () =
   let batch, clean = Lazy.force fixture in
   let outcome =
-    Deconv.Batch.solve_all_result batch ~lambda:`Gcv ~max_iterations:2 ~measurements:clean ()
+    Deconv.Batch.solve_all_result batch ~lambda:(`Fixed 1e-5) ~max_iterations:2
+      ~measurements:clean ()
   in
   let open Deconv.Batch in
   Alcotest.(check int) "every gene hits the cap" 12 (Outcome.failed_count outcome);
@@ -492,8 +495,15 @@ let test_bootstrap_result_matches_residual () =
         (Mat.row bands.Deconv.Bootstrap.replicates b)
     done
 
+(* The second gene of the batch fixture at λ = 1e-5: the unconstrained
+   minimizer of every replicate violates a positivity row, so each
+   re-solve needs a second pass and the one-pass cap stops it. (The
+   bootstrap fixture's first gene at λ = 1e-3 leaves some replicates
+   feasible after the first pass.) *)
 let test_bootstrap_result_contains_budget_failures () =
-  let problem, estimate = Lazy.force bootstrap_fixture in
+  let template, _ = Lazy.force bootstrap_fixture in
+  let problem = Deconv.Problem.with_data template (Mat.row (snd (Lazy.force fixture)) 1) in
+  let estimate = Deconv.Solver.solve ~lambda:1e-5 problem in
   let outcome =
     Deconv.Bootstrap.residual_result ~replicates:12 ~max_iterations:1 problem estimate
       ~rng:(Rng.create 32)

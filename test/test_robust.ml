@@ -412,17 +412,34 @@ let test_overflowing_weight_repaired () =
        (fun r -> String.equal r.Robust.Report.action "replaced invalid sigmas")
        report.Robust.Report.repairs)
 
-(* Weights of 1e300 pass validation but leave the interior-point method
-   short of its tolerance: the raw solve reports the stall with the
-   iteration count it actually spent. *)
+(* Weights of 1e300 pass validation and the dual active-set method solves
+   them exactly: a finite estimate, positive on the grid to the QP's
+   feasibility tolerance. A stall's iteration count is carried through the
+   cascade instead: with a one-pass cap, a problem whose positivity rows
+   need a second pass stalls on its first constrained rung, and that
+   attempt records Qp_stalled with the one pass it spent. *)
 let test_solve_reports_stall_iterations () =
   let problem = make_problem ~sigmas:(Vec.make 13 1e-150) (Lazy.force clean_data) in
-  match Deconv.Solver.solve ~lambda:1e-4 problem with
-  | exception Robust.Error.Error e ->
-    check_true
-      (Printf.sprintf "Qp_stalled after 100 iterations, got %s" (Robust.Error.to_string e))
-      (Robust.Error.equal e (Robust.Error.Qp_stalled { iterations = 100 }))
-  | _ -> Alcotest.fail "expected Solver.solve to raise Qp_stalled"
+  let est = Deconv.Solver.solve ~lambda:1e-4 problem in
+  check_true "estimate finite" (finite_estimate est);
+  let profile = est.Deconv.Solver.profile in
+  let lowest = Array.fold_left Float.min Float.infinity profile in
+  check_true
+    (Printf.sprintf "estimate feasible (min %g)" lowest)
+    (lowest >= -1e-9 *. Float.max 1.0 (Vec.norm_inf profile));
+  let clean = make_problem (Lazy.force clean_data) in
+  check_true "the clean problem needs a second pass"
+    ((Deconv.Solver.solve ~lambda:1e-4 clean).Deconv.Solver.qp_iterations >= 2);
+  let policy = { Deconv.Solver.default_policy with Deconv.Solver.qp_max_iter = 1 } in
+  let _, report = expect_ok (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 clean) in
+  match report.Robust.Report.attempts with
+  | first :: _ ->
+    Alcotest.(check int) "attempt iterations" 1 first.Robust.Report.iterations;
+    check_true "Qp_stalled after 1 iteration"
+      (match first.Robust.Report.outcome with
+      | Error e -> Robust.Error.equal e (Robust.Error.Qp_stalled { iterations = 1 })
+      | Ok () -> false)
+  | [] -> Alcotest.fail "no attempt recorded"
 
 (* ---------------- Pipeline end-to-end ---------------- *)
 

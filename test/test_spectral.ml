@@ -1,7 +1,7 @@
 (* The Demmler-Reinsch spectral fast path: factorization identities,
    spectral-vs-direct equivalence (solution, GCV / L-curve / k-fold
    scores, edf) on well- and ill-conditioned fixtures, selection on a
-   factorization passed in, the QP warm start, and bitwise determinism of
+   factorization passed in, the solver's reduced QP, and bitwise determinism of
    the batch path that shares one factorization. The direct per-candidate
    path is the oracle throughout — the two routes must agree to ~1e-8. *)
 
@@ -275,15 +275,14 @@ let test_passed_factorization_does_not_change_selection () =
            (Int64.bits_of_float curve_passed.(i).Deconv.Lambda.score)))
     curve_plain
 
-(* ---------------- QP warm start ---------------- *)
+(* ---------------- the solver's reduced QP ---------------- *)
 
-let test_warm_start_same_solution_fewer_iterations () =
+let test_solver_is_the_reduced_qp () =
   let problem = Lazy.force problem_well in
   let lambda = 1e-4 in
-  let warm = Deconv.Solver.solve ~lambda problem in
-  (* The cold reference: the same reduced QP over the free coefficients β
-     of α = Zβ (eq. 5's H and g projected on Z, positivity rows ΨZ), solved
-     from the interior-point method's default start. *)
+  let est = Deconv.Solver.solve ~lambda problem in
+  (* The same reduced QP over the free coefficients β of α = Zβ (eq. 5's H
+     and g projected on Z, positivity rows ΨZ), solved directly. *)
   let a = Deconv.Problem.design problem in
   let w = Deconv.Problem.weights problem in
   let omega = Deconv.Problem.penalty problem in
@@ -295,7 +294,7 @@ let test_warm_start_same_solution_fewer_iterations () =
     | Some p -> p
     | None -> Alcotest.fail "positivity block missing"
   in
-  let cold =
+  let direct =
     Optimize.Qp.solve
       {
         Optimize.Qp.h = Mat.matmul (Mat.transpose z) (Mat.matmul h z);
@@ -303,23 +302,17 @@ let test_warm_start_same_solution_fewer_iterations () =
         ineq = Some (positivity, Vec.zeros positivity.Mat.rows);
       }
   in
-  check_true "cold QP converges" (cold.Optimize.Qp.status = Optimize.Qp.Converged);
-  let cost alpha =
-    let r = Vec.sub problem.Deconv.Problem.measurements (Mat.mv a alpha) in
-    Vec.dot r (Vec.mul w r) +. (lambda *. Vec.dot alpha (Mat.mv omega alpha))
-  in
-  let cold_cost = cost (Mat.mv z cold.Optimize.Qp.x) in
-  (* Warm and cold runs take different interior-point trajectories to the
-     same optimum; each stops at the QP tolerance, so the eq. 5 costs agree
-     to the QP's terminal accuracy, not to rounding. *)
-  check_true
-    (Printf.sprintf "warm-started QP reaches the same eq. 5 cost (%.17g warm vs %.17g cold)"
-       warm.Deconv.Solver.cost cold_cost)
-    (Float.abs (warm.Deconv.Solver.cost -. cold_cost) <= 1e-6 *. cold_cost);
-  check_true
-    (Printf.sprintf "warm start does not add iterations (%d warm vs %d cold)"
-       warm.Deconv.Solver.qp_iterations cold.Optimize.Qp.iterations)
-    (warm.Deconv.Solver.qp_iterations <= cold.Optimize.Qp.iterations)
+  check_true "direct QP converges" (direct.Optimize.Qp.status = Optimize.Qp.Converged);
+  Array.iteri
+    (fun i v ->
+      Alcotest.(check int)
+        (Printf.sprintf "alpha.(%d) = (Z beta).(%d), bit for bit" i i)
+        0
+        (Int64.compare (Int64.bits_of_float v) (Int64.bits_of_float est.Deconv.Solver.alpha.(i))))
+    (Mat.mv z direct.Optimize.Qp.x);
+  Alcotest.(check int) "same passes" direct.Optimize.Qp.iterations est.Deconv.Solver.qp_iterations;
+  Alcotest.(check int) "same active set size" (List.length direct.Optimize.Qp.active)
+    est.Deconv.Solver.active_positivity
 
 (* ---------------- batch determinism on the shared factorization ---------------- *)
 
@@ -422,8 +415,8 @@ let tests =
         case "kfold selector equals direct" test_kfold_selector_matches_direct;
         case "passed factorization never changes selection"
           test_passed_factorization_does_not_change_selection;
-        case "warm start: same optimum, no extra iterations"
-          test_warm_start_same_solution_fewer_iterations;
+        case "solver solves the reduced QP, bit for bit"
+          test_solver_is_the_reduced_qp;
         case "shared-factorization batch is jobs-independent"
           test_batch_shared_factorization_jobs_independent;
         case "diag curve survives the fast path" test_diag_curve_survives_fast_path;
