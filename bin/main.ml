@@ -287,7 +287,10 @@ let run_deconvolve input seed cells phi_bins knots mu_sst cycle linear lambda no
      let report = Deconv.Diagnostics.analyze repaired_problem estimate in
      Printf.printf "model adequacy: %s -> %s\n"
        (Deconv.Diagnostics.to_string report)
-       (if Deconv.Diagnostics.adequate report then "OK"
+       (if Float.is_nan report.Deconv.Diagnostics.p_value then
+          "unavailable (no effective dof: the penalized normal matrix is not positive \
+           definite at this lambda)"
+        else if Deconv.Diagnostics.adequate report then "OK"
         else "REJECTED (check kernel parameters and sigma column)")
    end);
   let minutes = Array.map (fun phi -> phi *. cycle) kernel.Cellpop.Kernel.phases in

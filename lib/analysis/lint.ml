@@ -300,8 +300,8 @@ let confinement =
           "condition-number computation outside the quality layers: κ is a quality \
            statistic and is reported through Obs.Diag");
       hint =
-        "use Quality.kappa (or Solver's cascade, which already records it) and let the diag \
-         stream carry the value";
+        "use Quality.system (the one κ/edf path; the cascade already reads it) and let the \
+         diag stream carry the value";
     };
     {
       rule = "R14"; lib_only = true; allowed = [ "numerics"; "core" ]; data_exempt = false;

@@ -191,10 +191,12 @@ let all =
       scope = Confined;
       description =
         "A solution-quality statistic primitive (Linalg.condition_spd, \
+         gone from the library and still matched so it cannot return; \
          Stats.runs_z, Stats.moment_z, Stats.normality_z) referenced in \
          library code outside lib/numerics and lib/core. Quality statistics \
-         are computed in exactly one place — Quality/Diagnostics over the \
-         numerics kernels — and leave the library only as Obs.Diag events \
+         are computed in exactly one place — κ and edf in Quality.system, \
+         the residual tests in Quality/Diagnostics over the numerics \
+         kernels — and leave the library only as Obs.Diag events \
          on the trace stream, where [diagnose] and [trace diff] can see \
          them. A per-module reimplementation (or an ad-hoc Printf of a \
          condition number) forks the definition: the report card and the \

@@ -85,14 +85,13 @@ let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ~measurements () =
         let est = Solver.solve ?budget ~lambda:lam problem in
         if Solver.finite_estimate est then begin
           (* Batch genes go through the raw solve (no cascade), so the
-             per-solve quality record, κ included, is computed here,
-             only under an active sink. *)
+             per-solve quality record is emitted here, only under an
+             active sink. *)
           if Obs.Diag.enabled () then
             Obs.Span.with_ "quality.emit" (fun _ ->
                 Quality.emit_solve ~problem ~fitted:est.Solver.fitted ~lambda:est.Solver.lambda
-                  ~entry_lambda:lam ~rss:est.Solver.data_misfit
-                  ~kappa:(Quality.kappa problem ~lambda:est.Solver.lambda)
-                  ~degradation:0 ~active_positivity:est.Solver.active_positivity
+                  ~entry_lambda:lam ~rss:est.Solver.data_misfit ~degradation:0
+                  ~active_positivity:est.Solver.active_positivity
                   ~qp_iterations:est.Solver.qp_iterations ~solved_by:"constrained_qp"
                   ~cascade:"constrained_qp" ());
           Ok est
@@ -254,13 +253,10 @@ let solve_all_result t ?sigmas ?(lambda = `Gcv) ?max_seconds ?max_iterations ?jo
         match outcome with
         | Error _ -> ()
         | Ok (est : Solver.estimate) ->
-          let meas = Mat.row measurements g in
           let standardized =
-            Array.init (Array.length meas) (fun m ->
-                let sigma =
-                  match sigma_row g with Some s -> s.(m) | None -> 1.0
-                in
-                (meas.(m) -. est.Solver.fitted.(m)) /. sigma)
+            Quality.standardized_residuals
+              (problem_for t ?sigmas:(sigma_row g) (Mat.row measurements g))
+              ~fitted:est.Solver.fitted
           in
           per_gene :=
             [

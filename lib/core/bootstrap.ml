@@ -25,13 +25,12 @@ let residual_result ?(replicates = 200) ?(level = 0.9) ?max_seconds ?max_iterati
     Robust.Error.raise_error
       (Robust.Error.Invalid_input
          { field = "level"; why = Printf.sprintf "%g is not in (0, 1)" level });
-  let g = problem.Problem.measurements in
   let fitted = estimate.Solver.fitted in
   let sigmas = problem.Problem.sigmas in
-  let n_m = Array.length g in
   (* Standardized residuals: r_m / sigma_m are exchangeable under the
      weighted model. *)
-  let standardized = Array.init n_m (fun m -> (g.(m) -. fitted.(m)) /. sigmas.(m)) in
+  let standardized = Quality.standardized_residuals problem ~fitted in
+  let n_m = Array.length standardized in
   let n_phi = Array.length estimate.Solver.profile in
   (* One substream per replicate, derived sequentially up front, so the
      resampling draws are a function of the replicate index alone and the

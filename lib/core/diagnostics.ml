@@ -23,22 +23,22 @@ let lag1 residuals =
 let runs_z_score = Stats.runs_z
 
 let analyze problem (estimate : Solver.estimate) =
-  let g = problem.Problem.measurements in
-  let sigmas = problem.Problem.sigmas in
-  let n = Array.length g in
-  let standardized =
-    Array.init n (fun m -> (g.(m) -. estimate.Solver.fitted.(m)) /. sigmas.(m))
-  in
+  let standardized = Quality.standardized_residuals problem ~fitted:estimate.Solver.fitted in
   let chi2 = Array.fold_left (fun acc z -> acc +. (z *. z)) 0.0 standardized in
-  (* Effective dof from the unconstrained smoother at the same lambda. *)
-  let a = Problem.design problem in
-  let w = Problem.weights problem in
-  let omega = Problem.penalty problem in
-  let fit =
-    Optimize.Ridge.solve ~a ~b:g ~weights:w ~penalty:omega ~lambda:estimate.Solver.lambda ()
+  (* Residual dof: measurements minus the effective dof of the
+     unconstrained smoother at the same lambda. That edf is NaN when the
+     smoother's normal matrix is not SPD (e.g. many knots at lambda = 0);
+     the lack-of-fit test is then unavailable, so dof and p stay NaN rather
+     than flowing through Float.max (NaN-propagating) and int_of_float
+     (unspecified on NaN). *)
+  let edf = (Quality.system problem ~lambda:estimate.Solver.lambda).edf in
+  let dof, p_value =
+    if Float.is_nan edf then (Float.nan, Float.nan)
+    else begin
+      let dof = Float.max 1.0 (float_of_int (Array.length standardized) -. edf) in
+      (dof, Special.chi2_sf ~dof:(int_of_float (Float.round dof)) chi2)
+    end
   in
-  let dof = Float.max 1.0 (float_of_int n -. fit.Optimize.Ridge.edf) in
-  let p_value = Special.chi2_sf ~dof:(int_of_float (Float.round dof)) chi2 in
   {
     standardized_residuals = standardized;
     chi2;

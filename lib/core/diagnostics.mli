@@ -8,10 +8,12 @@ open Numerics
 type report = {
   standardized_residuals : Vec.t;  (** (g − ĝ)/σ per measurement *)
   chi2 : float;  (** Σ standardized residual² *)
-  dof : float;  (** measurements − effective dof of the smoother *)
+  dof : float;
+      (** measurements − effective dof of the smoother; NaN when that
+          edf is undefined (see {!analyze}) *)
   p_value : float;
       (** lack-of-fit p-value: small (< 0.05) means the model does NOT
-          explain the data at the stated noise level *)
+          explain the data at the stated noise level; NaN when [dof] is *)
   lag1_autocorrelation : float;
       (** of the standardized residuals; large |value| indicates structure
           the fit missed (e.g. a mis-specified kernel) *)
@@ -21,11 +23,16 @@ type report = {
 }
 
 val analyze : Problem.t -> Solver.estimate -> report
-(** Effective dof of the smoother is recomputed from the unconstrained
-    ridge fit at the estimate's λ (constraints change it only slightly). *)
+(** The smoother's effective dof is {!Quality.system}'s edf of the
+    unconstrained system at the estimate's λ (constraints change it only
+    slightly). When the penalized normal matrix there is not numerically
+    SPD that edf is NaN, and so are [dof] and [p_value]: the lack-of-fit
+    test is unavailable, which callers should report as such rather than
+    as a rejection. Never raises on a non-SPD system. *)
 
 val adequate : ?alpha:float -> report -> bool
 (** True when the lack-of-fit p-value exceeds [alpha] (default 0.05) and
-    the runs test does not reject (|z| <= 2.5). *)
+    the runs test does not reject (|z| <= 2.5); false when the test is
+    unavailable ([p_value] NaN). *)
 
 val to_string : report -> string

@@ -2,44 +2,59 @@ open Numerics
 
 (* ---------------- per-solve statistics ---------------- *)
 
-let edf problem ~lambda =
-  match
-    Optimize.Ridge.solve ~a:(Problem.design problem) ~b:problem.Problem.measurements
-      ~weights:(Problem.weights problem) ~penalty:(Problem.penalty problem) ~lambda ()
-  with
-  | fit -> fit.Optimize.Ridge.edf
-  | exception Linalg.Singular _ -> Float.nan
+type system = { kappa : float; edf : float }
 
-let kappa problem ~lambda =
-  let normal =
-    Optimize.Ridge.normal_matrix ~a:(Problem.design problem)
-      ~weights:(Problem.weights problem) ~penalty:(Problem.penalty problem) ~lambda
-  in
-  match Linalg.condition_spd normal with
-  | c -> c
-  | exception Linalg.Singular _ -> Float.nan
+let abs_sum v = Array.fold_left (fun acc x -> acc +. Float.abs x) 0.0 v
 
-(* Residual-whiteness statistics on the standardized residuals
-   (g − ĝ)/σ: the runs test sees serial sign structure, the moment check
-   sees departure from the assumed Gaussian noise model. *)
-let residual_stats problem ~fitted =
+(* One Cholesky factor of M = AᵀWA + λΩ serves both statistics. Column j
+   of M⁻¹ is one solve against e_j, so ‖M⁻¹‖₁ is its largest column abs
+   sum, and with G = AᵀWA symmetric tr(M⁻¹G) = Σ_j (M⁻¹e_j)·(Ge_j). At
+   n ≈ 10–20 coefficients the n solves cost about what the factor does. *)
+let system problem ~lambda =
+  let a = Problem.design problem and weights = Problem.weights problem in
+  let penalty = Problem.penalty problem in
+  let normal = Optimize.Ridge.normal_matrix ~a ~weights ~penalty ~lambda in
+  match Linalg.cholesky_factor normal with
+  | exception Linalg.Singular _ -> { kappa = Float.infinity; edf = Float.nan }
+  | factor ->
+    let gram = Optimize.Ridge.normal_matrix ~a ~weights ~penalty ~lambda:0.0 in
+    let n = normal.Mat.rows in
+    let norm = ref 0.0 and inv_norm = ref 0.0 and edf = ref 0.0 in
+    for j = 0 to n - 1 do
+      let e = Vec.zeros n in
+      e.(j) <- 1.0;
+      let inv_col = Linalg.cholesky_solve factor e in
+      norm := Float.max !norm (abs_sum (Mat.col normal j));
+      inv_norm := Float.max !inv_norm (abs_sum inv_col);
+      edf := !edf +. Vec.dot inv_col (Mat.col gram j)
+    done;
+    { kappa = !norm *. !inv_norm; edf = !edf }
+
+let standardized_residuals problem ~fitted =
   let g = problem.Problem.measurements in
   let sigmas = problem.Problem.sigmas in
-  let standardized = Array.init (Array.length g) (fun m -> (g.(m) -. fitted.(m)) /. sigmas.(m)) in
+  Array.init (Array.length g) (fun m -> (g.(m) -. fitted.(m)) /. sigmas.(m))
+
+(* Residual-whiteness statistics on the standardized residuals: the runs
+   test sees serial sign structure, the moment check sees departure from
+   the assumed Gaussian noise model. *)
+let residual_stats problem ~fitted =
+  let standardized = standardized_residuals problem ~fitted in
   [
     ("runs_z", Stats.runs_z standardized);
     ("normality_z", Stats.normality_z standardized);
   ]
 
-let emit_solve ?solve ~problem ~fitted ~lambda ~entry_lambda ~rss ~kappa:k ~degradation
+let emit_solve ?solve ~problem ~fitted ~lambda ~entry_lambda ~rss ~degradation
     ~active_positivity ~qp_iterations ~solved_by ~cascade () =
   if Obs.Diag.enabled () then begin
+    let { kappa; edf } = system problem ~lambda in
     let values =
       [
-        ("kappa", k);
+        ("kappa", kappa);
         ("lambda", lambda);
         ("entry_lambda", entry_lambda);
-        ("edf", edf problem ~lambda);
+        ("edf", edf);
         ("rss", rss);
         ("n", float_of_int (Problem.num_measurements problem));
         ("active_positivity", float_of_int active_positivity);

@@ -2,9 +2,10 @@
 
     This module (with {!Numerics.Stats} and {!Diagnostics}) is where
     quality statistics — condition number κ of the penalized normal
-    matrix, effective degrees of freedom, residual whiteness/normality
-    tests — are {e computed}; they leave the library only as
-    [Obs.Diag] events on the trace stream (lint rule R14). The CLI's
+    matrix and effective degrees of freedom (both from {!system}),
+    residual whiteness/normality tests — are {e computed}; they leave the
+    library only as [Obs.Diag] events on the trace stream (lint rule
+    R14). The CLI's
     [diagnose] subcommand turns the stream back into per-solve report
     cards here, and [batch] aggregates per-gene statistics into
     quantiles. *)
@@ -13,18 +14,33 @@ open Numerics
 
 (** {1 Statistics} *)
 
-val edf : Problem.t -> lambda:float -> float
-(** Effective degrees of freedom tr(H) of the unconstrained smoother at
-    λ, via {!Optimize.Ridge.solve}; NaN when the normal matrix is
-    singular. An O(solve) computation — hoist behind {!Obs.Diag.enabled}
-    on hot paths. *)
+type system = {
+  kappa : float;
+      (** 1-norm condition number κ₁ = ‖M‖₁·‖M⁻¹‖₁ of the penalized normal
+          matrix M = AᵀWA + λΩ; within [κ₂, n·κ₂] of the spectral one.
+          [infinity] when M is not numerically SPD. *)
+  edf : float;
+      (** effective degrees of freedom tr(M⁻¹AᵀWA) of the unconstrained
+          smoother at λ; NaN when M is not numerically SPD *)
+}
 
-val kappa : Problem.t -> lambda:float -> float
-(** Spectral condition number κ of [AᵀWA + λΩ]; NaN when singular. *)
+val system : Problem.t -> lambda:float -> system
+(** κ and edf of the penalized normal system at [lambda], from one
+    Cholesky factor of M and n solves against it (M⁻¹ column by column).
+    The one place these statistics are computed: the solver cascade's
+    pre-solve condition check, {!emit_solve} and {!Diagnostics.analyze}
+    all call it. Never raises on a non-SPD M: the factor's failure is the
+    [infinity]/NaN result. *)
+
+val standardized_residuals : Problem.t -> fitted:Vec.t -> Vec.t
+(** (g − ĝ)/σ per measurement, with the problem's measurements and
+    sigmas: the one definition behind {!residual_stats},
+    {!Diagnostics.analyze}, the residual bootstrap and the batch quality
+    summary. *)
 
 val residual_stats : Problem.t -> fitted:Vec.t -> (string * float) list
-(** [("runs_z", z); ("normality_z", z)] on the standardized residuals
-    (g − ĝ)/σ — the whiteness and noise-model moment checks. *)
+(** [("runs_z", z); ("normality_z", z)] on {!standardized_residuals} —
+    the whiteness and noise-model moment checks. *)
 
 val emit_solve :
   ?solve:string ->
@@ -33,7 +49,6 @@ val emit_solve :
   lambda:float ->
   entry_lambda:float ->
   rss:float ->
-  kappa:float ->
   degradation:int ->
   active_positivity:int ->
   qp_iterations:int ->
@@ -41,10 +56,10 @@ val emit_solve :
   cascade:string ->
   unit ->
   unit
-(** Build and emit the per-solve ["solve"]-stage diag record. All
-    statistics not passed in (edf, residual tests) are computed here,
-    inside the {!Obs.Diag.enabled} guard — with no sink installed the
-    whole call costs one branch. *)
+(** Build and emit the per-solve ["solve"]-stage diag record. The
+    statistics not passed in — κ and edf at [lambda] ({!system}) and the
+    residual tests — are computed here, inside the {!Obs.Diag.enabled}
+    guard: with no sink installed the whole call costs one branch. *)
 
 (** {1 Report cards} *)
 

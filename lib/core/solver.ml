@@ -272,32 +272,23 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
   | Ok () ->
     let problem = problem' in
     let repaired = repairs <> [] in
-    (* Condition estimate of the penalized normal matrix at the entry λ:
-       both a diagnostic and the trigger for a preemptive ridge floor. *)
-    let normal =
-      Optimize.Ridge.normal_matrix ~a:(Problem.design problem)
-        ~weights:(Problem.weights problem) ~penalty:(Problem.penalty problem) ~lambda
+    (* The penalized normal matrix at the entry λ: its scale sets the ridge
+       floors, and its condition number (Quality.system; infinite when it
+       is not SPD) is both a diagnostic and the trigger for a preemptive
+       ridge floor. *)
+    let h_scale =
+      Float.max 1e-300
+        (Mat.max_abs
+           (Optimize.Ridge.normal_matrix ~a:(Problem.design problem)
+              ~weights:(Problem.weights problem) ~penalty:(Problem.penalty problem) ~lambda))
     in
-    let h_scale = Float.max 1e-300 (Mat.max_abs normal) in
-    (* Only [Linalg.Singular] means "no usable estimate"; anything else
-       (e.g. a non-square matrix) is a programming error and propagates. *)
-    let condition =
-      match Linalg.condition_spd normal with
-      | c -> Some c
-      | exception Linalg.Singular _ -> None
-    in
-    (match condition with
-    | Some c -> Obs.Metrics.set "solver.condition" c
-    | None -> ());
+    let condition = (Quality.system problem ~lambda).kappa in
+    Obs.Metrics.set "solver.condition" condition;
     let precondition_ridge =
-      match condition with
-      | Some c when c > policy.condition_limit -> policy.ridge_floor *. h_scale
-      | _ -> 0.0
+      if condition > policy.condition_limit then policy.ridge_floor *. h_scale else 0.0
     in
     (* What a singular factorization means to the QP and spline stages. *)
-    let ill_conditioned =
-      Robust.Error.Ill_conditioned { cond = Option.value condition ~default:Float.infinity }
-    in
+    let ill_conditioned = Robust.Error.Ill_conditioned { cond = condition } in
     let report stage degradation =
       {
         Robust.Report.attempts = List.rev !attempts;
@@ -442,10 +433,10 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
     match climb (Robust.Error.Non_finite { stage = "solver" }) rungs with
     | Ok (est, rep) ->
       (* Per-solve quality record for the observatory. The statistics the
-         cascade already owns (κ, RSS, constraint counts, attempt path)
-         are passed through; edf and the residual tests are computed by
-         Quality inside the Diag.enabled guard — with no sink this call
-         is one branch. *)
+         cascade already owns (RSS, constraint counts, attempt path) are
+         passed through; κ and edf at the solved λ and the residual tests
+         are computed by Quality inside the Diag.enabled guard — with no
+         sink this call is one branch. *)
       if Obs.Diag.enabled () then begin
         let cascade =
           String.concat ">"
@@ -456,9 +447,7 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
                rep.Robust.Report.attempts)
         in
         Quality.emit_solve ~problem ~fitted:est.fitted ~lambda:est.lambda ~entry_lambda:lambda
-          ~rss:est.data_misfit
-          ~kappa:(Option.value condition ~default:Float.nan)
-          ~degradation:rep.Robust.Report.degradation
+          ~rss:est.data_misfit ~degradation:rep.Robust.Report.degradation
           ~active_positivity:est.active_positivity ~qp_iterations:est.qp_iterations
           ~solved_by:(Robust.Report.stage_name rep.Robust.Report.solved_by)
           ~cascade ()

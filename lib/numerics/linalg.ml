@@ -381,12 +381,3 @@ let singular_values a =
   let gram = if m >= n then Mat.gram a else Mat.gram (Mat.transpose a) in
   let values, _ = jacobi_eigen gram in
   Array.map (fun v -> sqrt (Float.max 0.0 v)) values
-
-let condition_spd a =
-  let values, _ = jacobi_eigen a in
-  let n = Array.length values in
-  if n = 0 then 1.0
-  else begin
-    let vmax = values.(0) and vmin = values.(n - 1) in
-    if vmin <= 0.0 then Float.infinity else vmax /. vmin
-  end

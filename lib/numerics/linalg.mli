@@ -25,7 +25,10 @@ type cholesky
 
 val cholesky_factor : Mat.t -> cholesky
 (** Factor a symmetric positive-definite matrix (lower triangular).
-    Raises {!Singular} if a pivot is not strictly positive. *)
+    Raises {!Singular} if a pivot is not strictly positive — the
+    numerical SPD test behind the condition number κ₁ of
+    [Deconv.Quality.system], which is [infinity] exactly when this
+    raises. *)
 
 val cholesky_solve : cholesky -> Vec.t -> Vec.t
 
@@ -72,10 +75,6 @@ val generalized_eigen_spd : Mat.t -> Mat.t -> Vec.t * Mat.t
     [gamma] descending and clamped at 0 (Ω is PSD by contract). This is the
     Demmler–Reinsch construction behind the spectral λ fast path. Raises
     {!Singular} when [s] is not numerically positive definite. *)
-
-val condition_spd : Mat.t -> float
-(** Spectral condition number estimate of a symmetric PSD matrix via
-    {!jacobi_eigen}. *)
 
 val singular_values : Mat.t -> Vec.t
 (** Singular values of an arbitrary matrix, descending — computed as the

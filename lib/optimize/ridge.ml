@@ -1,15 +1,5 @@
 open Numerics
 
-type fit = {
-  x : Vec.t;
-  fitted : Vec.t;
-  residuals : Vec.t;
-  rss : float;
-  edf : float;
-  gcv : float;
-  lambda : float;
-}
-
 let normal_matrix ~a ~weights ~penalty ~lambda =
   let m, n = Mat.dims a in
   assert (Array.length weights = m);
@@ -27,36 +17,3 @@ let normal_matrix ~a ~weights ~penalty ~lambda =
       done
   done;
   out
-
-let solve ~a ~b ?weights ~penalty ~lambda () =
-  assert (lambda >= 0.0);
-  let m, _n = Mat.dims a in
-  assert (Array.length b = m);
-  let weights = match weights with Some w -> w | None -> Vec.ones m in
-  let normal = normal_matrix ~a ~weights ~penalty ~lambda in
-  (* Right-hand side AᵀWb. *)
-  let wb = Vec.mul weights b in
-  let rhs = Mat.tmv a wb in
-  let factor = Linalg.cholesky_factor normal in
-  let x = Linalg.cholesky_solve factor rhs in
-  let fitted = Mat.mv a x in
-  let residuals = Vec.sub b fitted in
-  let rss =
-    let acc = ref 0.0 in
-    for i = 0 to m - 1 do
-      acc := !acc +. (weights.(i) *. residuals.(i) *. residuals.(i))
-    done;
-    !acc
-  in
-  (* Effective dof: tr(H) with H = A (AᵀWA+λP)⁻¹ AᵀW
-     = Σ_m w_m a_mᵀ (normal)⁻¹ a_m. *)
-  let edf = ref 0.0 in
-  for r = 0 to m - 1 do
-    let row = Mat.row a r in
-    let z = Linalg.cholesky_solve factor row in
-    edf := !edf +. (weights.(r) *. Vec.dot row z)
-  done;
-  let mf = float_of_int m in
-  let denom = mf -. !edf in
-  let gcv = if denom <= 0.0 then Float.infinity else mf *. rss /. (denom *. denom) in
-  { x; fitted; residuals; rss; edf = !edf; gcv; lambda }

@@ -1,25 +1,12 @@
-(** Penalized weighted least squares:
+(** The penalized normal matrix of weighted least squares,
 
-    minimize  Σ_m w_m (b_m − (A x)_m)²  +  λ xᵀ P x
+    minimize  Σ_m w_m (b_m − (A x)_m)²  +  λ xᵀ P x,
 
-    the unconstrained core of the paper's cost (eq. 5), plus diagnostics
-    (effective degrees of freedom, GCV score) used for λ selection. *)
+    the unconstrained core of the paper's cost (eq. 5). The solver's QP
+    Hessian, the spectral λ selection's Gram side and the quality
+    statistics ([Deconv.Quality.system]) are all built from it. *)
 
 open Numerics
 
-type fit = {
-  x : Vec.t;
-  fitted : Vec.t;  (** A x *)
-  residuals : Vec.t;  (** b − A x *)
-  rss : float;  (** weighted residual sum of squares *)
-  edf : float;  (** effective degrees of freedom, tr(hat matrix) *)
-  gcv : float;  (** generalized cross-validation score *)
-  lambda : float;
-}
-
 val normal_matrix : a:Mat.t -> weights:Vec.t -> penalty:Mat.t -> lambda:float -> Mat.t
 (** [AᵀWA + λP] (the quadratic-form matrix of the problem). *)
-
-val solve : a:Mat.t -> b:Vec.t -> ?weights:Vec.t -> penalty:Mat.t -> lambda:float -> unit -> fit
-(** Weights default to 1. Requires [lambda >= 0] and a positive-definite
-    normal matrix. *)

@@ -25,7 +25,7 @@ type repair = { action : string; count : int }
 
 type t = {
   attempts : attempt list;
-  condition : float option;
+  condition : float;
   repairs : repair list;
   degradation : int;
   solved_by : stage;
@@ -47,9 +47,7 @@ let to_string r =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "solved by %s (degradation level %d)\n" (stage_name r.solved_by)
     r.degradation;
-  (match r.condition with
-  | Some c -> Printf.bprintf buf "condition estimate: %.3g\n" c
-  | None -> ());
+  Printf.bprintf buf "condition estimate: %.3g\n" r.condition;
   List.iter (fun { action; count } -> Printf.bprintf buf "repair: %s (%d)\n" action count)
     r.repairs;
   List.iter

@@ -34,9 +34,10 @@ type repair = {
 
 type t = {
   attempts : attempt list;  (** chronological *)
-  condition : float option;
-      (** spectral condition estimate of the penalized normal matrix at the
-          entry [lambda], when it could be computed *)
+  condition : float;
+      (** 1-norm condition number κ₁ of the penalized normal matrix at the
+          entry [lambda] (Deconv.Quality.system); [infinity] when that
+          matrix is not numerically SPD *)
   repairs : repair list;  (** input repairs applied before solving *)
   degradation : int;
       (** 0 = first constrained QP attempt, pristine inputs; 1 = constrained

@@ -65,6 +65,34 @@ let test_chi2_scale () =
   check_true "dof below measurement count" (report.Deconv.Diagnostics.dof < 13.0);
   check_true "report prints" (String.length (Deconv.Diagnostics.to_string report) > 10)
 
+(* 20 coefficients against 13 measurements at lambda = 0: the smoother's
+   normal matrix is not SPD, so its edf is undefined. The cascade still
+   solves (with a preemptive ridge); the adequacy test must report itself
+   unavailable instead of raising or rejecting. *)
+let test_singular_system_adequacy_unavailable () =
+  let wide = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:20 in
+  let k = Lazy.force kernel in
+  let clean = Deconv.Forward.apply_fn k pulse in
+  let noisy, _ =
+    Deconv.Noise.apply (Deconv.Noise.Gaussian_absolute 0.15) (Rng.create 5) clean
+  in
+  let problem =
+    Deconv.Problem.create ~sigmas:(Vec.make 13 0.15) ~kernel:k ~basis:wide ~measurements:noisy
+      ~params ()
+  in
+  let estimate =
+    match Deconv.Solver.solve_robust ~lambda:0.0 problem with
+    | Ok (est, _) -> est
+    | Error e -> Alcotest.failf "cascade failed: %s" (Robust.Error.to_string e)
+  in
+  let report = Deconv.Diagnostics.analyze problem estimate in
+  check_true "chi2 finite" (Float.is_finite report.Deconv.Diagnostics.chi2);
+  check_true "dof NaN" (Float.is_nan report.Deconv.Diagnostics.dof);
+  check_true "p-value NaN" (Float.is_nan report.Deconv.Diagnostics.p_value);
+  check_true "not adequate" (not (Deconv.Diagnostics.adequate report));
+  check_true "runs test still computed" (Float.is_finite report.Deconv.Diagnostics.runs_z);
+  check_true "report prints" (String.length (Deconv.Diagnostics.to_string report) > 10)
+
 let test_kernel_save_load_roundtrip () =
   let k = Lazy.force kernel in
   let path = Filename.concat (Filename.get_temp_dir_name ()) "kernel_roundtrip.kernel" in
@@ -96,6 +124,7 @@ let tests =
         case "understated noise rejected" test_understated_noise_rejected;
         case "misspecified kernel flagged" test_misspecified_kernel_flagged;
         case "chi2 scale" test_chi2_scale;
+        case "singular system: adequacy unavailable" test_singular_system_adequacy_unavailable;
       ] );
     ( "kernel-io",
       [

@@ -118,8 +118,8 @@ let test_jacobi_eigen_reconstruction () =
 
 let test_condition_spd () =
   let a = Mat.diag [| 100.0; 1.0 |] in
-  check_rel ~tol:1e-9 "condition of diag" 100.0 (Linalg.condition_spd a);
-  check_rel ~tol:1e-9 "condition of identity" 1.0 (Linalg.condition_spd (Mat.identity 3))
+  check_rel ~tol:1e-9 "condition of diag" 100.0 (condition_spd a);
+  check_rel ~tol:1e-9 "condition of identity" 1.0 (condition_spd (Mat.identity 3))
 
 let test_solve_many () =
   let rng = Rng.create 131 in

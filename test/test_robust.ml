@@ -220,7 +220,7 @@ let test_clean_matches_solve () =
   check_true "no repairs" (report.Robust.Report.repairs = []);
   Alcotest.(check int) "single attempt" 1 (Robust.Report.num_attempts report);
   check_true "no failed attempts" (Robust.Report.failed_attempts report = []);
-  check_true "condition estimated" (report.Robust.Report.condition <> None);
+  check_true "condition estimated" (report.Robust.Report.condition >= 1.0);
   let reference = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_vec ~tol:0.0 "identical to Solver.solve" reference.Deconv.Solver.alpha
     est.Deconv.Solver.alpha
@@ -235,6 +235,52 @@ let prop_clean_equals_solve =
       let reference = Deconv.Solver.solve ~lambda problem in
       degradation report = 0
       && Vec.approx_equal ~tol:0.0 reference.Deconv.Solver.alpha est.Deconv.Solver.alpha)
+
+(* ---------------- solve_robust: preconditioning ---------------- *)
+
+let first_attempt_ridge report =
+  match report.Robust.Report.attempts with
+  | a :: _ -> a.Robust.Report.ridge
+  | [] -> Alcotest.fail "no attempt recorded"
+
+(* 20 coefficients against 13 measurements with no penalty: the normal
+   matrix is not SPD, so the condition number is infinite and the first
+   constrained attempt already carries the preemptive ridge floor. *)
+let test_singular_system_preconditioned () =
+  let wide = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:20 in
+  let problem =
+    Deconv.Problem.create ~kernel:(Lazy.force kernel) ~basis:wide
+      ~measurements:(Lazy.force clean_data) ~params ()
+  in
+  let est, report = expect_ok (Deconv.Solver.solve_robust ~lambda:0.0 problem) in
+  check_true "condition infinite" (report.Robust.Report.condition = Float.infinity);
+  check_true "first attempt carries a ridge" (first_attempt_ridge report > 0.0);
+  Alcotest.(check int) "degradation 1" 1 (degradation report);
+  check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
+  check_true "estimate finite" (finite_estimate est)
+
+(* A finite κ above the policy's limit takes the same branch: the ridge is
+   the policy's floor on the normal matrix's scale. With the limit above κ
+   the same solve is pristine. *)
+let test_condition_limit_preconditions () =
+  let problem = make_problem (Lazy.force clean_data) in
+  let solve condition_limit =
+    expect_ok
+      (Deconv.Solver.solve_robust
+         ~policy:{ Deconv.Solver.default_policy with Deconv.Solver.condition_limit }
+         ~lambda:1e-4 problem)
+  in
+  let _, pristine = solve Float.infinity in
+  let kappa = pristine.Robust.Report.condition in
+  check_true "condition finite" (Float.is_finite kappa && kappa >= 1.0);
+  check_close ~tol:0.0 "no ridge under the limit" 0.0 (first_attempt_ridge pristine);
+  Alcotest.(check int) "degradation 0 under the limit" 0 (degradation pristine);
+  let est, report = solve (kappa /. 2.0) in
+  check_close ~tol:0.0 "same condition estimate" kappa report.Robust.Report.condition;
+  check_true "first attempt carries a ridge" (first_attempt_ridge report > 0.0);
+  Alcotest.(check int) "degradation 1" 1 (degradation report);
+  check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
+  check_true "estimate finite" (finite_estimate est)
 
 (* ---------------- solve_robust: repair + cascade ---------------- *)
 
@@ -606,6 +652,8 @@ let tests =
       [
         case "clean path matches solve" test_clean_matches_solve;
         prop_clean_equals_solve;
+        case "singular system preconditioned" test_singular_system_preconditioned;
+        case "condition limit preconditions" test_condition_limit_preconditions;
         case "nan measurement repaired" test_nan_measurement_repaired;
         case "zero sigma repaired" test_zero_sigma_repaired;
         case "repair disabled -> typed error" test_repair_disabled_reports_error;

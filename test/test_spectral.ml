@@ -112,7 +112,7 @@ let test_factorization_identities () =
 
 let direct_fit problem lambda =
   let a, w, omega = pieces problem in
-  Optimize.Ridge.solve ~a ~b:problem.Deconv.Problem.measurements ~weights:w ~penalty:omega
+  Ridge_oracle.solve ~a ~b:problem.Deconv.Problem.measurements ~weights:w ~penalty:omega
     ~lambda ()
 
 let test_solution_matches_direct () =
@@ -126,7 +126,7 @@ let test_solution_matches_direct () =
           let spectral = Optimize.Spectral.solution fact proj ~lambda in
           check_vec_scaled ~tol:1e-8
             (Printf.sprintf "%s: x(%g) spectral = direct" name lambda)
-            direct.Optimize.Ridge.x spectral)
+            direct.Ridge_oracle.x spectral)
         grid)
     fixtures
 
@@ -143,10 +143,10 @@ let test_scores_match_direct () =
           let s = Optimize.Spectral.evaluate fact proj ~lambda in
           let label what = Printf.sprintf "%s: %s(%g)" name what lambda in
           check_close
-            ~tol:(1e-8 *. Float.max (Float.abs direct.Optimize.Ridge.rss) yty)
-            (label "rss") direct.Optimize.Ridge.rss s.Optimize.Spectral.rss;
-          check_rel ~tol:1e-8 (label "edf") direct.Optimize.Ridge.edf s.Optimize.Spectral.edf;
-          let x = direct.Optimize.Ridge.x in
+            ~tol:(1e-8 *. Float.max (Float.abs direct.Ridge_oracle.rss) yty)
+            (label "rss") direct.Ridge_oracle.rss s.Optimize.Spectral.rss;
+          check_rel ~tol:1e-8 (label "edf") direct.Ridge_oracle.edf s.Optimize.Spectral.edf;
+          let x = direct.Ridge_oracle.x in
           let roughness = Vec.dot x (Mat.mv omega x) in
           check_rel ~tol:1e-8 (label "roughness") roughness s.Optimize.Spectral.roughness)
         grid)
@@ -169,16 +169,16 @@ let test_gcv_selector_matches_direct () =
       Array.iteri
         (fun i (p : Deconv.Lambda.curve_point) ->
           let fit = direct_fit problem grid.(i) in
-          let denom = n -. (robust_gamma *. fit.Optimize.Ridge.edf) in
+          let denom = n -. (robust_gamma *. fit.Ridge_oracle.edf) in
           let reference =
             if denom <= 0.0 then Float.infinity
-            else n *. fit.Optimize.Ridge.rss /. (denom *. denom)
+            else n *. fit.Ridge_oracle.rss /. (denom *. denom)
           in
           if Float.is_finite reference then
             (* The score is n·RSS/denom²: 1e-8 in the score's own scale is
                1e-8·n·max(RSS, y'Wy)/denom². *)
             check_close
-              ~tol:(1e-8 *. n *. Float.max (Float.abs fit.Optimize.Ridge.rss) yty /. (denom *. denom))
+              ~tol:(1e-8 *. n *. Float.max (Float.abs fit.Ridge_oracle.rss) yty /. (denom *. denom))
               (Printf.sprintf "%s: GCV score at candidate %d" name i)
               reference p.Deconv.Lambda.score
           else
@@ -233,13 +233,13 @@ let test_kfold_selector_matches_direct () =
       let reference =
         kfold_score ~rng:(Rng.copy fold_master) ~k ~n
           ~fit_on:(fun ~train lambda ->
-            Optimize.Ridge.solve ~a:(submatrix train) ~b:(subvec train b)
+            Ridge_oracle.solve ~a:(submatrix train) ~b:(subvec train b)
               ~weights:(subvec train w) ~penalty:omega ~lambda ())
           ~predict_error:(fun fit ~test ->
             let acc = ref 0.0 in
             Array.iter
               (fun m ->
-                let predicted = Vec.dot (Mat.row a m) fit.Optimize.Ridge.x in
+                let predicted = Vec.dot (Mat.row a m) fit.Ridge_oracle.x in
                 let r = b.(m) -. predicted in
                 acc := !acc +. (w.(m) *. r *. r))
               test;
