@@ -4,8 +4,11 @@
 
    Two passes:
      deconv-lint [PATH]...        per-file rules R0-R9, R13, R14
-     deconv-lint check [PATH]...  interprocedural rules R10-R12
-                                  (call graph + effect fixpoint)
+     deconv-lint check [PATH]...  whole-program rules R10-R12 (call graph
+                                  + effect fixpoint) and R15 (unused
+                                  exports); files under bin/, bench/,
+                                  examples/ or perfbench/ are read as
+                                  users of lib/ only
 
    --list-rules prints each rule's scope from the same confinement rows
    the per-file walker enforces.
@@ -17,7 +20,9 @@ let usage =
    Lints .ml/.mli files (recursively for directories). The default pass\n\
    applies the per-file rules R0-R9, R13 and R14; 'deconv-lint check'\n\
    builds the whole-program call graph and applies the interprocedural\n\
-   rules R10-R12 (default path: lib). With no PATH, the per-file pass lints\n\
+   rules R10-R12 and the unused-export rule R15, reading files under bin/,\n\
+   bench/, examples/ and perfbench/ as users of lib/ only (default paths:\n\
+   lib bin bench examples perfbench). With no PATH, the per-file pass lints\n\
    lib bin bench test examples. Suppress a finding in source with\n\
    '(* lint: allow R_ — reason *)' on, or just above, the offending line.\n\
    Options:"
@@ -91,7 +96,10 @@ let () =
   let check_mode, paths =
     match List.rev !paths with
     | "check" :: rest ->
-      (true, match rest with [] -> [ "lib" ] | ps -> ps)
+      ( true,
+        match rest with
+        | [] -> List.filter Sys.file_exists [ "lib"; "bin"; "bench"; "examples"; "perfbench" ]
+        | ps -> ps )
     | [] -> (false, [ "lib"; "bin"; "bench"; "test"; "examples" ])
     | ps -> (false, ps)
   in

@@ -20,8 +20,6 @@ type comparison = {
   stale : t;  (** baseline entries no current finding matches *)
 }
 
-val key : Finding.t -> entry
-
 val to_string : Finding.t list -> string
 (** Serialize a snapshot: one [rule<TAB>file<TAB>message] line per
     distinct key, sorted. *)

@@ -19,12 +19,16 @@ type scope = {
   aliases : (string * string list) list;  (* module X = Y: "X" -> parts of Y *)
 }
 
+type export = { value : string; mli : string; line : int; col : int }
+
 type t = {
   table : (string, def) Hashtbl.t;
   scopes : (string, scope) Hashtbl.t;
   includes : (string, string list list) Hashtbl.t;
       (* module path -> flattened paths of the modules it [include]s *)
   exns : (string, unit) Hashtbl.t;  (* qualified declared exception names *)
+  exports : export list;
+  named_in : (string, string list) Hashtbl.t;  (* def id -> files naming it *)
 }
 
 (* ---------------- path -> module prefix ---------------- *)
@@ -101,33 +105,7 @@ type builder = {
   b_scopes : (string, scope) Hashtbl.t;
   b_includes : (string, string list list) Hashtbl.t;
   b_exns : (string, unit) Hashtbl.t;
-  mutable b_opens : string list list;  (* per-file accumulation *)
-  mutable b_aliases : (string * string list) list;
 }
-
-(* Collect the opens and module aliases that appear *inside* expressions
-   ([let open M in], [M.(...)], [let module X = Y in]) so a definition's
-   scope sees them. File-conservative: an open anywhere in the file is
-   treated as visible everywhere in it — over-approximating visibility
-   only adds resolution candidates. *)
-let scan_expression_scopes b expr =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun self e ->
-          (match e.pexp_desc with
-          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, _) ->
-            b.b_opens <- flatten_lid lid.Location.txt :: b.b_opens
-          | Pexp_letmodule (name, { pmod_desc = Pmod_ident lid; _ }, _) -> (
-            match name.Location.txt with
-            | Some n -> b.b_aliases <- (n, flatten_lid lid.Location.txt) :: b.b_aliases
-            | None -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr self e);
-    }
-  in
-  it.expr it expr
 
 let add_def b ~prefix ~path ~public (name, loc) body =
   let id = join (prefix @ [ name ]) in
@@ -141,8 +119,7 @@ let add_def b ~prefix ~path ~public (name, loc) body =
         col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol + 1;
         public;
         body;
-      };
-    scan_expression_scopes b body
+      }
   end
 
 (* Walk a structure, registering defs under [prefix]. [enclosing] is the
@@ -163,8 +140,6 @@ and walk_item b ~path ~prefix item =
     Hashtbl.replace b.b_exns (join (prefix @ [ ext.ptyexn_constructor.pext_name.txt ])) ()
   | Pstr_module mb -> walk_module_binding b ~path ~prefix mb
   | Pstr_recmodule mbs -> List.iter (walk_module_binding b ~path ~prefix) mbs
-  | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ } ->
-    b.b_opens <- flatten_lid lid.Location.txt :: b.b_opens
   | Pstr_include { pincl_mod; _ } -> (
     match (unwrap_module pincl_mod).pmod_desc with
     | Pmod_ident lid ->
@@ -201,29 +176,25 @@ and walk_module_binding b ~path ~prefix mb =
     let rec handle m =
       match (unwrap_module m).pmod_desc with
       | Pmod_structure str -> walk_structure b ~path ~prefix:sub str
-      | Pmod_ident lid -> b.b_aliases <- (name, flatten_lid lid.Location.txt) :: b.b_aliases
       | Pmod_functor (_, body) ->
         (* Functor bodies are analyzed in place: members of any
            application [F (X)] resolve into the body's definitions — a
-           conservative, argument-insensitive view. *)
+           conservative, argument-insensitive view ([file_scope] records
+           [module M = F (X)] as an alias of [F]). *)
         handle body
-      | Pmod_apply (f, _) -> (
-        (* module M = F (X): M's members live in F's body. *)
-        match (unwrap_module f).pmod_desc with
-        | Pmod_ident lid -> b.b_aliases <- (name, flatten_lid lid.Location.txt) :: b.b_aliases
-        | _ -> ())
       | _ -> ()
     in
     handle mb.pmb_expr)
 
 (* ---------------- .mli exports ---------------- *)
 
-(* Returns (exact value paths, module prefixes exported opaquely). *)
+(* Returns (exact value paths with their [val] locations, module prefixes
+   exported opaquely). *)
 let rec exports_of_signature ~rel sg =
   List.fold_left
     (fun (vals, mods) item ->
       match item.psig_desc with
-      | Psig_value vd -> ((rel @ [ vd.pval_name.txt ]) :: vals, mods)
+      | Psig_value vd -> ((rel @ [ vd.pval_name.txt ], vd.pval_loc) :: vals, mods)
       | Psig_module md -> (
         match md.pmd_name.Location.txt with
         | None -> (vals, mods)
@@ -242,15 +213,67 @@ let rec exports_of_signature ~rel sg =
 
 (* ---------------- public API ---------------- *)
 
-let build sources =
+(* The qualification contexts of a module path, innermost first: from
+   the path itself out to the library wrapper, so a sibling reference
+   like [Solver.solve] from lib/core/batch.ml tries "Deconv.Solver.solve"
+   — dune's wrapped-library scoping. *)
+let rec enclosing_prefixes parts =
+  match List.rev parts with
+  | [] -> []
+  | _ :: outer -> join parts :: enclosing_prefixes (List.rev outer)
+
+(* Every [open] and module alias anywhere in a file, at module level or
+   inside expressions ([let open M in], [M.(...)], [let module X = Y in]).
+   File-conservative: they are visible everywhere in the file, to its
+   definitions and its top-level expressions alike — over-approximating
+   visibility only adds resolution candidates. [module M = F (X)] aliases
+   [M] to [F], whose body holds M's members. *)
+let file_scope ~prefix str =
+  let opens = ref [] and aliases = ref [] in
+  let alias name m =
+    match (name, (unwrap_module m).pmod_desc) with
+    | Some n, (Pmod_ident lid | Pmod_apply ({ pmod_desc = Pmod_ident lid; _ }, _)) ->
+      aliases := (n, flatten_lid lid.Location.txt) :: !aliases
+    | _ -> ()
+  in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      structure_item =
+        (fun self item ->
+          (match item.pstr_desc with
+          | Pstr_open { popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ } ->
+            opens := flatten_lid lid.Location.txt :: !opens
+          | Pstr_module mb -> alias mb.pmb_name.Location.txt mb.pmb_expr
+          | _ -> ());
+          Ast_iterator.default_iterator.structure_item self item);
+      expr =
+        (fun self e ->
+          (match e.pexp_desc with
+          | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident lid; _ }; _ }, _) ->
+            opens := flatten_lid lid.Location.txt :: !opens
+          | Pexp_letmodule (name, m, _) -> alias name.Location.txt m
+          | _ -> ());
+          Ast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str;
+  {
+    prefixes = enclosing_prefixes (String.split_on_char '.' prefix);
+    opens = !opens;
+    aliases = !aliases;
+  }
+
+(* Parse [sources] into the definition table; [users] are parsed for
+   their references only. Returns the graph (with [named_in] still
+   empty) and every parsed file with its file-wide scope. *)
+let build_graph ~users sources =
   let b =
     {
       b_table = Hashtbl.create 512;
       b_scopes = Hashtbl.create 512;
       b_includes = Hashtbl.create 32;
       b_exns = Hashtbl.create 32;
-      b_opens = [];
-      b_aliases = [];
     }
   in
   let errors = ref [] in
@@ -269,29 +292,43 @@ let build sources =
   let mls = List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources in
   let mlis = List.filter (fun (p, _) -> Filename.check_suffix p ".mli") sources in
   let exports = Hashtbl.create 32 in
+  let export_list = ref [] in
   List.iter
     (fun (path, source) ->
       match parse_with Parse.interface ~path source with
       | None -> ()
       | Some sg ->
         let prefix = module_prefix_of_path path in
-        Hashtbl.replace exports prefix (exports_of_signature ~rel:[] sg))
+        let vals, mods = exports_of_signature ~rel:[] sg in
+        Hashtbl.replace exports prefix (List.map fst vals, mods);
+        List.iter
+          (fun (rel, loc) ->
+            let pos = loc.Location.loc_start in
+            export_list :=
+              {
+                value = join (prefix :: rel);
+                mli = path;
+                line = pos.Lexing.pos_lnum;
+                col = pos.Lexing.pos_cnum - pos.Lexing.pos_bol + 1;
+              }
+              :: !export_list)
+          vals)
     mlis;
+  let files = ref [] in
   List.iter
     (fun (path, source) ->
       match parse_with Parse.implementation ~path source with
       | None -> ()
       | Some str ->
         let prefix = module_prefix_of_path path in
+        let { opens; aliases; _ } as scope = file_scope ~prefix str in
+        files := (path, str, scope) :: !files;
         let file_prefix = String.split_on_char '.' prefix in
-        b.b_opens <- [];
-        b.b_aliases <- [];
         let marker = Hashtbl.create 16 in
         Hashtbl.iter (fun id _ -> Hashtbl.replace marker id ()) b.b_table;
         walk_structure b ~path ~prefix:file_prefix str;
-        (* Freeze this file's scope for every def it contributed, and
-           apply the .mli export list (if any) to publicness. *)
-        let opens = b.b_opens and aliases = b.b_aliases in
+        (* Give every def this file contributed its scope, and apply the
+           .mli export list (if any) to publicness. *)
         let export = Hashtbl.find_opt exports prefix in
         Hashtbl.iter
           (fun id (d : def) ->
@@ -325,32 +362,35 @@ let build sources =
                        mods
               in
               if not public then Hashtbl.replace b.b_table id { d with public = false };
-              (* Enclosing module paths, innermost first: from the def's
-                 own module path down through the file prefix to the
-                 library wrapper, so a sibling reference like
-                 [Solver.solve] from lib/core/batch.ml tries
-                 "Deconv.Solver.solve" — dune's wrapped-library scoping. *)
-              let drop_last parts =
-                match List.rev parts with [] -> [] | _ :: rest -> List.rev rest
+              let mod_parts =
+                match List.rev (String.split_on_char '.' id) with
+                | [] -> []
+                | _ :: rest -> List.rev rest
               in
-              let rec enclosing acc parts =
-                match parts with
-                | [] -> acc
-                | _ ->
-                  let here = join parts in
-                  if List.length parts <= 1 then here :: acc
-                  else enclosing (here :: acc) (drop_last parts)
+              let prefixes =
+                match enclosing_prefixes mod_parts with [] -> [ prefix ] | ps -> ps
               in
-              let id_parts = String.split_on_char '.' id in
-              let mod_parts = drop_last id_parts in
-              let prefixes = List.rev (enclosing [] mod_parts) in
-              let prefixes = if prefixes = [] then [ prefix ] else prefixes in
               Hashtbl.replace b.b_scopes id { prefixes; opens; aliases }
             end)
           (Hashtbl.copy b.b_table)
     )
     mls;
-  ( { table = b.b_table; scopes = b.b_scopes; includes = b.b_includes; exns = b.b_exns },
+  List.iter
+    (fun (path, source) ->
+      match parse_with Parse.implementation ~path source with
+      | None -> ()
+      | Some str ->
+        files := (path, str, file_scope ~prefix:(module_prefix_of_path path) str) :: !files)
+    (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") users);
+  ( {
+      table = b.b_table;
+      scopes = b.b_scopes;
+      includes = b.b_includes;
+      exns = b.b_exns;
+      exports = List.rev !export_list;
+      named_in = Hashtbl.create 512;
+    },
+    List.rev !files,
     List.rev !errors )
 
 let defs t =
@@ -455,3 +495,69 @@ let exception_name t scope lid =
       | Some k' -> k'
       | None -> k)
   | None -> join parts
+
+(* ---------------- references ---------------- *)
+
+(* Every definition an expression names, with parameters, [let]s and
+   pattern variables shadowing module-level names as in {!Effects}. *)
+let rec expr_refs t scope ~locals hit e =
+  let go = expr_refs t scope ~locals hit in
+  let bind pats =
+    expr_refs t scope ~locals:(List.concat_map pattern_vars pats @ locals) hit
+  in
+  let cases =
+    List.iter (fun c ->
+        let under = bind [ c.pc_lhs ] in
+        Option.iter under c.pc_guard;
+        under c.pc_rhs)
+  in
+  match e.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+    match resolve t scope ~locals:(fun v -> List.mem v locals) txt with
+    | Def id -> hit id
+    | External _ -> ())
+  | Pexp_let (rec_flag, bindings, body) ->
+    let pats = List.map (fun vb -> vb.pvb_pat) bindings in
+    let for_defs = match rec_flag with Asttypes.Recursive -> bind pats | _ -> go in
+    List.iter (fun vb -> for_defs vb.pvb_expr) bindings;
+    bind pats body
+  | Pexp_fun (_, default, pat, body) ->
+    Option.iter go default;
+    bind [ pat ] body
+  | Pexp_function cs -> cases cs
+  | Pexp_match (scrut, cs) | Pexp_try (scrut, cs) ->
+    go scrut;
+    cases cs
+  | Pexp_for (pat, lo, hi, _, body) ->
+    go lo;
+    go hi;
+    bind [ pat ] body
+  | _ ->
+    let it = { Ast_iterator.default_iterator with expr = (fun _ child -> go child) } in
+    Ast_iterator.default_iterator.expr it e
+
+let build ?(users = []) sources =
+  let t, files, errors = build_graph ~users sources in
+  List.iter
+    (fun (path, str, scope) ->
+      let seen = Hashtbl.create 64 in
+      let hit id =
+        if not (Hashtbl.mem seen id) then begin
+          Hashtbl.replace seen id ();
+          let prev = Option.value ~default:[] (Hashtbl.find_opt t.named_in id) in
+          Hashtbl.replace t.named_in id (path :: prev)
+        end
+      in
+      let it =
+        {
+          Ast_iterator.default_iterator with
+          expr = (fun _ e -> expr_refs t scope ~locals:[] hit e);
+        }
+      in
+      it.structure it str)
+    files;
+  (t, errors)
+
+let exports t = t.exports
+
+let named_in t id = Option.value ~default:[] (Hashtbl.find_opt t.named_in id)

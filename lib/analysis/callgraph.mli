@@ -39,11 +39,29 @@ type scope
 
 type t
 
-val build : (string * string) list -> t * (string * string) list
+(** A [val] of a [.mli]: the value's qualified id and where it is
+    declared. *)
+type export = { value : string; mli : string; line : int; col : int }
+
+val build :
+  ?users:(string * string) list -> (string * string) list -> t * (string * string) list
 (** [build sources] parses every [(path, source)] pair ([.ml] defines
     definitions; a [.mli] contributes the export list of its [.ml]) and
     returns the graph plus [(path, message)] parse errors. Files that do
-    not parse contribute no definitions but do not abort the build. *)
+    not parse contribute no definitions but do not abort the build.
+    [users] are [.ml] files read for their references only (see
+    {!named_in}): they add no definitions, so module-name clashes among
+    them ([bin/main.ml], [bench/main.ml]) are harmless. *)
+
+val exports : t -> export list
+(** Every [val] of every parsed [.mli], nested module signatures
+    included. *)
+
+val named_in : t -> string -> string list
+(** The files (sources and users alike) whose text names the definition
+    anywhere: a definition body, a top-level [let () =] or any other
+    module-level expression. The definition's own file is included when
+    it names itself. *)
 
 val defs : t -> def list
 (** All definitions, sorted by id. *)
@@ -65,10 +83,6 @@ val resolve :
 (** Resolve a value reference. [locals] answers whether a bare name is
     bound in the expression's local scope (parameters, [let]s, pattern
     variables) — such names shadow module-level definitions. *)
-
-val module_prefix_of_path : string -> string
-(** The qualification prefix the graph assigns to a file path (exposed
-    for the policy layer's root matching and for tests). *)
 
 val pattern_vars : Parsetree.pattern -> string list
 (** Every variable bound by a pattern (shared with the effect walker so

@@ -27,10 +27,6 @@ let dynamic_raise = "<dynamic>"
 let empty =
   { raises = Names.empty; mutates = None; rng = None; clock = None; io = None }
 
-let is_empty c =
-  Names.is_empty c.raises && c.mutates = None && c.rng = None && c.clock = None
-  && c.io = None
-
 (* ---------------- capability lattice ops ---------------- *)
 
 let keep_first a b = match a with Some _ -> a | None -> b

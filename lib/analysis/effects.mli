@@ -65,8 +65,4 @@ val dynamic_raise : string
 (** The pseudo-name under which [raise e] of a computed exception value
     is tracked. *)
 
-val empty : caps
-
-val is_empty : caps -> bool
-
 val analyze : Callgraph.t -> result

@@ -20,9 +20,6 @@ val to_text : t -> string
 (** [file:line:col: [rule] message. hint: ...] — one line, no trailing
     newline. *)
 
-val to_json : t -> string
-(** A single JSON object with fields file/line/col/rule/message/hint. *)
-
 val list_to_json : t list -> string
 (** A JSON array of {!to_json} objects. *)
 

@@ -23,3 +23,8 @@ let under entries path =
   List.exists
     (fun rest -> List.exists (fun e -> is_prefix (segments e) rest) entries)
     (after_lib path)
+
+let user_trees = [ "bin"; "bench"; "examples"; "perfbench" ]
+
+let in_user_tree path =
+  (not (in_lib path)) && List.exists (fun seg -> List.mem seg user_trees) (segments path)

@@ -13,3 +13,8 @@ val under : string list -> string -> bool
 (** [under entries path]: is [path] under [lib/<e>] for one of [entries],
     each a [lib/]-relative directory (["obs"]) or file
     (["dataio/atomic_file.ml"])? *)
+
+val in_user_tree : string -> bool
+(** Is the path a program that uses the library — under a [bin/],
+    [bench/], [examples/] or [perfbench/] directory and not under
+    [lib/]? *)

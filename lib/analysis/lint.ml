@@ -568,11 +568,9 @@ let lint_source ?(disabled = []) ~path source =
     in
     Ok (List.sort Finding.compare (List.filter keep (raw @ malformed)))
 
-let lint_file ?disabled ?as_path path =
+let lint_file ~disabled path =
   match In_channel.with_open_bin path In_channel.input_all with
-  | source ->
-    let logical = match as_path with Some p -> p | None -> path in
-    lint_source ?disabled ~path:logical source
+  | source -> lint_source ~disabled ~path source
   | exception Sys_error msg -> Error msg
 
 let is_source path =

@@ -15,18 +15,14 @@ type run_result = {
   errors : (string * string) list;  (** (path, message): unreadable/unparsable *)
 }
 
+(* lint: allow R15 — the in-memory entry point: test/test_lint.ml drives
+   every per-file rule through source strings without touching the disk *)
 val lint_source :
   ?disabled:string list -> path:string -> string -> (Finding.t list, string) result
 (** Lint one source buffer. [path] is the logical path used for scoping and
     reporting; it must end in [.ml] or [.mli] (interfaces are parsed for
     syntax only — the rules are expression-level). [disabled] rule ids are
     dropped from the output. [Error] means the buffer failed to parse. *)
-
-val lint_file :
-  ?disabled:string list -> ?as_path:string -> string -> (Finding.t list, string) result
-(** Read and lint a file on disk. [as_path] overrides the logical path used
-    for scoping/reporting (used by tests that lint temp files as if they
-    lived under [lib/]). *)
 
 val collect_files : string list -> (string list, string) result
 (** Expand files/directories into a sorted list of [.ml]/[.mli] paths,

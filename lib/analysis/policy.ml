@@ -10,7 +10,7 @@ type check_result = {
    come back as Robust.Error, never as an arbitrary exception". The
    solver cascade converts at these boundaries; everything reachable
    underneath may use typed internal exceptions (Linalg.Singular,
-   Csv.Parse_error, ...) freely as long as something on the path
+   Rootfind.No_bracket, ...) freely as long as something on the path
    converts them. *)
 let default_roots =
   [
@@ -139,6 +139,36 @@ let check_graph ~roots graph (eff : Effects.result) =
                     parallel_map_result) or handle it inside the task"))
         caps.Effects.raises)
     eff.Effects.tasks;
+  (* R15: exported library values that no other file names. Only the
+     library and the user trees count as users; tests and scratch files
+     do not. *)
+  List.iter
+    (fun (e : Callgraph.export) ->
+      match Callgraph.find graph e.Callgraph.value with
+      | Some d when Libpath.in_lib e.Callgraph.mli ->
+        let user path =
+          (not (String.equal path d.Callgraph.path))
+          && (Libpath.in_lib path || Libpath.in_user_tree path)
+        in
+        if not (List.exists user (Callgraph.named_in graph d.Callgraph.id)) then
+          emit
+            ("R15", e.Callgraph.mli, e.Callgraph.line, e.Callgraph.col, e.Callgraph.value)
+            {
+              Finding.file = e.Callgraph.mli;
+              line = e.Callgraph.line;
+              col = e.Callgraph.col;
+              rule = "R15";
+              message =
+                Printf.sprintf
+                  "%s is exported but no file outside %s names it (tests do not count)"
+                  e.Callgraph.value d.Callgraph.path;
+              hint =
+                "drop it from the .mli if only its own module uses it, move a test-only \
+                 oracle to test/testutil.ml, delete dead code with its tests, or \
+                 suppress here with the reason it stays";
+            }
+      | _ -> ())
+    (Callgraph.exports graph);
   (* R12: purity of the numeric core. *)
   List.iter
     (fun (d : Callgraph.def) ->
@@ -185,7 +215,8 @@ let check_graph ~roots graph (eff : Effects.result) =
 let check_sources ?(disabled = []) ?(roots = default_roots) sources =
   let disabled = List.filter_map Rules.normalize_id disabled in
   let off rule = List.exists (String.equal rule) disabled in
-  let graph, errors = Callgraph.build sources in
+  let users, sources = List.partition (fun (p, _) -> Libpath.in_user_tree p) sources in
+  let graph, errors = Callgraph.build ~users sources in
   let eff = Effects.analyze graph in
   let raw = check_graph ~roots graph eff in
   (* Per-site suppressions, same syntax and nearby-line semantics as the
@@ -195,9 +226,8 @@ let check_sources ?(disabled = []) ?(roots = default_roots) sources =
   let supps_by_file = Hashtbl.create 16 in
   List.iter
     (fun (path, source) ->
-      if Filename.check_suffix path ".ml" then
-        let supps, _bad = Suppress.scan source in
-        Hashtbl.replace supps_by_file path supps)
+      let supps, _bad = Suppress.scan source in
+      Hashtbl.replace supps_by_file path supps)
     sources;
   let keep (f : Finding.t) =
     (not (off f.Finding.rule))
@@ -214,7 +244,8 @@ let check_sources ?(disabled = []) ?(roots = default_roots) sources =
   {
     findings = List.sort Finding.compare (List.filter keep raw);
     files =
-      List.length (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") sources);
+      List.length
+        (List.filter (fun (p, _) -> Filename.check_suffix p ".ml") (sources @ users));
     defs = n_defs;
     iterations = eff.Effects.iterations;
     errors;

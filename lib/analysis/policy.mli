@@ -1,7 +1,13 @@
-(** The interprocedural rules (R10–R12) checked by [deconv-lint check]:
-    a {!Callgraph} + {!Effects} pass enforcing the repository's two
-    whole-program invariants — the typed-error cascade and bit-for-bit
-    jobs-independent parallelism — plus the purity of the numeric core.
+(** The whole-program rules (R10–R12 and R15) checked by
+    [deconv-lint check]: a {!Callgraph} + {!Effects} pass enforcing the
+    repository's two whole-program invariants — the typed-error cascade and
+    bit-for-bit jobs-independent parallelism — plus the purity of the
+    numeric core, and a use count over the library's exports.
+
+    Sources under a [bin/], [bench/], [examples/] or [perfbench/]
+    directory ({!Libpath.in_user_tree}) are the library's {e users}: they
+    are read for the names they use and nothing else, so they add no R10
+    root, no R11 task and no R12 kernel.
 
     {b R10 (exception escape).} Against a set of declared roots (by
     default the robust public surface: [Deconv.Pipeline], [Deconv.Batch],
@@ -23,22 +29,25 @@
     raw clocks (again excepting origins inside [lib/obs], whose mockable
     clock is the sanctioned instrument).
 
+    {b R15 (unused export).} A [val] of a [lib/] [.mli] whose definition
+    no file other than its own [.ml] names — in a definition, a top-level
+    [let () =] or any other module-level expression — among the [lib/]
+    sources and the users. Tests and other scratch files do not count as
+    users. The finding and its suppression sit at the [val]. Checking
+    [lib/] without its users therefore flags every export only they
+    call: [deconv-lint check] reads them by default.
+
     Findings honor the same per-site suppression comments (rule id plus
     reason, anchored at the originating site), [--disable] ids and
     output formats as the per-file rules. *)
 
 type check_result = {
   findings : Finding.t list;  (** sorted, suppressions already applied *)
-  files : int;  (** number of [.ml] files analyzed *)
+  files : int;  (** number of [.ml] files read, users included *)
   defs : int;  (** definitions in the call graph *)
   iterations : int;  (** effect-fixpoint sweeps until stable *)
   errors : (string * string) list;  (** (path, message) parse/IO errors *)
 }
-
-val default_roots : string list
-(** R10's declared roots. A pattern ending in ['.'] matches every public
-    definition under that prefix; anything else must match an id
-    exactly. *)
 
 val check_sources :
   ?disabled:string list ->

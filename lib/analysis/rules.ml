@@ -210,13 +210,22 @@ let all =
          substitutions directly — a raw call there would bypass the \
          anchoring, caching and telemetry those wrappers own.";
     };
+    {
+      id = "R15";
+      title = "exported value with no user";
+      scope = Check_only;
+      description =
+        "A value declared in a lib/ .mli that no file in lib/, bin/, bench/, \
+         examples/ or perfbench/ names outside its own .ml — in a definition, \
+         a top-level 'let () =' or any other module-level expression. Tests \
+         do not count as users. An export nothing calls is surface to keep \
+         documented, tested and compatible for no program. Drop it from the \
+         .mli when only its own module uses it, move a test-only oracle to \
+         test/testutil.ml, delete dead code together with its tests, or \
+         suppress at the val with the reason it stays.";
+    };
   ]
 
 let normalize_id id =
   let up = String.uppercase_ascii (String.trim id) in
   if List.exists (fun r -> String.equal r.id up) all then Some up else None
-
-let find id =
-  match normalize_id id with
-  | None -> None
-  | Some up -> List.find_opt (fun r -> String.equal r.id up) all

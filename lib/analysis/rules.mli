@@ -1,6 +1,6 @@
 (** The registry of numerical-safety rules enforced by deconv-lint.
 
-    Rule ids are stable strings ("R0".."R14") used in findings, in
+    Rule ids are stable strings ("R0".."R15") used in findings, in
     [--disable] flags and in suppression comments. *)
 
 type scope =
@@ -23,9 +23,6 @@ type t = {
 
 val all : t list
 (** Every rule, in id order. *)
-
-val find : string -> t option
-(** Lookup by id, case-insensitive. *)
 
 val normalize_id : string -> string option
 (** ["r4"] -> [Some "R4"]; [None] for unknown ids. *)

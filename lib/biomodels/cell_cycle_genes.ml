@@ -1,4 +1,3 @@
-open Numerics
 
 type gene = {
   name : string;
@@ -54,6 +53,3 @@ let class_index g =
 (* Window edges halfway between the extreme peaks of adjacent classes. *)
 let class_boundaries = [| 0.165; 0.395; 0.66 |]
 
-let sample_profiles genes ~phases =
-  Mat.init (Array.length genes) (Array.length phases) (fun g j ->
-      genes.(g).profile phases.(j))

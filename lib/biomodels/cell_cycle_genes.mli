@@ -25,5 +25,3 @@ val class_boundaries : Vec.t
 (** Right edges of the peak-phase windows separating the four classes
     (length 3), usable with [Deconv.Batch.classify_by_peak]. *)
 
-val sample_profiles : gene array -> phases:Vec.t -> Mat.t
-(** Genes × phases matrix of true single-cell profiles. *)

@@ -5,10 +5,6 @@ open Numerics
    swarmer volume fraction *)
 let transcription_onset = 0.15
 
-(* lint: allow R4 -- Fig. 5 deconvolved ftsZ peak phase; coincidentally equal
-   to the swarmer volume-split value, not derived from it *)
-let peak_phase = 0.4
-
 (* Control points chosen so that: expression is exactly 0 through the
    swarmer stage (φ ≤ 0.15, the transcription delay of Kelly et al. 1998);
    the peak (≈11, matching Fig. 5's deconvolved scale) sits at φ = 0.4; the
@@ -19,8 +15,6 @@ let control_phases = [| 0.0; 0.05; 0.10; 0.15; 0.20; 0.28; 0.40; 0.50; 0.60; 0.7
 let control_values = [| 0.0; 0.0; 0.0; 0.0; 2.0; 7.5; 11.0; 7.0; 3.0; 1.2; 0.4; 0.0 |]
 
 let profile = Gene_profile.from_samples ~phases:control_phases ~values:control_values
-
-let sample grid = Array.map profile grid
 
 let delay_visible ~phases ~values ~threshold =
   assert (Array.length phases = Array.length values);

@@ -14,21 +14,13 @@
 
 open Numerics
 
-val transcription_onset : float
-(** Phase at which ftsZ transcription begins (≈ the SW→ST transition). *)
-
-val peak_phase : float
-(** Phase of maximal transcript concentration (paper: φ ≈ 0.4). *)
-
 val profile : Gene_profile.t
 (** The synthetic single-cell profile. Satisfies the division-conservation
     relation f(1) = 0.4·f(0) + 0.6·f(φ_sst) at φ_sst = onset. *)
 
-val sample : Vec.t -> Vec.t
-
 val delay_visible : phases:Vec.t -> values:Vec.t -> threshold:float -> bool
 (** True when the profile stays below [threshold × max] for all phases
-    before {!transcription_onset} — the paper's "transcription delay"
+    before the transcription onset (φ = 0.15) — the paper's "transcription delay"
     feature detector, applied to either the truth or an estimate. *)
 
 val post_peak_monotone_drop : phases:Vec.t -> values:Vec.t -> tolerance:float -> bool

@@ -4,36 +4,11 @@ type t = float -> float
 
 let constant v _phi = v
 
-let cosine ?(mean = 1.0) ?(amplitude = 0.5) ?(cycles = 1.0) ?(phase_shift = 0.0) () phi =
-  Float.max 0.0 (mean +. (amplitude *. cos (2.0 *. Float.pi *. cycles *. (phi -. phase_shift))))
-
 let gaussian_pulse ~center ~width ~height ?(baseline = 0.0) () phi =
   let z = (phi -. center) /. width in
   baseline +. (height *. exp (-0.5 *. z *. z))
-
-let smoothstep ~at ~width ~low ~high phi =
-  let z = (phi -. at) /. width in
-  let s = 1.0 /. (1.0 +. exp (-.z)) in
-  low +. ((high -. low) *. s)
-
-let ramp ~from_value ~to_value phi = from_value +. ((to_value -. from_value) *. phi)
-
-let delayed_pulse ~delay ~peak_at ~peak ~tail phi =
-  assert (delay < peak_at && peak_at < 1.0);
-  if phi <= delay then 0.0
-  else if phi <= peak_at then begin
-    (* Smooth cubic rise 0 -> peak with zero slope at both ends. *)
-    let s = (phi -. delay) /. (peak_at -. delay) in
-    peak *. s *. s *. (3.0 -. (2.0 *. s))
-  end
-  else begin
-    (* Exponential-like decay toward the tail value, C1 at the peak. *)
-    let s = (phi -. peak_at) /. (1.0 -. peak_at) in
-    tail +. ((peak -. tail) *. exp (-4.0 *. s *. s))
-  end
 
 let from_samples ~phases ~values =
   let interp = Interp.pchip_build ~x:phases ~y:values in
   fun phi -> Interp.pchip_eval interp phi
 
-let sample f grid = Array.map f grid

@@ -8,23 +8,9 @@ type t = float -> float
 
 val constant : float -> t
 
-val cosine : ?mean:float -> ?amplitude:float -> ?cycles:float -> ?phase_shift:float -> unit -> t
-(** [mean + amplitude·cos(2π·cycles·(φ − shift))], clipped at 0. *)
-
 val gaussian_pulse : center:float -> width:float -> height:float -> ?baseline:float -> unit -> t
 (** A smooth bump. *)
-
-val smoothstep : at:float -> width:float -> low:float -> high:float -> t
-(** Sigmoidal step from [low] to [high] centered at [at]. *)
-
-val ramp : from_value:float -> to_value:float -> t
-
-val delayed_pulse : delay:float -> peak_at:float -> peak:float -> tail:float -> t
-(** Zero until [delay], smooth rise to [peak] at [peak_at], then decay to
-    [tail] at φ = 1 — the shape family of cell-division genes such as ftsZ. *)
 
 val from_samples : phases:Vec.t -> values:Vec.t -> t
 (** Monotone-cubic interpolation through sample points (clamped outside). *)
 
-val sample : t -> Vec.t -> Vec.t
-(** Evaluate a profile on a phase grid. *)

@@ -14,8 +14,6 @@ val default_params : params
     Caulobacter cell cycle when time is measured in minutes. *)
 
 val default_x0 : Vec.t
-val system : params -> Ode.system
-val simulate : ?rtol:float -> params -> x0:Vec.t -> times:Vec.t -> Ode.solution
 
 val period : ?t_max:float -> ?transient:float -> params -> x0:Vec.t -> float
 (** Period measured after discarding an initial transient (the Goodwin

@@ -15,10 +15,6 @@ let system p : Ode.system =
 
 let equilibrium p = [| p.d /. p.c; p.a /. p.b |]
 
-let conserved p y =
-  let x1 = y.(0) and x2 = y.(1) in
-  (p.c *. x1) -. (p.d *. log x1) +. (p.b *. x2) -. (p.a *. log x2)
-
 let simulate ?(rtol = 1e-9) p ~x0 ~times = Ode.rk45 ~rtol ~atol:1e-12 (system p) ~y0:x0 ~times
 
 let period ?(t_max = 1000.0) p ~x0 =

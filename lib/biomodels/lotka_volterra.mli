@@ -15,15 +15,6 @@ type params = { a : float; b : float; c : float; d : float }
 val default_params : params
 val default_x0 : Vec.t
 
-val system : params -> Ode.system
-
-val equilibrium : params -> Vec.t
-(** The coexistence fixed point (d/c, a/b). *)
-
-val conserved : params -> Vec.t -> float
-(** The LV first integral V = c·x1 − d·ln x1 + b·x2 − a·ln x2; constant
-    along trajectories (used to validate the integrator). *)
-
 val simulate : ?rtol:float -> params -> x0:Vec.t -> times:Vec.t -> Ode.solution
 
 val period : ?t_max:float -> params -> x0:Vec.t -> float

@@ -13,8 +13,6 @@ val default_params : params
 (** [timescale] rescales time so the period lands near 150 'minutes'. *)
 
 val default_x0 : Vec.t
-val system : params -> Ode.system
-val simulate : ?rtol:float -> params -> x0:Vec.t -> times:Vec.t -> Ode.solution
 val period : ?t_max:float -> ?transient:float -> params -> x0:Vec.t -> float
 
 val phase_profile : ?species:int -> params -> x0:Vec.t -> n_phi:int -> Vec.t * Vec.t

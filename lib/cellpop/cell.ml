@@ -27,8 +27,6 @@ let stalked_daughter (p : Params.t) rng =
   let phi_sst = draw_phi_sst p rng in
   { phase = phi_sst; phi_sst; cycle_minutes = draw_cycle_minutes p rng }
 
-let rate c = 1.0 /. c.cycle_minutes
-
 let time_to_division c = (1.0 -. c.phase) *. c.cycle_minutes
 
 let advance c dt =
@@ -38,4 +36,3 @@ let advance c dt =
 
 let volume p c = Volume.eval p ~phi_sst:c.phi_sst c.phase
 
-let is_swarmer c = c.phase < c.phi_sst

@@ -26,9 +26,6 @@ val stalked_daughter : Params.t -> Rng.t -> t
 (** Fresh ST daughter re-entering its cycle at its own φ_sst (it skips the
     swarmer stage). *)
 
-val rate : t -> float
-(** Phase progression rate dφ/dt = 1/T_k (per minute). *)
-
 val time_to_division : t -> float
 (** Minutes until this cell reaches φ = 1. *)
 
@@ -37,4 +34,3 @@ val advance : t -> float -> t
     must ensure the cell does not cross φ = 1 (use {!time_to_division}). *)
 
 val volume : Params.t -> t -> float
-val is_swarmer : t -> bool

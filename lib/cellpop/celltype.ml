@@ -2,14 +2,6 @@ open Numerics
 
 type category = SW | STE | STEPD | STLPD
 
-let category_to_string = function
-  | SW -> "SW"
-  | STE -> "STE"
-  | STEPD -> "STEPD"
-  | STLPD -> "STLPD"
-
-let all_categories = [ SW; STE; STEPD; STLPD ]
-
 type boundaries = { ste_to_stepd : float; stepd_to_stlpd : float }
 
 (* lint: allow R4 -- DNA-content gate boundary between early and

@@ -6,13 +6,12 @@
     Chromosome replication initiates at the SW→ST transition (the same
     event that gates ftsZ transcription) and completes before division, so
     DNA content is 1C for φ < φ_sst, ramps linearly to 2C during
-    replication, and stays 2C until division. *)
+    replication, which completes at φ = 0.92, and stays 2C until division. *)
 
 open Numerics
 
-val replication_end_phase : float
-(** Phase at which replication completes (0.92). *)
-
+(* lint: allow R15 — the per-cell rule under [fractions] and [histogram];
+   test/test_dna_content.ml checks its replication ramp cell by cell *)
 val of_cell : Cell.t -> float
 (** DNA content in chromosome equivalents (1.0 … 2.0). *)
 

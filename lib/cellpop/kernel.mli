@@ -29,9 +29,6 @@ val estimate :
     [smooth_window] (odd, default 1 = off) applies a triangular moving
     average to each time row before normalization. *)
 
-val of_snapshots : ?smooth_window:int -> Params.t -> Population.snapshot array -> n_phi:int -> n0:int -> t
-(** Build the kernel from an existing simulation. *)
-
 val row : t -> int -> Vec.t
 (** Q(·, times.(m)). *)
 

@@ -15,9 +15,6 @@ val valid_until : Params.t -> float
     no-division assumption holds for essentially all cells (the 3σ-fastest
     cell starting closest to division). *)
 
-val q_tilde : ?quad_nodes:int -> Params.t -> phi:float -> t:float -> float
-(** Pointwise Q̃(φ, t) (volume density per founder cell). *)
-
 val estimate : ?quad_nodes:int -> Params.t -> times:Vec.t -> n_phi:int -> Kernel.t
 (** Full kernel on the standard bin-center grid; rows are normalized like
     the Monte-Carlo kernel. All [times] should be below {!valid_until}

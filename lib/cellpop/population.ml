@@ -87,12 +87,7 @@ let simulate params ~rng ~n0 ~times =
 
 let count s = Array.length s.cells
 
-let total_volume params s =
-  Array.fold_left (fun acc c -> acc +. Cell.volume params c) 0.0 s.cells
-
 let phases s = Array.map (fun (c : Cell.t) -> c.Cell.phase) s.cells
-
-let volumes params s = Array.map (Cell.volume params) s.cells
 
 let growth_rate ?discard snapshots =
   let n = Array.length snapshots in

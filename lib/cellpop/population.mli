@@ -26,12 +26,7 @@ val simulate : Params.t -> rng:Rng.t -> n0:int -> times:Vec.t -> snapshot array
 
 val count : snapshot -> int
 
-val total_volume : Params.t -> snapshot -> float
-(** Σ_k v_k(φ_k) — the population volume V(t) of paper eq. 1 (up to the
-    factor N·∫Q̃). *)
-
 val phases : snapshot -> Vec.t
-val volumes : Params.t -> snapshot -> Vec.t
 
 val mean_signal : Params.t -> (phi:float -> float) -> snapshot -> float
 (** Volume-weighted population average of a per-cell phase profile:

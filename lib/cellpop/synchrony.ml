@@ -15,18 +15,6 @@ let order_parameter (s : Population.snapshot) =
     sqrt (((!sum_cos /. nf) ** 2.0) +. ((!sum_sin /. nf) ** 2.0))
   end
 
-let mean_phase (s : Population.snapshot) =
-  let sum_cos = ref 0.0 and sum_sin = ref 0.0 in
-  Array.iter
-    (fun (c : Cell.t) ->
-      let angle = 2.0 *. Float.pi *. c.Cell.phase in
-      sum_cos := !sum_cos +. Float.cos angle;
-      sum_sin := !sum_sin +. Float.sin angle)
-    s.Population.cells;
-  let angle = Float.atan2 !sum_sin !sum_cos in
-  let phase = angle /. (2.0 *. Float.pi) in
-  if phase < 0.0 then phase +. 1.0 else phase
-
 let phase_entropy ?(bins = 50) (s : Population.snapshot) =
   let n = Array.length s.Population.cells in
   if n = 0 then 0.0

@@ -4,19 +4,12 @@
 
 open Numerics
 
-val order_parameter : Population.snapshot -> float
-(** Kuramoto order parameter R = |⟨e^{2πiφ}⟩| ∈ [0, 1]: 1 for a perfectly
-    synchronized population, ~0 for phases spread uniformly. *)
-
-val mean_phase : Population.snapshot -> float
-(** Circular mean phase in [0, 1). *)
-
-val phase_entropy : ?bins:int -> Population.snapshot -> float
-(** Normalized Shannon entropy of the phase histogram in [0, 1]:
-    0 = concentrated in one bin, 1 = uniform (default 50 bins). *)
-
 val over_time : Population.snapshot array -> Vec.t * Vec.t
-(** [(order_parameters, entropies)] per snapshot. *)
+(** [(order_parameters, entropies)] per snapshot. The Kuramoto order
+    parameter R = |⟨e^{2πiφ}⟩| ∈ [0, 1] is 1 for a perfectly synchronized
+    population and ~0 for phases spread uniformly; the entropy is the
+    normalized Shannon entropy of a 50-bin phase histogram in [0, 1]:
+    0 = concentrated in one bin, 1 = uniform. *)
 
 val decay_time : Vec.t -> times:Vec.t -> threshold:float -> float option
 (** First time the order parameter falls below [threshold] (linear

@@ -16,11 +16,6 @@ let linear ~v0 ~phi_sst phi =
   if phi < phi_sst then v0 *. (sw +. ((st -. sw) *. phi /. phi_sst))
   else v0 *. (st +. ((1.0 -. st) *. (phi -. phi_sst) /. (1.0 -. phi_sst)))
 
-let linear_deriv ~v0 ~phi_sst phi =
-  check phi_sst phi;
-  if phi < phi_sst then v0 *. (st -. sw) /. phi_sst
-  else v0 *. stalked_slope ~phi_sst
-
 (* Paper eq. 11: a cubic on [0, φ_sst] pinned by v(0) = sw·v0,
    v(φ_sst) = st·v0 and rate continuity v'(0) = v'(φ_sst) = β (the
    stalked-segment slope), followed by the linear stalked segment. *)
@@ -41,22 +36,7 @@ let smooth ~v0 ~phi_sst phi =
   end
   else v0 *. (1.0 +. (stalked_slope ~phi_sst *. (phi -. 1.0)))
 
-let smooth_deriv ~v0 ~phi_sst phi =
-  check phi_sst phi;
-  if phi < phi_sst then begin
-    let c1, c2, c3 = smooth_cubic_coeffs ~phi_sst in
-    v0 *. (c1 +. (2.0 *. c2 *. phi) +. (3.0 *. c3 *. phi *. phi))
-  end
-  else v0 *. stalked_slope ~phi_sst
-
 let eval (p : Params.t) ~phi_sst phi =
   match p.volume_model with
   | Params.Linear -> linear ~v0:p.v0 ~phi_sst phi
   | Params.Smooth -> smooth ~v0:p.v0 ~phi_sst phi
-
-let deriv (p : Params.t) ~phi_sst phi =
-  match p.volume_model with
-  | Params.Linear -> linear_deriv ~v0:p.v0 ~phi_sst phi
-  | Params.Smooth -> smooth_deriv ~v0:p.v0 ~phi_sst phi
-
-let beta ~phi_sst = stalked_slope ~phi_sst

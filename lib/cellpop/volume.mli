@@ -6,21 +6,8 @@
     & Shapiro 2006). The smooth model additionally satisfies the
     rate-continuity conditions of eqs. 9–10: v'(0) = v'(φ_sst) = v'(1). *)
 
-val linear : v0:float -> phi_sst:float -> float -> float
-(** Piecewise-linear model of the 2009 paper. *)
-
-val linear_deriv : v0:float -> phi_sst:float -> float -> float
-
-val smooth : v0:float -> phi_sst:float -> float -> float
-(** Piecewise polynomial of paper eq. 11 (cubic before φ_sst, linear
-    after). *)
-
-val smooth_deriv : v0:float -> phi_sst:float -> float -> float
-
 val eval : Params.t -> phi_sst:float -> float -> float
-(** Dispatch on [Params.volume_model]. *)
-
-val deriv : Params.t -> phi_sst:float -> float -> float
-
-val beta : phi_sst:float -> float
-(** β(φ_sst) = v'(1)/V0 = 0.4/(1 − φ_sst) (paper, below eq. 12). *)
+(** v(φ) for a cell with transition phase [phi_sst] and final volume
+    [Params.v0], by [Params.volume_model]: [Linear] is the
+    piecewise-linear model of the 2009 paper, [Smooth] the piecewise
+    polynomial of paper eq. 11 (cubic before φ_sst, linear after). *)

@@ -201,7 +201,6 @@ let load ~path =
 
 type t = { path : string; mutable entries : entry list (* in append order *) }
 
-let path t = t.path
 let entries t = t.entries
 
 let flush_to_disk t =

@@ -62,8 +62,6 @@ val append : t -> entry list -> unit
 val entries : t -> entry list
 (** All entries, in append order. *)
 
-val path : t -> string
-
 val find : entry list -> gene:int -> key:string -> entry option
 (** The replayable entry for a gene, if its key matches. *)
 

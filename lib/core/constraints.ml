@@ -44,8 +44,6 @@ let density_integral params h = integrate (quadrature params) h
    final volume still to be grown, spread over the remaining phase. *)
 let beta phi = (1.0 -. Cellpop.Params.st_volume_fraction) /. (1.0 -. phi)
 
-let beta0 params = density_integral params beta
-
 let conservation_row params (basis : Spline.Basis.t) =
   let sw = Cellpop.Params.sw_volume_fraction in
   let st = Cellpop.Params.st_volume_fraction in
@@ -69,9 +67,3 @@ let rate_continuity_row params (basis : Spline.Basis.t) =
       +. psi' 1.0)
 
 let positivity_rows basis ~grid = Spline.Basis.design basis grid
-
-let residual_conservation params basis alpha =
-  Vec.dot (conservation_row params basis) alpha
-
-let residual_rate_continuity params basis alpha =
-  Vec.dot (rate_continuity_row params basis) alpha

@@ -24,12 +24,12 @@
 
 open Numerics
 
+(* lint: allow R15 — ∫h·p on the rows' own quadrature: test/test_deconv_core.ml
+   checks β₀, E[φ_sst] and the rows' integrands through it, bit for bit
+   against Simpson *)
 val density_integral : Cellpop.Params.t -> (float -> float) -> float
 (** ∫₀¹ h(φ)·p(φ) dφ with p the Gaussian density of φ_sst, by the
     tabulated Simpson rule above. *)
-
-val beta0 : Cellpop.Params.t -> float
-(** β₀ = ∫β(φ)p(φ)dφ (paper eq. 14). *)
 
 val conservation_row : Cellpop.Params.t -> Spline.Basis.t -> Vec.t
 (** Row vector c with c·α = 0 ⇔ f_α(1) − 0.4·f_α(0) − 0.6·∫p f_α = 0. *)
@@ -41,8 +41,3 @@ val rate_continuity_row : Cellpop.Params.t -> Spline.Basis.t -> Vec.t
 val positivity_rows : Spline.Basis.t -> grid:Vec.t -> Mat.t
 (** Inequality rows Ψ(φ_g) for f_α(φ_g) ≥ 0. *)
 
-val residual_conservation : Cellpop.Params.t -> Spline.Basis.t -> Vec.t -> float
-(** The conservation functional evaluated at coefficients α (should be ~0
-    for a constrained estimate). *)
-
-val residual_rate_continuity : Cellpop.Params.t -> Spline.Basis.t -> Vec.t -> float

@@ -9,6 +9,5 @@ let matrix_basis k basis =
   let design = Spline.Basis.design basis k.Cellpop.Kernel.phases in
   Mat.matmul (matrix_grid k) design
 
-let apply k f = Cellpop.Kernel.integrate_profile k f
-
-let apply_fn k profile = apply k (Array.map profile k.Cellpop.Kernel.phases)
+let apply_fn k profile =
+  Cellpop.Kernel.integrate_profile k (Array.map profile k.Cellpop.Kernel.phases)

@@ -13,8 +13,5 @@ val matrix_basis : Cellpop.Kernel.t -> Spline.Basis.t -> Mat.t
 (** (Nm × Nc) matrix [A·Ψ] mapping spline coefficients α directly to
     predicted measurements Ĝ (paper's Ĝ(t_m) = ∫Q(φ,t_m)f_α(φ)dφ). *)
 
-val apply : Cellpop.Kernel.t -> Vec.t -> Vec.t
-(** [apply kernel f] = G for a grid-sampled profile. *)
-
 val apply_fn : Cellpop.Kernel.t -> (float -> float) -> Vec.t
 (** Forward model of a profile given as a function of phase. *)

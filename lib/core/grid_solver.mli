@@ -17,6 +17,8 @@ type estimate = {
   roughness : float;  (** ‖D₂f‖² (scaled to approximate ∫f″²) *)
 }
 
+(* lint: allow R15 — the grid roughness operator under [solve]; test/test_grid_solver.ml
+   checks that it annihilates lines and scales as 1/h² *)
 val second_difference : int -> bin_width:float -> Mat.t
 (** (n−2) × n matrix approximating f″ at interior nodes. *)
 

@@ -16,6 +16,10 @@ let robust_gamma = 1.4
 
 let usable_lambda lambda = Float.is_finite lambda && lambda >= 0.0
 
+(* A selector argument that no candidate can fix: a typed error at the
+   entry point rather than an assertion deep inside the sweep. *)
+let invalid ~field why = Robust.Error.raise_error (Robust.Error.Invalid_input { field; why })
+
 (* Candidate costs must never let a NaN/Inf win the argmin (NaN compares
    false against everything, so a NaN first candidate would otherwise stick
    as "best"): non-finite scores, non-finite lambda points and candidates
@@ -64,7 +68,7 @@ let factorization ~selector ?spectral problem =
    dispatch overhead, so fanning out would only slow it down. The argmin
    is strict < in index order, so the first of tied winners is chosen. *)
 let sweep ~lambdas ~score_of =
-  assert (Array.length lambdas > 0);
+  if Array.length lambdas = 0 then invalid ~field:"lambdas" "the candidate grid is empty";
   let curve =
     Array.map (fun lambda -> { lambda; score = guarded_score lambda score_of }) lambdas
   in
@@ -108,6 +112,9 @@ let kfold problem ~rng ~k ~lambdas =
   let omega = Problem.penalty problem in
   let b = problem.Problem.measurements in
   let n = Array.length b in
+  if k < 2 || k > n then
+    invalid ~field:"k"
+      (Printf.sprintf "%d-fold cross-validation needs 2 <= k <= %d measurements" k n);
   (* One [split] of the caller's stream fixes the fold assignment for the
      whole sweep, so every λ sees the same folds. *)
   let folds = Optimize.Cross_validation.kfold_indices (Rng.split rng) ~n ~k in
@@ -201,7 +208,9 @@ let lcurve_corner ~lambdas points =
    coordinates are dropped (None): they take no part in the curvature
    search. *)
 let lcurve ?spectral problem ~lambdas =
-  assert (Array.length lambdas >= 3);
+  if Array.length lambdas < 3 then
+    invalid ~field:"lambdas"
+      (Printf.sprintf "the L-curve needs at least 3 candidates, got %d" (Array.length lambdas));
   let fact, proj = factorization ~selector:"L-curve" ?spectral problem in
   let points =
     Array.map

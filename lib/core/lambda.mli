@@ -28,6 +28,8 @@ val gcv :
     course; the γ-correction removes that failure mode. Returns the winning
     λ and the full curve. *)
 
+(* lint: allow R15 — the scored curve that [select] discards: test/test_solver.ml and
+   test/test_spectral.ml check it point by point against Testutil.kfold_score *)
 val kfold :
   Problem.t -> rng:Rng.t -> k:int -> lambdas:Vec.t -> float * curve_point array
 (** k-fold cross-validation: each fold refits on the remaining measurements
@@ -40,6 +42,8 @@ val kfold :
     assignment comes from one [Rng.split] of [rng], so every candidate
     sees the same folds. *)
 
+(* lint: allow R15 — the curvature curve that [select] discards: test/test_deconv_ext.ml
+   checks its corner *)
 val lcurve :
   ?spectral:Optimize.Spectral.t -> Problem.t -> lambdas:Vec.t -> float * curve_point array
 (** L-curve selection: pick the λ of maximum curvature of the parametric
@@ -69,7 +73,10 @@ val select :
     {!Linalg.Singular}) are skipped rather than allowed to win the argmin.
     When {e every} candidate is non-finite the selection raises
     {!Robust.Error.Error} with [Non_finite {stage = "lambda selection ..."}]
-    — use {!select_result} for the non-raising form.
+    — use {!select_result} for the non-raising form. Arguments no
+    candidate can fix raise [Invalid_input]: [{field = "k"}] unless
+    2 <= k <= the number of measurements, and [{field = "lambdas"}] for an
+    empty grid or an L-curve grid of fewer than 3 candidates.
 
     When a trace sink is installed, the full candidate profile the
     selector scored (empty for [`Fixed]) is emitted as a ["lambda"]-stage

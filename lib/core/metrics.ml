@@ -21,7 +21,3 @@ let to_string c =
   Printf.sprintf "rmse=%.4g nrmse=%.4g mae=%.4g max=%.4g corr=%.4f" c.rmse c.nrmse c.mae
     c.max_abs c.correlation
 
-let improvement_factor ~truth ~baseline ~estimate =
-  let baseline_rmse = Stats.rmse truth baseline in
-  let estimate_rmse = Stats.rmse truth estimate in
-  if Float.equal estimate_rmse 0.0 then Float.infinity else baseline_rmse /. estimate_rmse

@@ -15,7 +15,3 @@ val compare : truth:Vec.t -> estimate:Vec.t -> comparison
 
 val to_string : comparison -> string
 
-val improvement_factor : truth:Vec.t -> baseline:Vec.t -> estimate:Vec.t -> float
-(** RMSE(baseline, truth) / RMSE(estimate, truth): > 1 when the estimate is
-    closer to the truth than the baseline (e.g. deconvolved vs. raw
-    population signal). *)

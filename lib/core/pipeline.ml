@@ -10,7 +10,6 @@ type config = {
   n_cells_kernel : int;
   n_cells_data : int;
   n_phi : int;
-  kernel_smooth_window : int;
   times : Vec.t;
   num_knots : int;
   noise : Noise.model;
@@ -21,8 +20,10 @@ type config = {
   forward_mode : forward_mode;
   seed : int;
   measurement_fault : Vec.t Robust.Fault.t option;
-  solver_policy : Solver.policy;
 }
+
+(* Phase bins averaged per kernel row before normalization. *)
+let kernel_smooth_window = 5
 
 let default_config ~times =
   {
@@ -31,7 +32,6 @@ let default_config ~times =
     n_cells_kernel = 4000;
     n_cells_data = 4000;
     n_phi = 201;
-    kernel_smooth_window = 5;
     times;
     num_knots = 12;
     noise = Noise.No_noise;
@@ -42,7 +42,6 @@ let default_config ~times =
     forward_mode = Monte_carlo;
     seed = 1;
     measurement_fault = None;
-    solver_policy = Solver.default_policy;
   }
 
 type run = {
@@ -76,7 +75,7 @@ let run config ~profile =
   let rng_fault = Rng.split root in
   let kernel =
     Obs.Span.with_ "pipeline.kernel" (fun _ ->
-        Cellpop.Kernel.estimate ~smooth_window:config.kernel_smooth_window inversion_params
+        Cellpop.Kernel.estimate ~smooth_window:kernel_smooth_window inversion_params
           ~rng:rng_kernel ~n_cells:config.n_cells_kernel ~times:config.times
           ~n_phi:config.n_phi)
   in
@@ -86,7 +85,7 @@ let run config ~profile =
     | Same_kernel -> Forward.apply_fn kernel profile
     | Independent_kernel ->
       let data_kernel =
-        Cellpop.Kernel.estimate ~smooth_window:config.kernel_smooth_window config.data_params
+        Cellpop.Kernel.estimate ~smooth_window:kernel_smooth_window config.data_params
           ~rng:rng_data ~n_cells:config.n_cells_data ~times:config.times ~n_phi:config.n_phi
       in
       Forward.apply_fn data_kernel profile
@@ -128,7 +127,7 @@ let run config ~profile =
   Obs.Span.set_float pipeline_span "lambda" lambda;
   let estimate, report =
     Obs.Span.with_ "pipeline.solve" @@ fun _ ->
-    match Solver.solve_robust ~policy:config.solver_policy ~lambda problem with
+    match Solver.solve_robust ~lambda problem with
     | Ok (estimate, report) -> (estimate, report)
     | Error e -> Robust.Error.raise_error e
   in
@@ -151,8 +150,6 @@ let run config ~profile =
     report;
     recovery;
   }
-
-let population_vs_phase r = (Array.copy r.config.times, Array.copy r.noisy)
 
 let deconvolved_vs_minutes r =
   let t_mean =

@@ -28,7 +28,6 @@ type config = {
   n_cells_kernel : int;
   n_cells_data : int;
   n_phi : int;
-  kernel_smooth_window : int;
   times : Vec.t;  (** measurement times, minutes *)
   num_knots : int;  (** natural-spline knots (basis size) *)
   noise : Noise.model;
@@ -41,13 +40,13 @@ type config = {
   measurement_fault : Vec.t Robust.Fault.t option;
       (** optional fault injected into the noisy measurements before the
           inversion — the end-to-end robustness test hook *)
-  solver_policy : Solver.policy;  (** degradation-cascade policy *)
 }
 
 val default_config : times:Vec.t -> config
 (** Paper-2011 population parameters, 4000-cell kernel, 201 phase bins,
     12 knots, no noise, GCV selection, all constraints on, Monte-Carlo
-    forward, seed 1. *)
+    forward, seed 1. Every run smooths its kernels over 5 phase bins and
+    solves through {!Solver.solve_robust} at {!Solver.default_policy}. *)
 
 type run = {
   config : config;
@@ -70,10 +69,6 @@ val run : config -> profile:(float -> float) -> run
     candidate is non-finite) and the degradation cascade handles faulty
     data. Raises {!Robust.Error.Error} only when even the cascade's last
     fallback cannot produce a finite estimate. *)
-
-val population_vs_phase : run -> Vec.t * Vec.t
-(** [(minutes, values)] of the measured population signal (for plotting
-    against the single-cell series). *)
 
 val deconvolved_vs_minutes : run -> Vec.t * Vec.t
 (** The deconvolved profile with phase scaled to minutes by the mean cycle

@@ -38,10 +38,6 @@ val standardized_residuals : Problem.t -> fitted:Vec.t -> Vec.t
     {!Diagnostics.analyze}, the residual bootstrap and the batch quality
     summary. *)
 
-val residual_stats : Problem.t -> fitted:Vec.t -> (string * float) list
-(** [("runs_z", z); ("normality_z", z)] on {!standardized_residuals} —
-    the whiteness and noise-model moment checks. *)
-
 val emit_solve :
   ?solve:string ->
   problem:Problem.t ->
@@ -98,16 +94,6 @@ val cards : ?thresholds:thresholds -> Obs.Export.event list -> card list
     first-seen order; the ["lambda"] record of the same solve contributes
     the selector and candidate profile. Statistics absent from the stream
     read as NaN. *)
-
-val healthy : card -> bool
-
-val verdict : card -> string
-(** ["healthy"] or the comma-joined flag list. *)
-
-val output_card : ?thresholds:thresholds -> ?plot:bool -> out_channel -> card -> unit
-(** Render one report card; [plot] (default true) draws the λ-profile as
-    an {!Dataio.Ascii_plot} curve when the card carries ≥ 2 finite
-    candidate points. *)
 
 val output_report : ?thresholds:thresholds -> ?plot:bool -> out_channel -> card list -> unit
 (** All cards plus a flagged-solve count footer. *)

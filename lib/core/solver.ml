@@ -61,8 +61,7 @@ let finish problem lambda a w omega (alpha : Vec.t) iterations active =
    QP runs on the free coefficients β of α = Zβ (ZᵀHZ, Zᵀg and the
    positivity rows ΨZ), so the equality rows hold by construction and the
    solution's [x] and [active] are in β coordinates. *)
-let solve_constrained ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 100)
-    ~lambda problem =
+let solve_constrained ?on_iteration ?(ridge = 0.0) ?(max_iter = 100) ~lambda problem =
   Obs.Span.with_ "solver.constrained" (fun sp ->
       Obs.Span.set_float sp "lambda" lambda;
       Obs.Span.set_float sp "ridge" ridge;
@@ -73,8 +72,7 @@ let solve_constrained ?on_iteration ?(ridge = 0.0) ?(tol = 1e-9) ?(max_iter = 10
         Option.map (fun (p : Mat.t) -> (p, Vec.zeros p.Mat.rows)) problem.Problem.positivity
       in
       let solution =
-        Optimize.Qp.solve ?on_iteration ~tol ~max_iter
-          { Optimize.Qp.h; g = g_lin; ineq }
+        Optimize.Qp.solve ?on_iteration ~max_iter { Optimize.Qp.h; g = g_lin; ineq }
       in
       let est =
         finish problem lambda a w omega (Mat.mv z solution.Optimize.Qp.x)
@@ -114,42 +112,39 @@ let naive problem =
   let scale = Float.max 1e-300 (Vec.norm_inf problem.Problem.measurements) in
   { (solve_unconstrained ~lambda:(1e-12 *. scale *. scale) problem) with lambda = 0.0 }
 
-let profile_on problem estimate grid =
-  Spline.Basis.combine_many problem.Problem.basis estimate.alpha grid
-
 (* ---------------- graceful degradation ---------------- *)
 
 type policy = {
   max_retries : int;
-  lambda_boost : float;
-  ridge_floor : float;
-  ridge_growth : float;
   condition_limit : float;
-  qp_tol : float;
   qp_max_iter : int;
   enable_unconstrained : bool;
   enable_richardson_lucy : bool;
   repair_inputs : bool;
-  rl_iterations : int;
 }
 
 let default_policy =
   {
     max_retries = 2;
-    lambda_boost = 10.0;
-    ridge_floor = 1e-8;
-    ridge_growth = 100.0;
     (* κ ≈ 1e10 still leaves ~6 significant digits in double precision and
        shows up on routine noisy datasets; only precondition when a direct
        solve is genuinely at risk. *)
     condition_limit = 1e12;
-    qp_tol = 1e-9;
     qp_max_iter = 100;
     enable_unconstrained = true;
     enable_richardson_lucy = true;
     repair_inputs = true;
-    rl_iterations = 200;
   }
+
+(* The retry schedule: each retry multiplies λ by [lambda_boost]; the
+   first retry's ridge is [ridge_floor]·‖H‖_max and each further one
+   multiplies it by [ridge_growth]. *)
+let lambda_boost = 10.0
+let ridge_floor = 1e-8
+let ridge_growth = 100.0
+
+(* Richardson–Lucy iterations of the last-resort stage. *)
+let rl_iterations = 200
 
 (* Sigma that effectively removes a measurement from the fit (weight
    1/σ² ~ 1e-300) while staying finite and positive for validation. *)
@@ -285,7 +280,7 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
     let condition = (Quality.system problem ~lambda).kappa in
     Obs.Metrics.set "solver.condition" condition;
     let precondition_ridge =
-      if condition > policy.condition_limit then policy.ridge_floor *. h_scale else 0.0
+      if condition > policy.condition_limit then ridge_floor *. h_scale else 0.0
     in
     (* What a singular factorization means to the QP and spline stages. *)
     let ill_conditioned = Robust.Error.Ill_conditioned { cond = condition } in
@@ -301,12 +296,12 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
     (* Stage 1: constrained QP with bounded retry — escalating λ boost and
        ridge floor over the regularization strength. *)
     let constrained k =
-      let lam = lambda *. (policy.lambda_boost ** float_of_int k) in
+      let lam = lambda *. (lambda_boost ** float_of_int k) in
       let ridge =
         if k = 0 then precondition_ridge
         else
-          Float.max precondition_ridge (policy.ridge_floor *. h_scale)
-          *. (policy.ridge_growth ** float_of_int (k - 1))
+          Float.max precondition_ridge (ridge_floor *. h_scale)
+          *. (ridge_growth ** float_of_int (k - 1))
       in
       {
         stage = Robust.Report.Constrained_qp;
@@ -320,8 +315,8 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
         run =
           (fun () ->
             match
-              solve_constrained ~on_iteration ~ridge ~tol:policy.qp_tol
-                ~max_iter:policy.qp_max_iter ~lambda:lam problem
+              solve_constrained ~on_iteration ~ridge ~max_iter:policy.qp_max_iter ~lambda:lam
+                problem
             with
             | exception Linalg.Singular _ -> Error (ill_conditioned, 0)
             | est, { Optimize.Qp.status = Optimize.Qp.Converged; _ } -> Ok est
@@ -333,11 +328,11 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
     (* Stage 2: unconstrained smoothing spline at the most-boosted
        regularization. *)
     let unconstrained =
-      let lam = lambda *. (policy.lambda_boost ** float_of_int policy.max_retries) in
+      let lam = lambda *. (lambda_boost ** float_of_int policy.max_retries) in
       let ridge =
         Float.max precondition_ridge
-          (policy.ridge_floor *. h_scale
-          *. (policy.ridge_growth ** float_of_int (Stdlib.max 0 (policy.max_retries - 1))))
+          (ridge_floor *. h_scale
+          *. (ridge_growth ** float_of_int (Stdlib.max 0 (policy.max_retries - 1))))
       in
       {
         stage = Robust.Report.Unconstrained;
@@ -374,7 +369,7 @@ let solve_robust_validated ~policy ~budget ~lambda problem =
               Array.map (fun g -> Float.max 0.0 g) problem.Problem.measurements
             in
             match
-              Richardson_lucy.deconvolve ~on_iteration ~iterations:policy.rl_iterations
+              Richardson_lucy.deconvolve ~on_iteration ~iterations:rl_iterations
                 problem.Problem.kernel ~measurements ()
             with
             | rl -> Ok (estimate_of_richardson_lucy problem lambda rl)

@@ -42,6 +42,8 @@ val solve :
     reduced minimizer without positivity and adds the violated rows one
     at a time ({!Optimize.Qp}). *)
 
+(* lint: allow R15 — the pure smoothing-spline baseline under the cascade's unconstrained
+   stage; the solver and spectral tests compare against it *)
 val solve_unconstrained : ?lambda:float -> ?ridge:float -> Problem.t -> estimate
 (** The same objective ignoring all constraints — the pure smoothing-spline
     baseline (the robust cascade's unconstrained stage, and ablations).
@@ -56,9 +58,6 @@ val naive : Problem.t -> estimate
     ill-posedness of the inversion (paper §2.3: "this inversion process is
     ill-posed"). *)
 
-val profile_on : Problem.t -> estimate -> Vec.t -> Vec.t
-(** Evaluate the estimated f̂ on an arbitrary phase grid. *)
-
 val finite_estimate : estimate -> bool
 (** All of [alpha], [profile], [fitted] and [cost] are finite — the
     sanity gate the cascade (and the fault-isolated batch) applies before
@@ -68,18 +67,19 @@ val finite_estimate : estimate -> bool
 
 type policy = {
   max_retries : int;  (** extra constrained attempts after the first *)
-  lambda_boost : float;  (** λ multiplier per retry *)
-  ridge_floor : float;  (** first retry's ridge, relative to ‖H‖_max *)
-  ridge_growth : float;  (** ridge multiplier per further retry *)
   condition_limit : float;  (** κ above which a preemptive ridge is applied *)
-  qp_tol : float;
   qp_max_iter : int;
   enable_unconstrained : bool;  (** allow degradation level 2 *)
   enable_richardson_lucy : bool;  (** allow degradation level 3 *)
   repair_inputs : bool;  (** mask NaN measurements, fix bad sigmas *)
-  rl_iterations : int;
 }
+(** The cascade's switches. Its retry schedule is fixed: each retry
+    multiplies λ by 10; the first retry's ridge is 1e-8·‖H‖_max and each
+    further one multiplies it by 100; the Richardson–Lucy stage runs 200
+    iterations. *)
 
+(* lint: allow R15 — [solve_robust]'s default switches; the fallback tests override
+   its fields to force each rung of the cascade *)
 val default_policy : policy
 (** 2 retries, λ×10 per retry, relative ridge floor 1e-8 growing ×100,
     condition limit 1e12, both fallbacks and input repair enabled. *)

@@ -51,9 +51,3 @@ let summarize comparisons =
     fraction_above_09 = float_of_int above /. float_of_int runs;
   }
 
-let to_string s =
-  let q25, q75 = s.iqr_rmse in
-  Printf.sprintf
-    "%d runs: rmse median %.4g (IQR %.4g-%.4g), corr median %.4f, worst %.4f, %.0f%% runs > 0.9"
-    s.runs s.median_rmse q25 q75 s.median_correlation s.worst_correlation
-    (100.0 *. s.fraction_above_09)

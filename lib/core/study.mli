@@ -4,6 +4,8 @@
 
 open Numerics
 
+(* lint: allow R15 — the study's profile generator; test/test_schedule_study.ml checks
+   its profiles are nonnegative and independent *)
 val random_profile : Rng.t -> float -> float
 (** A random non-negative phase profile: a baseline plus 1–3 Gaussian
     pulses with random centers, widths and heights. Calling it is pure;
@@ -26,4 +28,3 @@ val recovery_distribution :
 
 val summarize : Metrics.comparison array -> summary
 
-val to_string : summary -> string

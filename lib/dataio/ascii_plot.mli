@@ -5,12 +5,6 @@ open Numerics
 
 type series = { label : string; glyph : char; xs : Vec.t; ys : Vec.t }
 
-val render :
-  ?width:int -> ?height:int -> ?title:string -> series list -> string
-(** A fixed-size character canvas with axis ranges fitted to the data,
-    y-axis labels on the left, and a legend line per series. Later series
-    draw over earlier ones where they collide. *)
-
 val output : ?width:int -> ?height:int -> ?title:string -> out_channel -> series list -> unit
 (** Write the rendered plot to an explicit channel (library code never
     writes to [stdout] implicitly — lint rule R5). *)

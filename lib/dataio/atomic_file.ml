@@ -38,4 +38,3 @@ let write path body =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
-let write_string path s = write path (fun oc -> output_string oc s)

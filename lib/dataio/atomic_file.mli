@@ -12,5 +12,3 @@ val write : string -> (out_channel -> unit) -> unit
     writes to the channel. On exception from [body] the temp file is
     removed and [path] is untouched; the exception is re-raised. *)
 
-val write_string : string -> string -> unit
-(** [write_string path s] is [write path] of exactly [s]. *)

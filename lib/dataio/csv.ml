@@ -1,7 +1,5 @@
 type error = { line : int; column : int; message : string }
 
-exception Parse_error of error
-
 let error_to_string e = Printf.sprintf "line %d, column %d: %s" e.line e.column e.message
 
 let write ~path ~header ~rows =
@@ -86,9 +84,6 @@ let read_result ~path =
         in
         go [] None data_lines)
 
-let read ~path =
-  match read_result ~path with Ok r -> r | Error e -> raise (Parse_error e)
-
 let read_columns_result ~path =
   match read_result ~path with
   | Error e -> Error e
@@ -103,5 +98,3 @@ let read_columns_result ~path =
       in
       Ok (header, columns))
 
-let read_columns ~path =
-  match read_columns_result ~path with Ok r -> r | Error e -> raise (Parse_error e)

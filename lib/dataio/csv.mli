@@ -1,9 +1,7 @@
 (** Minimal CSV reading/writing (no quoting — numeric tables only).
 
-    Reading comes in two flavours: [_result] functions report malformed
-    input as a structured {!error} (1-based line and column of the
-    offending field), and the plain functions raise {!Parse_error} carrying
-    the same value — never a bare [Failure]. *)
+    Readers report malformed input as a structured {!error} (1-based line
+    and column of the offending field) — never a bare [Failure]. *)
 
 open Numerics
 
@@ -13,27 +11,16 @@ type error = {
   message : string;
 }
 
-exception Parse_error of error
-
 val error_to_string : error -> string
 
-val write : path:string -> header:string list -> rows:float array list -> unit
-(** Each row is one line; header names the columns. *)
-
 val write_columns : path:string -> header:string list -> columns:Vec.t list -> unit
-(** Transposed convenience: all columns must have equal length. *)
+(** Write a header line (when non-empty) and one row per index of the
+    columns, which must all have equal length. *)
 
-val read_result : path:string -> (string list * float array list, error) result
-(** Returns [(header, rows)]. The first line is taken as a header when any
-    of its fields fails to parse as a number; otherwise the header is
+val read_columns_result : path:string -> (string list * Vec.t list, error) result
+(** Returns [(header, columns)]. The first line is taken as a header when
+    any of its fields fails to parse as a number; otherwise the header is
     empty. Every data row must have the same number of fields and every
     field must parse as a number, else the [error] pinpoints the first
     offending line and column. *)
 
-val read : path:string -> string list * float array list
-(** As {!read_result}, raising {!Parse_error} on malformed input. *)
-
-val read_columns_result : path:string -> (string list * Vec.t list, error) result
-
-val read_columns : path:string -> string list * Vec.t list
-(** As {!read_columns_result}, raising {!Parse_error} on malformed input. *)

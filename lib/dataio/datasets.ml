@@ -1,5 +1,3 @@
-open Numerics
-
 let judd_times = [| 75.0; 90.0; 105.0; 120.0; 135.0; 150.0 |]
 
 (* Digitized approximation of Judd et al. 2003 as reproduced in the paper's
@@ -8,14 +6,6 @@ let judd_sw = [| 0.03; 0.03; 0.04; 0.06; 0.12; 0.22 |]
 let judd_ste = [| 0.80; 0.65; 0.45; 0.28; 0.18; 0.12 |]
 let judd_stepd = [| 0.15; 0.28; 0.40; 0.47; 0.42; 0.35 |]
 let judd_stlpd = [| 0.02; 0.04; 0.11; 0.19; 0.28; 0.31 |]
-
-let judd_fractions =
-  Mat.init 6 4 (fun i j ->
-      match j with
-      | 0 -> judd_sw.(i)
-      | 1 -> judd_ste.(i)
-      | 2 -> judd_stepd.(i)
-      | _ -> judd_stlpd.(i))
 
 let ftsz_measurement_times = Array.init 13 (fun i -> float_of_int i *. 160.0 /. 12.0)
 

@@ -17,9 +17,6 @@ val judd_ste : Vec.t
 val judd_stepd : Vec.t
 val judd_stlpd : Vec.t
 
-val judd_fractions : Mat.t
-(** Rows = times, columns = SW, STE, STEPD, STLPD; each row sums to 1. *)
-
 val ftsz_measurement_times : Vec.t
 (** Sampling grid of the McGrath et al. microarray time course (minutes
     0–160 every ~13 min, 13 samples) used for the Fig. 5 experiment. *)

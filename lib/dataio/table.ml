@@ -48,21 +48,3 @@ let to_string ?(precision = 4) t =
 
 let output ?precision oc t = output_string oc (to_string ?precision t)
 
-let of_csv ~path =
-  match Csv.read_result ~path with
-  | Error e -> Error e
-  | Ok (header, rows) ->
-    let width = match rows with [] -> List.length header | r :: _ -> Array.length r in
-    if header <> [] && List.length header <> width then
-      Error
-        { Csv.line = 1; column = width + 1;
-          message =
-            Printf.sprintf "header has %d fields but rows have %d" (List.length header) width }
-    else begin
-      let headers =
-        if header <> [] then header else List.init width (fun j -> Printf.sprintf "c%d" (j + 1))
-      in
-      let t = create ~title:(Filename.basename path) ~headers in
-      List.iter (add_row t) rows;
-      Ok t
-    end

@@ -11,15 +11,8 @@ val add_row : t -> float array -> unit
 val add_rows : t -> Vec.t list -> unit
 (** Columns, transposed into rows (equal lengths required). *)
 
-val to_string : ?precision:int -> t -> string
-(** Render with a title line, a header line and aligned numeric columns. *)
-
 val output : ?precision:int -> out_channel -> t -> unit
 (** Write the rendered table to an explicit channel. Library code never
     writes to [stdout] implicitly (lint rule R5); callers in [bin/] and
     [bench/] pass the channel they own. *)
 
-val of_csv : path:string -> (t, Csv.error) result
-(** Load a numeric CSV as a table (title = file basename; columns named
-    c1, c2, ... when the file has no header). Malformed input is reported
-    as a structured {!Csv.error} rather than an exception. *)

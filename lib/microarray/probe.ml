@@ -7,8 +7,6 @@ type t = {
   saturation : float;
 }
 
-let default = { gain = 1.0; background = 0.0; noise_cv = 0.0; saturation = Float.infinity }
-
 let draw ?(gain_cv = 0.3) ?(background_mean = 0.05) rng =
   let gain = Rng.lognormal_factor rng ~cv:gain_cv in
   let background =

@@ -14,8 +14,6 @@ type t = {
   saturation : float;  (** intensity ceiling of the scanner *)
 }
 
-val default : t
-
 val draw : ?gain_cv:float -> ?background_mean:float -> Rng.t -> t
 (** Random probe: lognormal gain around 1 (CV default 0.3), exponential
     background, noise CV 0.05, saturation 65535. *)

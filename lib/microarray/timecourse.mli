@@ -48,5 +48,7 @@ val process : raw -> processed
     a single global factor and per-gene probe gains; deconvolution is
     per-gene and scale-equivariant, so shapes are preserved. *)
 
+(* lint: allow R15 — the one-gene view of [processed] for callers that deconvolve
+   genes one at a time; test/test_microarray.ml checks it *)
 val gene_measurements : processed -> gene:int -> Vec.t * Vec.t
 (** [(g, sigma)] rows for one gene. *)

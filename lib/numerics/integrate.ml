@@ -1,20 +1,3 @@
-let trapezoid f ~a ~b ~n =
-  assert (n >= 1);
-  let h = (b -. a) /. float_of_int n in
-  let acc = ref ((f a +. f b) /. 2.0) in
-  for i = 1 to n - 1 do
-    acc := !acc +. f (a +. (h *. float_of_int i))
-  done;
-  !acc *. h
-
-let trapezoid_sampled ~x ~y =
-  assert (Array.length x = Array.length y);
-  let acc = ref 0.0 in
-  for i = 0 to Array.length x - 2 do
-    acc := !acc +. ((x.(i + 1) -. x.(i)) *. (y.(i) +. y.(i + 1)) /. 2.0)
-  done;
-  !acc
-
 let trapezoid_weights x =
   let n = Array.length x in
   assert (n >= 2);
@@ -33,23 +16,6 @@ let simpson f ~a ~b ~n =
     acc := !acc +. (coeff *. f (a +. (h *. float_of_int i)))
   done;
   !acc *. h /. 3.0
-
-let adaptive_simpson ?(tol = 1e-10) ?(max_depth = 32) f ~a ~b =
-  let simpson_on a b fa fm fb = (b -. a) /. 6.0 *. (fa +. (4.0 *. fm) +. fb) in
-  let rec go a b fa fm fb whole tol depth =
-    let m = (a +. b) /. 2.0 in
-    let lm = (a +. m) /. 2.0 and rm = (m +. b) /. 2.0 in
-    let flm = f lm and frm = f rm in
-    let left = simpson_on a m fa flm fm in
-    let right = simpson_on m b fm frm fb in
-    let delta = left +. right -. whole in
-    if depth <= 0 || Float.abs delta <= 15.0 *. tol then left +. right +. (delta /. 15.0)
-    else
-      go a m fa flm fm left (tol /. 2.0) (depth - 1)
-      +. go m b fm frm fb right (tol /. 2.0) (depth - 1)
-  in
-  let fa = f a and fb = f b and fm = f ((a +. b) /. 2.0) in
-  go a b fa fm fb (simpson_on a b fa fm fb) tol max_depth
 
 (* Nodes are roots of the Legendre polynomial P_n, found by Newton iteration
    from the Chebyshev initial guess; weights w_i = 2 / ((1-x²) P'_n(x)²). *)
@@ -85,12 +51,3 @@ let gauss_legendre_nodes n =
     weights.(n - 1 - i) <- w
   done;
   (nodes, weights)
-
-let gauss_legendre f ~a ~b ~n =
-  let nodes, weights = gauss_legendre_nodes n in
-  let half = (b -. a) /. 2.0 and mid = (a +. b) /. 2.0 in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    acc := !acc +. (weights.(i) *. f (mid +. (half *. nodes.(i))))
-  done;
-  !acc *. half

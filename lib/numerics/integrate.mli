@@ -1,12 +1,5 @@
 (** Numerical quadrature over \[a, b\] and over sampled grids. *)
 
-val trapezoid : (float -> float) -> a:float -> b:float -> n:int -> float
-(** Composite trapezoid rule with [n >= 1] panels. *)
-
-val trapezoid_sampled : x:Vec.t -> y:Vec.t -> float
-(** Trapezoid rule on (possibly non-uniform) samples; [x] must be
-    increasing. *)
-
 val trapezoid_weights : Vec.t -> Vec.t
 (** Quadrature weights [w] such that [dot w y] = trapezoid integral of the
     samples [y] on grid [x]. *)
@@ -14,10 +7,5 @@ val trapezoid_weights : Vec.t -> Vec.t
 val simpson : (float -> float) -> a:float -> b:float -> n:int -> float
 (** Composite Simpson rule; [n] is rounded up to an even panel count. *)
 
-val adaptive_simpson : ?tol:float -> ?max_depth:int -> (float -> float) -> a:float -> b:float -> float
-
 val gauss_legendre_nodes : int -> Vec.t * Vec.t
 (** [gauss_legendre_nodes n] returns nodes and weights on \[-1, 1\]. *)
-
-val gauss_legendre : (float -> float) -> a:float -> b:float -> n:int -> float
-(** n-point Gauss–Legendre quadrature mapped onto \[a, b\]. *)

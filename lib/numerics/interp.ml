@@ -22,8 +22,6 @@ let linear_clamped ~x ~y v =
   let n = Array.length x in
   if v <= x.(0) then y.(0) else if v >= x.(n - 1) then y.(n - 1) else linear ~x ~y v
 
-let linear_many ~x ~y vs = Array.map (linear ~x ~y) vs
-
 type pchip = { x : Vec.t; y : Vec.t; d : Vec.t (* endpoint derivatives per knot *) }
 
 (* Fritsch–Carlson monotone slopes. *)
@@ -75,5 +73,3 @@ let pchip_eval { x; y; d } v =
     let h11 = s3 -. s2 in
     (h00 *. y.(i)) +. (h10 *. h *. d.(i)) +. (h01 *. y.(i + 1)) +. (h11 *. h *. d.(i + 1))
   end
-
-let pchip_eval_many p vs = Array.map (pchip_eval p) vs

@@ -5,13 +5,9 @@ val bracket : Vec.t -> float -> int
     end intervals for out-of-range queries). [x] must be strictly
     increasing with at least two entries. *)
 
-val linear : x:Vec.t -> y:Vec.t -> float -> float
-(** Piecewise-linear interpolation; linear extrapolation outside the grid. *)
-
 val linear_clamped : x:Vec.t -> y:Vec.t -> float -> float
-(** Like {!linear} but holds end values outside the grid. *)
-
-val linear_many : x:Vec.t -> y:Vec.t -> Vec.t -> Vec.t
+(** Piecewise-linear interpolation that holds the end values outside the
+    grid. *)
 
 type pchip
 
@@ -20,4 +16,3 @@ val pchip_build : x:Vec.t -> y:Vec.t -> pchip
     overshoots the data. *)
 
 val pchip_eval : pchip -> float -> float
-val pchip_eval_many : pchip -> Vec.t -> Vec.t

@@ -1,6 +1,6 @@
 exception Singular of string
 
-type lu = { lu : Mat.t; pivots : int array; sign : float }
+type lu = { lu : Mat.t; pivots : int array }
 
 (* LU with partial pivoting, in place on a copy. The loops index the
    backing array directly, as [jacobi_eigen] does: same operations in the
@@ -11,7 +11,6 @@ let lu_factor a =
   let lu = Mat.copy a in
   let d = lu.Mat.data in
   let pivots = Array.init n (fun i -> i) in
-  let sign = ref 1.0 in
   for k = 0 to n - 1 do
     (* Partial pivoting: largest magnitude in column k at/below the diagonal. *)
     let pivot_row = ref k in
@@ -28,8 +27,7 @@ let lu_factor a =
       done;
       let tp = pivots.(k) in
       pivots.(k) <- pivots.(!pivot_row);
-      pivots.(!pivot_row) <- tp;
-      sign := -. !sign
+      pivots.(!pivot_row) <- tp
     end;
     let pivot = d.(krow + k) in
     if Float.equal pivot 0.0 then raise (Singular "lu_factor: zero pivot");
@@ -43,9 +41,9 @@ let lu_factor a =
         done
     done
   done;
-  { lu; pivots; sign = !sign }
+  { lu; pivots }
 
-let lu_solve { lu; pivots; _ } b =
+let lu_solve { lu; pivots } b =
   let n = lu.Mat.rows in
   assert (Array.length b = n);
   let d = lu.Mat.data in
@@ -71,28 +69,6 @@ let lu_solve { lu; pivots; _ } b =
   x
 
 let solve a b = lu_solve (lu_factor a) b
-
-let solve_many a b =
-  let f = lu_factor a in
-  let n, m = Mat.dims b in
-  assert (n = a.Mat.rows);
-  let x = Mat.zeros n m in
-  for j = 0 to m - 1 do
-    Mat.set_col x j (lu_solve f (Mat.col b j))
-  done;
-  x
-
-let inverse a = solve_many a (Mat.identity a.Mat.rows)
-
-let det a =
-  match lu_factor a with
-  | { lu; sign; _ } ->
-    let acc = ref sign in
-    for i = 0 to lu.Mat.rows - 1 do
-      acc := !acc *. Mat.get lu i i
-    done;
-    !acc
-  | exception Singular _ -> 0.0
 
 type cholesky = Mat.t
 

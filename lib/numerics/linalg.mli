@@ -4,23 +4,6 @@
 
 exception Singular of string
 
-type lu
-(** LU factorization with partial pivoting. *)
-
-val lu_factor : Mat.t -> lu
-(** Factor a square matrix. Raises {!Singular} on exact singularity. *)
-
-val lu_solve : lu -> Vec.t -> Vec.t
-
-val solve : Mat.t -> Vec.t -> Vec.t
-(** [solve a b] solves the square system [a x = b] by LU. *)
-
-val solve_many : Mat.t -> Mat.t -> Mat.t
-(** [solve_many a b] solves [a X = b] column by column. *)
-
-val inverse : Mat.t -> Mat.t
-val det : Mat.t -> float
-
 type cholesky
 
 val cholesky_factor : Mat.t -> cholesky
@@ -36,8 +19,9 @@ val cholesky_log_det : cholesky -> float
 (** log-determinant of the factored SPD matrix (2·Σ log l_ii). *)
 
 val solve_spd : Mat.t -> Vec.t -> Vec.t
-(** Solve with a symmetric positive-definite matrix via Cholesky; falls back
-    to LU if the Cholesky pivots fail (semi-definite boundary cases). *)
+(** Solve a symmetric system via Cholesky; falls back to LU with partial
+    pivoting when a Cholesky pivot fails (indefinite or semi-definite
+    systems), which raises {!Singular} on an exactly singular one. *)
 
 val qr_lstsq : Mat.t -> Vec.t -> Vec.t
 (** Least-squares solution of an overdetermined system [a x ~ b]
@@ -55,22 +39,15 @@ val null_space : Mat.t -> Mat.t
     row, more rows than columns, or a pivot below 1e-12 once each row is
     scaled to unit max-norm. *)
 
-val jacobi_eigen : ?tol:float -> ?max_sweeps:int -> Mat.t -> Vec.t * Mat.t
-(** [jacobi_eigen a] for symmetric [a] returns [(eigenvalues, eigenvectors)]
-    with eigenvectors in columns, sorted by descending eigenvalue. *)
-
 val lower_solve : cholesky -> Vec.t -> Vec.t
 (** Forward substitution against the lower-triangular factor: solves
     [L y = b]. *)
-
-val lower_transpose_solve : cholesky -> Vec.t -> Vec.t
-(** Back substitution against the transposed factor: solves [Lᵀ x = b]. *)
 
 val generalized_eigen_spd : Mat.t -> Mat.t -> Vec.t * Mat.t
 (** [generalized_eigen_spd s omega] solves the generalized symmetric
     eigenproblem [omega b = s b Γ] for SPD [s] and symmetric PSD [omega]:
     with [s = LLᵀ] (Cholesky) it diagonalizes [K = L⁻¹ omega L⁻ᵀ] by
-    {!jacobi_eigen} and returns [(gamma, b)] where the columns of
+    cyclic Jacobi rotations and returns [(gamma, b)] where the columns of
     [b = L⁻ᵀU] satisfy [bᵀ s b = I] and [bᵀ omega b = diag gamma], with
     [gamma] descending and clamped at 0 (Ω is PSD by contract). This is the
     Demmler–Reinsch construction behind the spectral λ fast path. Raises

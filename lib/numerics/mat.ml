@@ -11,23 +11,12 @@ let zeros rows cols = make rows cols 0.0
 
 let identity n = init n n (fun i j -> if i = j then 1.0 else 0.0)
 
-let diag v =
-  let n = Array.length v in
-  init n n (fun i j -> if i = j then v.(i) else 0.0)
-
 let of_rows rows =
   let r = Array.length rows in
   assert (r > 0);
   let c = Array.length rows.(0) in
   Array.iter (fun row -> assert (Array.length row = c)) rows;
   init r c (fun i j -> rows.(i).(j))
-
-let of_cols cols =
-  let c = Array.length cols in
-  assert (c > 0);
-  let r = Array.length cols.(0) in
-  Array.iter (fun col -> assert (Array.length col = r)) cols;
-  init r c (fun i j -> cols.(j).(i))
 
 let copy m = { m with data = Array.copy m.data }
 
@@ -123,55 +112,6 @@ let gram a =
 
 let map f a = { a with data = Array.map f a.data }
 
-let trace m =
-  assert (m.rows = m.cols);
-  let acc = ref 0.0 in
-  for i = 0 to m.rows - 1 do
-    acc := !acc +. get m i i
-  done;
-  !acc
-
 let frobenius m = sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)
 
 let max_abs m = Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 0.0 m.data
-
-let is_symmetric ?(tol = 1e-9) m =
-  m.rows = m.cols
-  && begin
-       let ok = ref true in
-       for i = 0 to m.rows - 1 do
-         for j = i + 1 to m.cols - 1 do
-           if Float.abs (get m i j -. get m j i) > tol then ok := false
-         done
-       done;
-       !ok
-     end
-
-let hcat a b =
-  assert (a.rows = b.rows);
-  init a.rows (a.cols + b.cols) (fun i j ->
-      if j < a.cols then get a i j else get b i (j - a.cols))
-
-let vcat a b =
-  assert (a.cols = b.cols);
-  init (a.rows + b.rows) a.cols (fun i j ->
-      if i < a.rows then get a i j else get b (i - a.rows) j)
-
-let approx_equal ?(tol = 1e-9) a b =
-  a.rows = b.rows && a.cols = b.cols
-  && begin
-       let ok = ref true in
-       Array.iteri (fun k x -> if Float.abs (x -. b.data.(k)) > tol then ok := false) a.data;
-       !ok
-     end
-
-let pp fmt m =
-  for i = 0 to m.rows - 1 do
-    (* lint: allow R12 -- pp writes only to the caller-supplied formatter; it
-       is the debug printer for test output, not a kernel *)
-    Format.fprintf fmt "[";
-    for j = 0 to m.cols - 1 do
-      Format.fprintf fmt "%s%10.4g" (if j = 0 then "" else " ") (get m i j)
-    done;
-    Format.fprintf fmt "]@\n"
-  done

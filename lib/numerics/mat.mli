@@ -3,13 +3,10 @@
 
 type t = { rows : int; cols : int; data : float array }
 
-val make : int -> int -> float -> t
 val init : int -> int -> (int -> int -> float) -> t
 val zeros : int -> int -> t
 val identity : int -> t
-val diag : Vec.t -> t
 val of_rows : Vec.t array -> t
-val of_cols : Vec.t array -> t
 val copy : t -> t
 
 val get : t -> int -> int -> float
@@ -36,13 +33,5 @@ val gram : t -> t
 (** [gram a] is [aᵀa]. *)
 
 val map : (float -> float) -> t -> t
-val trace : t -> float
 val frobenius : t -> float
-val is_symmetric : ?tol:float -> t -> bool
 val max_abs : t -> float
-
-val hcat : t -> t -> t
-val vcat : t -> t -> t
-
-val approx_equal : ?tol:float -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -2,45 +2,6 @@ type system = float -> Vec.t -> Vec.t
 
 type solution = { times : Vec.t; states : Mat.t }
 
-let fixed_step_solver step f ~y0 ~t0 ~t1 ~steps =
-  assert (steps >= 1);
-  assert (t1 > t0);
-  let dim = Array.length y0 in
-  let h = (t1 -. t0) /. float_of_int steps in
-  let times = Array.make (steps + 1) 0.0 in
-  let states = Mat.zeros (steps + 1) dim in
-  let y = ref (Vec.copy y0) in
-  times.(0) <- t0;
-  Mat.set_row states 0 !y;
-  for i = 1 to steps do
-    let t = t0 +. (h *. float_of_int (i - 1)) in
-    y := step f t !y h;
-    times.(i) <- t0 +. (h *. float_of_int i);
-    Mat.set_row states i !y
-  done;
-  { times; states }
-
-let euler_step f t y h = Vec.add y (Vec.scale h (f t y))
-
-let midpoint_step f t y h =
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 2.0)) (Vec.add y (Vec.scale (h /. 2.0) k1)) in
-  Vec.add y (Vec.scale h k2)
-
-let rk4_step f t y h =
-  let k1 = f t y in
-  let k2 = f (t +. (h /. 2.0)) (Vec.add y (Vec.scale (h /. 2.0) k1)) in
-  let k3 = f (t +. (h /. 2.0)) (Vec.add y (Vec.scale (h /. 2.0) k2)) in
-  let k4 = f (t +. h) (Vec.add y (Vec.scale h k3)) in
-  let incr =
-    Vec.add (Vec.add k1 (Vec.scale 2.0 k2)) (Vec.add (Vec.scale 2.0 k3) k4)
-  in
-  Vec.add y (Vec.scale (h /. 6.0) incr)
-
-let euler = fixed_step_solver euler_step
-let midpoint = fixed_step_solver midpoint_step
-let rk4 = fixed_step_solver rk4_step
-
 (* Dormand–Prince coefficients. *)
 let dp_c = [| 0.0; 0.2; 0.3; 0.8; 8.0 /. 9.0; 1.0; 1.0 |]
 
@@ -150,21 +111,3 @@ let rk45 ?(rtol = 1e-8) ?(atol = 1e-10) ?h0 ?h_max f ~y0 ~times =
       failwith "Ode.rk45: step size underflow (stiff system or bad tolerances?)"
   done;
   { times = Array.copy times; states }
-
-let solve_at { times; states } t =
-  let n = Array.length times in
-  assert (n >= 1);
-  if t <= times.(0) then Mat.row states 0
-  else if t >= times.(n - 1) then Mat.row states (n - 1)
-  else begin
-    (* Binary search for the bracketing interval. *)
-    let lo = ref 0 and hi = ref (n - 1) in
-    while !hi - !lo > 1 do
-      let mid = (!lo + !hi) / 2 in
-      if times.(mid) <= t then lo := mid else hi := mid
-    done;
-    let t0 = times.(!lo) and t1 = times.(!hi) in
-    let w = (t -. t0) /. (t1 -. t0) in
-    let y0 = Mat.row states !lo and y1 = Mat.row states !hi in
-    Array.init (Array.length y0) (fun i -> ((1.0 -. w) *. y0.(i)) +. (w *. y1.(i)))
-  end

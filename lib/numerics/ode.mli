@@ -6,10 +6,6 @@ type system = float -> Vec.t -> Vec.t
 type solution = { times : Vec.t; states : Mat.t }
 (** Row [i] of [states] is the state at [times.(i)]. *)
 
-val euler : system -> y0:Vec.t -> t0:float -> t1:float -> steps:int -> solution
-val midpoint : system -> y0:Vec.t -> t0:float -> t1:float -> steps:int -> solution
-val rk4 : system -> y0:Vec.t -> t0:float -> t1:float -> steps:int -> solution
-
 val rk45 :
   ?rtol:float ->
   ?atol:float ->
@@ -22,6 +18,3 @@ val rk45 :
 (** Adaptive Dormand–Prince 5(4) integration, sampled at the (increasing)
     requested [times] by cubic Hermite interpolation between accepted steps.
     [times] must contain at least the initial time as first element. *)
-
-val solve_at : solution -> float -> Vec.t
-(** Linear interpolation of a solution at an arbitrary time within range. *)

@@ -36,8 +36,6 @@ let int t n =
   in
   go ()
 
-let bool t = Int64.logand (int64 t) 1L = 1L
-
 let normal t ~mean ~std =
   match t.spare with
   | Some z ->

@@ -11,15 +11,14 @@ val create : int -> t
 (** [create seed] makes a fresh generator from an integer seed. Equal seeds
     produce equal streams. *)
 
+(* lint: allow R15 — replays a stream: the k-fold test replays the selector's fold
+   draws through it to score the oracle on the same folds *)
 val copy : t -> t
 (** Independent copy of the current state. *)
 
 val split : t -> t
 (** [split t] derives a new generator from [t], advancing [t]; streams of
     the parent and child are (statistically) independent. *)
-
-val int64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val float : t -> float
 (** Uniform float in [\[0, 1)] with 53 bits of precision. *)
@@ -29,8 +28,6 @@ val uniform : t -> lo:float -> hi:float -> float
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
-
-val bool : t -> bool
 
 val normal : t -> mean:float -> std:float -> float
 (** Gaussian variate (Box–Muller; the spare value is cached). *)
@@ -43,6 +40,8 @@ val truncated_normal : t -> mean:float -> std:float -> lo:float -> hi:float -> f
 val exponential : t -> rate:float -> float
 (** Exponential variate with given rate (> 0). *)
 
+(* lint: allow R15 — the Poisson sampler of the stochastic models; test/test_stochastic.ml
+   checks its moments *)
 val poisson : t -> lambda:float -> int
 (** Poisson variate (Knuth's multiplication method for small means, normal
     approximation with continuity correction above mean 64). Requires

@@ -1,8 +1,6 @@
 (** Descriptive statistics and error metrics over [float array] samples. *)
 
 val mean : Vec.t -> float
-val variance : Vec.t -> float
-(** Unbiased sample variance (n-1 denominator); 0 for singleton samples. *)
 
 val std : Vec.t -> float
 val cv : Vec.t -> float
@@ -12,7 +10,6 @@ val median : Vec.t -> float
 val quantile : Vec.t -> float -> float
 (** Linear-interpolation quantile, [q] in \[0, 1\]. *)
 
-val covariance : Vec.t -> Vec.t -> float
 val correlation : Vec.t -> Vec.t -> float
 (** Pearson correlation; 0 when either input is constant. *)
 
@@ -38,12 +35,8 @@ val runs_z : Vec.t -> float
     flags serial structure (non-white residuals). Degenerate samples
     (single sign, n < 2) score 0. *)
 
-val moment_z : Vec.t -> float * float
-(** [(z_skewness, z_excess_kurtosis)] against the normal-null standard
-    errors √(6/n) and √(24/n) — the two Jarque–Bera components, kept
-    separate so the caller can see which moment misbehaves. (0, 0) for
-    degenerate samples. *)
-
 val normality_z : Vec.t -> float
-(** [max |z_skew| |z_kurt|] of {!moment_z}: a one-number normality moment
-    check on standardized residuals. *)
+(** [max |z_skew| |z_kurt|], the skewness and excess-kurtosis z-scores
+    against the normal-null standard errors √(6/n) and √(24/n) (the two
+    Jarque–Bera components): a one-number normality moment check on
+    standardized residuals, 0 for degenerate samples. *)

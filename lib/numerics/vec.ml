@@ -1,12 +1,9 @@
 type t = float array
 
-let make n x = Array.make n x
-let init n f = Array.init n f
 let zeros n = Array.make n 0.0
 let ones n = Array.make n 1.0
 let copy = Array.copy
 let of_list = Array.of_list
-let to_list = Array.to_list
 
 let linspace a b n =
   assert (n >= 2);
@@ -30,10 +27,6 @@ let mul x y =
   check2 x y;
   Array.mapi (fun i xi -> xi *. y.(i)) x
 
-let div x y =
-  check2 x y;
-  Array.mapi (fun i xi -> xi /. y.(i)) x
-
 let axpy a x y =
   check2 x y;
   for i = 0 to Array.length x - 1 do
@@ -53,8 +46,6 @@ let sum x = Array.fold_left ( +. ) 0.0 x
 let mean x =
   assert (Array.length x > 0);
   sum x /. float_of_int (Array.length x)
-
-let norm2 x = sqrt (dot x x)
 
 let norm_inf x = Array.fold_left (fun acc xi -> Float.max acc (Float.abs xi)) 0.0 x
 
@@ -82,27 +73,4 @@ let argmax x =
   done;
   !best
 
-let map = Array.map
-let map2 f x y = check2 x y; Array.mapi (fun i xi -> f xi y.(i)) x
-let mapi = Array.mapi
-
-let clamp ~lo ~hi x = Array.map (fun xi -> Float.max lo (Float.min hi xi)) x
-
 let concat = Array.concat
-
-let approx_equal ?(tol = 1e-9) x y =
-  Array.length x = Array.length y
-  && begin
-       let ok = ref true in
-       for i = 0 to Array.length x - 1 do
-         if Float.abs (x.(i) -. y.(i)) > tol then ok := false
-       done;
-       !ok
-     end
-
-let pp fmt x =
-  (* lint: allow R12 -- pp writes only to the caller-supplied formatter; it
-     is the debug printer for test output, not a kernel *)
-  Format.fprintf fmt "[|";
-  Array.iteri (fun i xi -> Format.fprintf fmt "%s%g" (if i = 0 then "" else "; ") xi) x;
-  Format.fprintf fmt "|]"

@@ -3,13 +3,10 @@
 
 type t = float array
 
-val make : int -> float -> t
-val init : int -> (int -> float) -> t
 val zeros : int -> t
 val ones : int -> t
 val copy : t -> t
 val of_list : float list -> t
-val to_list : t -> float list
 
 val linspace : float -> float -> int -> t
 (** [linspace a b n] is [n >= 2] evenly spaced points from [a] to [b]
@@ -22,32 +19,16 @@ val neg : t -> t
 val mul : t -> t -> t
 (** Element-wise product. *)
 
-val div : t -> t -> t
-(** Element-wise quotient. *)
-
 val axpy : float -> t -> t -> unit
 (** [axpy a x y] updates [y <- a*x + y] in place. *)
 
 val dot : t -> t -> float
 val sum : t -> float
 val mean : t -> float
-val norm2 : t -> float
 val norm_inf : t -> float
 val min : t -> float
 val max : t -> float
 val argmin : t -> int
 val argmax : t -> int
 
-val map : (float -> float) -> t -> t
-val map2 : (float -> float -> float) -> t -> t -> t
-val mapi : (int -> float -> float) -> t -> t
-
-val clamp : lo:float -> hi:float -> t -> t
-(** Element-wise clamping into [\[lo, hi\]]. *)
-
 val concat : t list -> t
-
-val approx_equal : ?tol:float -> t -> t -> bool
-(** Infinity-norm comparison with absolute tolerance (default [1e-9]). *)
-
-val pp : Format.formatter -> t -> unit

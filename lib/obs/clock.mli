@@ -7,31 +7,24 @@
 
     [Sys.time] is {e processor} time — it stands still while the process
     waits — which is why it is banned: the robust-solver report once
-    mislabeled it as wall-clock. [wall] is real wall-clock time
-    ([Unix.gettimeofday]), and [now] additionally clamps it to be
+    mislabeled it as wall-clock. The default source is real wall-clock
+    time ([Unix.gettimeofday]), and [now] additionally clamps it to be
     non-decreasing so span durations can never come out negative when the
     system clock steps backwards.
 
     The clock is process-global mutable state; reads are mutex-guarded so
     the monotonicity clamp holds across domains when pool workers
-    ([lib/parallel]) time spans concurrently. [set_source] /
-    [with_source] remain main-domain operations: swap sources only while
+    ([lib/parallel]) time spans concurrently. [with_source]
+    remains a main-domain operation: swap sources only while
     no parallel work is in flight. *)
 
 type source = unit -> float
 (** A time source: seconds, as an absolute or arbitrary-epoch value. Only
     differences of readings are ever interpreted. *)
 
-val wall : source
-(** Real wall-clock seconds since the Unix epoch. *)
-
 val now : unit -> float
 (** Read the installed source, clamped to be monotonically non-decreasing
     across calls. *)
-
-val set_source : source -> unit
-(** Replace the installed source (default [wall]) and reset the
-    monotonicity clamp. *)
 
 val with_source : source -> (unit -> 'a) -> 'a
 (** [with_source src f] runs [f] with [src] installed, restoring the

@@ -31,9 +31,6 @@ val with_solve : string -> (unit -> 'a) -> 'a
     label is domain-local, so parallel batch genes on worker domains
     cannot race each other's labels. *)
 
-val solve_label : unit -> string
-(** The ambient label, or ["solve"] outside any {!with_solve} scope. *)
-
 val make :
   ?solve:string ->
   stage:string ->
@@ -50,9 +47,6 @@ val emit : t -> unit
 
 val value : t -> string -> float option
 val tag : t -> string -> string option
-
-val of_events : Export.event list -> t list
-(** All diag records in the stream, in emission order. *)
 
 val by_solve : Export.event list -> (string * t list) list
 (** Diag records grouped by solve id, groups in first-seen order and

@@ -43,8 +43,6 @@ type event =
 
 type sink = { emit : event -> unit; flush : unit -> unit }
 
-let null = { emit = (fun _ -> ()); flush = (fun () -> ()) }
-
 let memory () =
   let acc = ref [] in
   ( { emit = (fun e -> acc := e :: !acc); flush = (fun () -> ()) },

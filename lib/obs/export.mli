@@ -92,11 +92,6 @@ type event =
 
 type sink
 
-val null : sink
-(** Accepts and drops every event. Distinct from "no sink installed":
-    with [null] installed, spans are still materialized (tracing is on),
-    they just go nowhere — useful for overhead measurements. *)
-
 val memory : unit -> sink * (unit -> event list)
 (** A recording sink and a function returning everything recorded so far,
     in emission order. *)
@@ -117,8 +112,6 @@ val tracing : unit -> bool
 
 val emit : event -> unit
 (** Hand an event to the active sink; no-op when none is installed. *)
-
-val flush : unit -> unit
 
 (** {1 Serialization} *)
 
@@ -147,14 +140,6 @@ val output_top : out_channel -> top:int -> event list -> unit
 (** Flat aggregate of the spans in the stream: one row per span name with
     call count, total and self wall time, sorted by total descending.
     [top] bounds the number of rows ([<= 0] prints all). *)
-
-val output_event_counts : out_channel -> event list -> unit
-(** Per-kind event totals (spans/metrics/points/samples/diags, with
-    points, samples and diags broken down by series/kind/stage). The span
-    tree and metrics table ignore point-like events entirely, so this
-    footer is what makes a truncated trace visible. Appended to
-    [output_summary] automatically; exposed for callers that render their
-    own report. *)
 
 val aggregate_span_rows : event list -> (string * int * float * float) list
 (** Per-span-name totals over the stream's spans:

@@ -18,7 +18,6 @@ let on = ref false
 
 let enable () = on := true
 let disable () = on := false
-let enabled () = !on
 
 (* The registries are process-global and reachable from worker domains
    (e.g. per-candidate counters under a parallel λ sweep); every access

@@ -24,7 +24,6 @@ type snapshot = {
 
 val enable : unit -> unit
 val disable : unit -> unit
-val enabled : unit -> bool
 
 val incr : ?by:float -> string -> unit
 (** Add [by] (default 1) to a counter. *)

@@ -37,13 +37,11 @@ val create : ?window_s:float -> total:int -> unit -> t
     Raises [Invalid_argument] on negative [total] or a non-positive /
     non-finite window. *)
 
-val record : t -> ?cls:string -> ok:bool -> unit -> unit
-(** One item finished; [cls] tallies the failure class when [ok] is
-    false. Safe to call from any domain. *)
-
 val record_into : t option -> ?cls:string -> ok:bool -> unit -> unit
-(** [record] through an optional aggregator: [None] costs one branch, so
-    instrumented call sites need no conditional of their own. *)
+(** One item finished, counted in an optional aggregator; [cls] tallies
+    the failure class when [ok] is false. Safe to call from any domain.
+    [None] costs one branch, so instrumented call sites need no
+    conditional of their own. *)
 
 val record_replayed : t -> int -> unit
 (** Count [n] items restored from a checkpoint as already-done successes
@@ -61,6 +59,8 @@ val finish : t -> unit
 (** Force one final observer notification (bypassing the rate limit) so
     the last rendered line reflects the final counts. *)
 
+(* lint: allow R15 — the progress model's read side under [observe]; the telemetry
+   suite reads counts and rates through it *)
 val snapshot : t -> snap
 (** Current state, taken under the lock. *)
 
@@ -68,5 +68,7 @@ val render : snap -> string
 (** One status line: ["123/500 (25%)  42.0 items/s  eta 00:09  failed 2
     (qp_stalled:2)"]. No trailing newline. *)
 
+(* lint: allow R15 — the machine-readable form of a progress line, pinned by the
+   telemetry suite *)
 val to_json : snap -> string
 (** The snapshot as one JSON object (schema mirrors [snap] fields). *)

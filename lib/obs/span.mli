@@ -24,9 +24,6 @@ val with_ : ?attrs:(string * Export.value) list -> string -> (t -> 'a) -> 'a
     initial attributes. The span closes — and its event is emitted — when
     [f] returns or raises. *)
 
-val set : t -> string -> Export.value -> unit
-(** Attach (or overwrite) an attribute on a running span. *)
-
 val set_float : t -> string -> float -> unit
 val set_int : t -> string -> int -> unit
 val set_str : t -> string -> string -> unit

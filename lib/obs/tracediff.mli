@@ -70,6 +70,8 @@ val has_regression : t -> bool
 (** Any time row gated [Regression]. Quality drift is reported separately
     ({!has_quality_delta}) — it is a correctness signal, not a perf one. *)
 
+(* lint: allow R15 — the quality half of a diff's verdict, read by [output]; the
+   quality-diff tests assert it *)
 val has_quality_delta : t -> bool
 
 val output : out_channel -> t -> unit

@@ -37,9 +37,6 @@ val chunk_of_sample : Export.sample -> chunk option
 val chunks_of_events : Export.event list -> chunk list
 (** Extract well-formed chunk samples (others are ignored). *)
 
-val of_chunks : chunk list -> report option
-(** Aggregate; [None] on an empty list. *)
-
 val of_events : Export.event list -> report option
 (** [of_chunks] over [chunks_of_events]. *)
 

@@ -36,24 +36,6 @@ type projection = {
 
 type scores = { rss : float; roughness : float; edf : float }
 
-val size : t -> int
-
-val factorize : ?anchor:float -> gram:Mat.t -> penalty:Mat.t -> unit -> t
-(** Factor the pencil at the given anchor (default 0, the classic basis).
-    [gram] is [AᵀWA], [penalty] is [Ω]. Raises {!Linalg.Singular} when
-    [gram + anchor·penalty] is not numerically SPD. *)
-
-val auto_anchor : gram:Mat.t -> penalty:Mat.t -> float
-(** Scale-aware strictly positive anchor (~1e-4 of the Gram's magnitude in
-    penalty units) — SPD-safe for rank-deficient Gram sides while keeping
-    the shifted weights well-conditioned across the candidate grid. *)
-
-val factorize_auto : gram:Mat.t -> penalty:Mat.t -> t
-(** {!factorize} at {!auto_anchor}. *)
-
-val project : t -> rhs:Vec.t -> yty:float -> projection
-(** [rhs] is [AᵀWg]; [yty] is [gᵀWg]. *)
-
 val project_data : t -> a:Mat.t -> weights:Vec.t -> b:Vec.t -> projection
 (** Build the projection straight from the design, weights and data. *)
 

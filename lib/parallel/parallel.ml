@@ -31,7 +31,6 @@ module Probe = struct
 
   let install p = active := Some p
   let uninstall () = active := None
-  let installed () = Option.is_some !active
 end
 
 (* Only the outermost chunk on a domain is recorded: a nested submission

@@ -40,12 +40,13 @@ module Probe : sig
   val install : t -> unit
   val uninstall : unit -> unit
 
-  val installed : unit -> bool
 end
 
 module Pool : sig
   type t
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val create : domains:int -> t
   (** [create ~domains] makes a pool that executes jobs on [domains]
       domains in total: the submitting domain participates, and
@@ -53,12 +54,18 @@ module Pool : sig
       [domains = 1] never spawns and runs everything inline. Requires
       [domains >= 1]. *)
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val domains : t -> int
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val shutdown : t -> unit
   (** Join the worker domains (idempotent). Jobs submitted after a
       shutdown run inline, sequentially. *)
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val parallel_for : t -> ?chunk:int -> n:int -> (lo:int -> hi:int -> unit) -> unit
   (** [parallel_for pool ~chunk ~n body] runs [body ~lo ~hi] over
       contiguous half-open chunks [\[lo, hi)] covering [0 .. n-1], each
@@ -67,10 +74,14 @@ module Pool : sig
       on any domain; [body] must only write to disjoint, per-index (or
       per-chunk) state. *)
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val parallel_map : t -> ?chunk:int -> n:int -> (int -> 'a) -> 'a array
   (** [parallel_map pool ~n f] is [[| f 0; ...; f (n-1) |]] with the
       applications distributed like {!parallel_for}. *)
 
+  (* lint: allow R15 — explicit pools under [default]; the pool-mechanics
+     and jobs-independence suites drive pools of fixed sizes *)
   val parallel_map_result :
     t ->
     ?chunk:int ->
@@ -91,8 +102,6 @@ module Pool : sig
       aggregation ({!Obs.Progress}): it must be domain-safe, must not
       raise, and must not influence results. *)
 
-  val busy : t -> bool
-  (** Whether a job is currently executing on this pool. *)
 end
 
 val jobs : unit -> int

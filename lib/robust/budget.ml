@@ -19,7 +19,6 @@ let create ?max_seconds ?max_iterations () =
 
 let unlimited () = create ()
 
-let iterations t = t.iterations
 let elapsed t = Obs.Clock.now () -. t.started
 
 let check t =

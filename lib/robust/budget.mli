@@ -25,9 +25,6 @@ val create : ?max_seconds:float -> ?max_iterations:int -> unit -> t
 val unlimited : unit -> t
 (** A budget that never fires. *)
 
-val tick : t -> unit
-(** Count one iteration, then {!check}. *)
-
 val check : t -> unit
 (** Raise {!Error.Error} [(Budget_exhausted _)] if either cap is
     exceeded; otherwise return. The iteration cap fires when the count
@@ -36,10 +33,6 @@ val check : t -> unit
 val on_iteration : t -> int -> unit
 (** [on_iteration t] is a callback suitable for [Qp.solve ?on_iteration]
     and [Richardson_lucy.deconvolve ?on_iteration]: ignores the iteration
-    index and {!tick}s the shared budget. *)
+    index, counts one iteration against the shared budget and {!check}s
+    it. *)
 
-val iterations : t -> int
-(** Ticks recorded so far. *)
-
-val elapsed : t -> float
-(** Seconds since creation, on {!Obs.Clock}. *)

@@ -33,8 +33,6 @@ let class_name = function
   | Budget_exhausted _ -> "budget_exhausted"
   | Unexpected _ -> "unexpected"
 
-let pp fmt e = Format.pp_print_string fmt (to_string e)
-
 let equal (a : t) (b : t) =
   match (a, b) with
   | Ill_conditioned x, Ill_conditioned y -> Float.equal x.cond y.cond
@@ -48,8 +46,6 @@ let equal (a : t) (b : t) =
     && Float.equal x.spent y.spent
   | Unexpected x, Unexpected y -> String.equal x.description y.description
   | _ -> false
-
-let same_class (a : t) (b : t) = String.equal (class_name a) (class_name b)
 
 let recoverable = function
   | Ill_conditioned _ | Qp_stalled _ | Non_finite _ -> true

@@ -39,14 +39,9 @@ exception Error of t
 val raise_error : t -> 'a
 
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 
 val equal : t -> t -> bool
 (** Structural equality (payloads included). *)
-
-val same_class : t -> t -> bool
-(** Equality on the constructor only, ignoring payloads — what most tests
-    and retry policies actually branch on. *)
 
 val recoverable : t -> bool
 (** Whether the degradation cascade has a meaningful move left for this

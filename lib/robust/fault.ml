@@ -7,12 +7,6 @@ type 'a t = {
 
 let apply f rng x = f.inject rng x
 
-let compose ?name fs =
-  let name =
-    match name with Some n -> n | None -> String.concat " + " (List.map (fun f -> f.name) fs)
-  in
-  { name; inject = (fun rng x -> List.fold_left (fun acc f -> f.inject rng acc) x fs) }
-
 let pick rng index v =
   match index with Some i -> i | None -> Rng.int rng (Array.length v)
 
@@ -28,100 +22,7 @@ let map_at name ?index f =
   }
 
 let nan_at ?index () = map_at "NaN entry" ?index (fun _ -> Float.nan)
-let inf_at ?index () = map_at "infinite entry" ?index (fun _ -> Float.infinity)
 let zero_at ?index () = map_at "zeroed entry" ?index (fun _ -> 0.0)
-let negate_at ?index () = map_at "negated entry" ?index (fun x -> -.x)
-
-let spike ?index ~magnitude () =
-  {
-    name = Printf.sprintf "noise spike x%g" magnitude;
-    inject =
-      (fun rng v ->
-        let v = Array.copy v in
-        let i = pick rng index v in
-        v.(i) <- v.(i) +. (magnitude *. Float.max 1.0 (Vec.norm_inf v));
-        v);
-  }
-
-(* Shuffle, guaranteed to actually permute when that is possible (length
-   >= 2): the harness must not silently test the identity fault. Total:
-   shorter vectors have no non-identity permutation and return unchanged.
-   The identity test runs on an index permutation — comparing shuffled
-   values would mistake NaN-containing vectors for permuted ones. *)
-let shuffle_strict rng v =
-  let n = Array.length v in
-  if n < 2 then Array.copy v
-  else begin
-    let perm = Array.init n (fun i -> i) in
-    Rng.shuffle rng perm;
-    let identity = ref true in
-    Array.iteri (fun i p -> if p <> i then identity := false) perm;
-    if !identity then begin
-      perm.(0) <- 1;
-      perm.(1) <- 0
-    end;
-    Array.map (fun i -> v.(i)) perm
-  end
-
-let shuffle = { name = "shuffled order"; inject = shuffle_strict }
-
-let copy_kernel (k : Cellpop.Kernel.t) =
-  {
-    k with
-    Cellpop.Kernel.phases = Array.copy k.Cellpop.Kernel.phases;
-    times = Array.copy k.Cellpop.Kernel.times;
-    q = Mat.copy k.Cellpop.Kernel.q;
-    q_tilde = Mat.copy k.Cellpop.Kernel.q_tilde;
-  }
-
-let kernel_nan_column ?column () =
-  {
-    name = "NaN kernel column";
-    inject =
-      (fun rng k ->
-        let k = copy_kernel k in
-        let j = pick rng column k.Cellpop.Kernel.phases in
-        for m = 0 to (fst (Mat.dims k.Cellpop.Kernel.q)) - 1 do
-          Mat.set k.Cellpop.Kernel.q m j Float.nan
-        done;
-        k);
-  }
-
-let kernel_zero_row ?row () =
-  {
-    name = "zeroed kernel row";
-    inject =
-      (fun rng k ->
-        let k = copy_kernel k in
-        let m = pick rng row k.Cellpop.Kernel.times in
-        Mat.set_row k.Cellpop.Kernel.q m (Vec.zeros (snd (Mat.dims k.Cellpop.Kernel.q)));
-        k);
-  }
-
-let kernel_duplicate_time ?row () =
-  {
-    name = "duplicated time point";
-    inject =
-      (fun rng k ->
-        let k = copy_kernel k in
-        let n_t = Array.length k.Cellpop.Kernel.times in
-        let m =
-          match row with Some m -> m | None -> 1 + Rng.int rng (Stdlib.max 1 (n_t - 1))
-        in
-        let m = Stdlib.min (Stdlib.max 1 m) (n_t - 1) in
-        k.Cellpop.Kernel.times.(m) <- k.Cellpop.Kernel.times.(m - 1);
-        Mat.set_row k.Cellpop.Kernel.q m (Mat.row k.Cellpop.Kernel.q (m - 1));
-        k);
-  }
-
-let kernel_shuffle_times =
-  {
-    name = "shuffled kernel times";
-    inject =
-      (fun rng k ->
-        let k = copy_kernel k in
-        { k with Cellpop.Kernel.times = shuffle_strict rng k.Cellpop.Kernel.times });
-  }
 
 (* ---------------- matrix (gene-batch) faults ---------------- *)
 
@@ -148,15 +49,6 @@ let corrupt_rows ~rows fault =
         let m = Mat.copy m in
         Array.iter (fun g -> Mat.set_row m g (fault.inject rng (Mat.row m g))) rows;
         m);
-  }
-
-let corrupt_random_rows ~k fault =
-  {
-    name = Printf.sprintf "%s in %d random rows" fault.name k;
-    inject =
-      (fun rng m ->
-        let rows = choose_rows rng ~k ~rows:(fst (Mat.dims m)) in
-        (corrupt_rows ~rows fault).inject rng m);
   }
 
 let poison_sigma_rows ~rows = corrupt_rows ~rows (zero_at ())

@@ -1,7 +1,8 @@
-(** Composable fault injectors for the robustness test harness: each value
-    describes one way real experimental data (or a Monte-Carlo kernel) goes
-    wrong. Injectors are pure — they return a corrupted copy and never
-    mutate their input — so a clean fixture can be re-corrupted many ways. *)
+(** Fault injectors for the chaos harness ([Deconv.Chaos], [deconv-cli
+    chaos]) and the pipeline's fault option: each value describes one way
+    real experimental data goes wrong. Injectors are pure — they return a
+    corrupted copy and never mutate their input — so a clean fixture can
+    be re-corrupted many ways. *)
 
 open Numerics
 
@@ -12,46 +13,10 @@ type 'a t = {
 
 val apply : 'a t -> Rng.t -> 'a -> 'a
 
-val compose : ?name:string -> 'a t list -> 'a t
-(** Apply several injectors left to right; the default name concatenates
-    the component names. *)
-
 (** {1 Vector faults} (measurements, sigmas, times) *)
 
 val nan_at : ?index:int -> unit -> Vec.t t
 (** Replace one entry (random when [index] is omitted) with NaN. *)
-
-val inf_at : ?index:int -> unit -> Vec.t t
-val zero_at : ?index:int -> unit -> Vec.t t
-(** Force one entry to 0 — the σ→0 fault when applied to sigmas. *)
-
-val negate_at : ?index:int -> unit -> Vec.t t
-
-val spike : ?index:int -> magnitude:float -> unit -> Vec.t t
-(** Adversarial noise spike: add [magnitude · max(1, ‖v‖∞)] to one entry. *)
-
-val shuffle : Vec.t t
-(** Random permutation, guaranteed different from the input order when one
-    exists (length ≥ 2) — the shuffled-times fault. Total: vectors of
-    length 0 or 1 are returned unchanged. *)
-
-(** {1 Kernel faults} *)
-
-val kernel_nan_column : ?column:int -> unit -> Cellpop.Kernel.t t
-(** Poison one phase column of Q with NaN at every time. *)
-
-val kernel_zero_row : ?row:int -> unit -> Cellpop.Kernel.t t
-(** Zero one time row of Q — a degenerate (mass-free) kernel row. *)
-
-val kernel_duplicate_time : ?row:int -> unit -> Cellpop.Kernel.t t
-(** Make row [row] (default: a random row ≥ 1) an exact copy of the
-    previous row, time point included: duplicated time points that drive
-    the forward operator toward singularity without violating any
-    structural precondition. *)
-
-val kernel_shuffle_times : Cellpop.Kernel.t t
-(** Shuffle the kernel's time stamps (rows untouched), breaking the
-    sortedness invariant. *)
 
 (** {1 Matrix faults} (gene batches: rows are genes)
 
@@ -61,15 +26,12 @@ val kernel_shuffle_times : Cellpop.Kernel.t t
 
 val choose_rows : Rng.t -> k:int -> rows:int -> int array
 (** [k] distinct row indices drawn without replacement from
-    [0 .. rows-1], returned ascending. Raises [Invalid_argument] unless
-    [0 <= k <= rows]. *)
+    [0 .. rows-1], returned ascending. Raises the typed
+    [Invalid_input {field = "k"}] unless [0 <= k <= rows]. *)
 
 val corrupt_rows : rows:int array -> Vec.t t -> Mat.t t
 (** Apply a vector fault independently to each of the given rows of a
     copy of the matrix. *)
-
-val corrupt_random_rows : k:int -> Vec.t t -> Mat.t t
-(** {!choose_rows} then {!corrupt_rows}. *)
 
 val poison_sigma_rows : rows:int array -> Mat.t t
 (** Force one entry of each given σ row to 0 — invalid input (σ must be

@@ -33,16 +33,6 @@ type t = {
 
 let num_attempts r = List.length r.attempts
 
-let failed_attempts r = List.filter (fun a -> Result.is_error a.outcome) r.attempts
-
-let budget_limited r =
-  List.exists
-    (fun a ->
-      match a.outcome with
-      | Error (Error.Budget_exhausted _) -> true
-      | Ok () | Error _ -> false)
-    r.attempts
-
 let to_string r =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "solved by %s (degradation level %d)\n" (stage_name r.solved_by)

@@ -48,11 +48,4 @@ type t = {
 
 val num_attempts : t -> int
 
-val failed_attempts : t -> attempt list
-
-val budget_limited : t -> bool
-(** Whether any attempt died on {!Error.Budget_exhausted} — i.e. the
-    cascade stopped because its {!Budget} ran out, not because the
-    problem itself defeated every stage. *)
-
 val to_string : t -> string

@@ -16,6 +16,8 @@ val usable_sigma : float -> bool
 val sigmas : Vec.t -> (unit, Error.t) result
 (** Every σ must satisfy {!usable_sigma}. *)
 
+(* lint: allow R15 — the time-grid rule under kernel validation; test/test_robust.ml
+   checks it on ties, disorder, negatives and NaN *)
 val times : field:string -> Vec.t -> (unit, Error.t) result
 (** Times must be finite, non-negative and non-decreasing (ties are
     allowed: replicate measurements at the same time are legitimate). *)

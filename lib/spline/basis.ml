@@ -11,27 +11,13 @@ type t = {
   breaks : Vec.t;
 }
 
-let eval_vector b x = Array.init b.size (fun i -> b.eval i x)
-let deriv_vector b x = Array.init b.size (fun i -> b.deriv i x)
-let deriv2_vector b x = Array.init b.size (fun i -> b.deriv2 i x)
-
 let design b xs = Mat.init (Array.length xs) b.size (fun m i -> b.eval i xs.(m))
-let design_deriv b xs = Mat.init (Array.length xs) b.size (fun m i -> b.deriv i xs.(m))
-let design_deriv2 b xs = Mat.init (Array.length xs) b.size (fun m i -> b.deriv2 i xs.(m))
 
 let combine b alpha x =
   assert (Array.length alpha = b.size);
   let acc = ref 0.0 in
   for i = 0 to b.size - 1 do
     acc := !acc +. (alpha.(i) *. b.eval i x)
-  done;
-  !acc
-
-let combine_deriv b alpha x =
-  assert (Array.length alpha = b.size);
-  let acc = ref 0.0 in
-  for i = 0 to b.size - 1 do
-    acc := !acc +. (alpha.(i) *. b.deriv i x)
   done;
   !acc
 

@@ -18,20 +18,7 @@ type t = {
           used for exact penalty quadrature *)
 }
 
-val eval_vector : t -> float -> Vec.t
-(** All basis functions at a point: [ψ_1(x); ...; ψ_n(x)]. *)
-
-val deriv_vector : t -> float -> Vec.t
-val deriv2_vector : t -> float -> Vec.t
-
 val design : t -> Vec.t -> Mat.t
 (** [design basis xs] has entry (m, i) = ψ_i(xs.(m)). *)
 
-val design_deriv : t -> Vec.t -> Mat.t
-val design_deriv2 : t -> Vec.t -> Mat.t
-
-val combine : t -> Vec.t -> float -> float
-(** [combine basis alpha x] evaluates f_α(x). *)
-
-val combine_deriv : t -> Vec.t -> float -> float
 val combine_many : t -> Vec.t -> Vec.t -> Vec.t

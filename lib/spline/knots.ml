@@ -4,12 +4,3 @@ let uniform ~lo ~hi n =
   assert (n >= 2);
   Vec.linspace lo hi n
 
-let quantile samples n =
-  assert (n >= 2);
-  let qs = Vec.linspace 0.0 1.0 n in
-  let raw = Array.map (Stats.quantile samples) qs in
-  (* Enforce strict monotonicity by nudging duplicates. *)
-  for i = 1 to n - 1 do
-    if raw.(i) <= raw.(i - 1) then raw.(i) <- raw.(i - 1) +. 1e-9
-  done;
-  raw

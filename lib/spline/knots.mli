@@ -5,6 +5,3 @@ open Numerics
 val uniform : lo:float -> hi:float -> int -> Vec.t
 (** [uniform ~lo ~hi n] places [n >= 2] knots evenly, endpoints included. *)
 
-val quantile : Vec.t -> int -> Vec.t
-(** [quantile samples n] places [n] knots at evenly spaced quantiles of the
-    sample distribution (deduplicated monotone result). *)

@@ -11,9 +11,5 @@
     The basis has exactly K functions and every combination satisfies the
     natural boundary conditions f'' = f''' = 0 outside [ξ_1, ξ_K]. *)
 
-open Numerics
-
-val create : knots:Vec.t -> Basis.t
-(** Requires at least 3 strictly increasing knots. *)
 
 val with_uniform_knots : lo:float -> hi:float -> num_knots:int -> Basis.t

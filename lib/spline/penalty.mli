@@ -9,6 +9,8 @@ val second_derivative : Basis.t -> Mat.t
     Gauss–Legendre per break interval integrates it exactly. The result is
     symmetric positive semi-definite. *)
 
+(* lint: allow R15 — the basis mass matrix ∫ψᵢψⱼ for function-space norms;
+   test/test_spline.ml checks it against exact integrals *)
 val gram : Basis.t -> Vec.t -> Mat.t
 (** [gram basis grid] = trapezoid-weighted ∫ ψ_i ψ_j dx on the given grid
     (used for function-space norms in tests and diagnostics). *)

@@ -52,37 +52,6 @@ let direct ?(max_events = 1_000_000) network ~rng ~x0 ~t0 ~t1 =
   states := Array.copy state :: !states;
   { times = Vec.of_list (List.rev !times); states = Array.of_list (List.rev !states) }
 
-let tau_leap network ~rng ~x0 ~t0 ~t1 ~tau =
-  assert (tau > 0.0 && t1 > t0);
-  let state = Array.copy x0 in
-  let n_steps = int_of_float (Float.ceil ((t1 -. t0) /. tau)) in
-  let times = Array.make (n_steps + 1) t0 in
-  let states = Array.make (n_steps + 1) (Array.copy state) in
-  let deltas =
-    Array.map (Reaction_network.net_change network) network.Reaction_network.reactions
-  in
-  for step = 1 to n_steps do
-    let t = Float.min t1 (t0 +. (tau *. float_of_int step)) in
-    let dt = t -. times.(step - 1) in
-    let firings =
-      Array.map
-        (fun r ->
-          let a = Reaction_network.propensity r state in
-          if a <= 0.0 then 0 else Rng.poisson rng ~lambda:(a *. dt))
-        network.Reaction_network.reactions
-    in
-    Array.iteri
-      (fun ri count ->
-        if count > 0 then
-          Array.iteri
-            (fun si d -> state.(si) <- Stdlib.max 0 (state.(si) + (d * count)))
-            deltas.(ri))
-      firings;
-    times.(step) <- t;
-    states.(step) <- Array.copy state
-  done;
-  { times; states }
-
 let value_at trajectory ~species t =
   let n = Array.length trajectory.times in
   if t <= trajectory.times.(0) then float_of_int trajectory.states.(0).(species)
@@ -92,24 +61,3 @@ let value_at trajectory ~species t =
     float_of_int trajectory.states.(i).(species)
   end
 
-let sample trajectory ~times =
-  let n_species = Array.length trajectory.states.(0) in
-  Mat.init (Array.length times) n_species (fun m s -> value_at trajectory ~species:s times.(m))
-
-let mean_trajectory ?(runs = 100) network ~rng ~x0 ~times =
-  assert (runs > 0);
-  let n_t = Array.length times in
-  let n_s = Reaction_network.num_species network in
-  let acc = Mat.zeros n_t n_s in
-  for _ = 1 to runs do
-    let trajectory =
-      direct network ~rng:(Rng.split rng) ~x0 ~t0:times.(0) ~t1:(times.(n_t - 1) +. 1e-9)
-    in
-    let sampled = sample trajectory ~times in
-    for i = 0 to n_t - 1 do
-      for j = 0 to n_s - 1 do
-        Mat.set acc i j (Mat.get acc i j +. Mat.get sampled i j)
-      done
-    done
-  done;
-  Mat.scale (1.0 /. float_of_int runs) acc

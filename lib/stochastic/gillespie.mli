@@ -20,32 +20,6 @@ val direct :
     propensity exhaustion). The final recorded time is always [t1] with the
     last state, so sampling is safe up to [t1]. *)
 
-val tau_leap :
-  Reaction_network.t ->
-  rng:Rng.t ->
-  x0:int array ->
-  t0:float ->
-  t1:float ->
-  tau:float ->
-  trajectory
-(** Fixed-step tau-leaping with Poisson firing counts; negative excursions
-    are clamped to zero (adequate for the well-populated systems used
-    here). *)
-
 val value_at : trajectory -> species:int -> float -> float
 (** Piecewise-constant lookup of a species' copy number at a time. *)
 
-val sample : trajectory -> times:Vec.t -> Mat.t
-(** Piecewise-constant sampling of all species on a time grid
-    (rows = times, columns = species). *)
-
-val mean_trajectory :
-  ?runs:int ->
-  Reaction_network.t ->
-  rng:Rng.t ->
-  x0:int array ->
-  times:Vec.t ->
-  Mat.t
-(** Ensemble mean of [runs] (default 100) exact simulations sampled on a
-    common grid — converges to the mean-field ODE for large copy
-    numbers. *)

@@ -1,10 +1,3 @@
-let birth_death ~birth ~death =
-  Reaction_network.create ~species:[ "X" ]
-    ~reactions:
-      [
-        { Reaction_network.reactants = []; products = [ (0, 1) ]; rate = birth };
-        { Reaction_network.reactants = [ (0, 1) ]; products = []; rate = death };
-      ]
 
 let lotka_volterra ~a ~b ~c ~d ~volume =
   assert (volume > 0.0);
@@ -26,13 +19,3 @@ let lotka_volterra ~a ~b ~c ~d ~volume =
 let concentrations_to_counts ~volume concentrations =
   Array.map (fun c -> Stdlib.max 0 (int_of_float (Float.round (c *. volume)))) concentrations
 
-let telegraph ~k_on ~k_off ~k_transcribe ~k_degrade =
-  Reaction_network.create ~species:[ "gene_off"; "gene_on"; "mrna" ]
-    ~reactions:
-      [
-        { Reaction_network.reactants = [ (0, 1) ]; products = [ (1, 1) ]; rate = k_on };
-        { Reaction_network.reactants = [ (1, 1) ]; products = [ (0, 1) ]; rate = k_off };
-        { Reaction_network.reactants = [ (1, 1) ]; products = [ (1, 1); (2, 1) ];
-          rate = k_transcribe };
-        { Reaction_network.reactants = [ (2, 1) ]; products = []; rate = k_degrade };
-      ]

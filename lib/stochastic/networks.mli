@@ -1,9 +1,5 @@
 (** Canonical reaction networks used in tests and experiments. *)
 
-val birth_death : birth:float -> death:float -> Reaction_network.t
-(** ∅ →(birth) X, X →(death) ∅. Stationary distribution Poisson(birth/death);
-    species: [X]. *)
-
 val lotka_volterra :
   a:float -> b:float -> c:float -> d:float -> volume:float -> Reaction_network.t
 (** The stochastic counterpart of the paper's oscillator (eqs. 20–21) in a
@@ -20,9 +16,3 @@ val lotka_volterra :
 val concentrations_to_counts : volume:float -> Numerics.Vec.t -> int array
 (** Round concentrations into copy numbers for a given volume. *)
 
-val telegraph :
-  k_on:float -> k_off:float -> k_transcribe:float -> k_degrade:float -> Reaction_network.t
-(** Two-state gene expression: a promoter switches OFF↔ON and transcribes
-    only when ON; transcripts degrade first-order. Stationary mean mRNA =
-    (k_transcribe/k_degrade) · k_on/(k_on + k_off).
-    Species: [gene_off; gene_on; mrna]. *)

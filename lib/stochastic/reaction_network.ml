@@ -49,30 +49,3 @@ let apply r state =
   List.iter (fun (idx, stoich) -> state.(idx) <- state.(idx) + stoich) r.products;
   Array.iter (fun x -> assert (x >= 0)) state
 
-let net_change t r =
-  let delta = Array.make (num_species t) 0 in
-  List.iter (fun (idx, stoich) -> delta.(idx) <- delta.(idx) - stoich) r.reactants;
-  List.iter (fun (idx, stoich) -> delta.(idx) <- delta.(idx) + stoich) r.products;
-  delta
-
-let deterministic_rhs t ~volume : Numerics.Ode.system =
-  assert (volume > 0.0);
-  let deltas = Array.map (net_change t) t.reactions in
-  fun _t concentrations ->
-    let dydt = Array.make (num_species t) 0.0 in
-    Array.iteri
-      (fun ri r ->
-        (* Concentration-space mass-action flux: rate × Π c_i^stoich, with
-           the stochastic bimolecular 1/volume factors already folded into
-           the concentration form. *)
-        let order = List.fold_left (fun acc (_, s) -> acc + s) 0 r.reactants in
-        let scale = volume ** float_of_int (order - 1) in
-        let flux =
-          List.fold_left
-            (fun acc (idx, stoich) ->
-              acc *. (Float.max 0.0 concentrations.(idx) ** float_of_int stoich))
-            (r.rate *. scale) r.reactants
-        in
-        Array.iteri (fun si d -> dydt.(si) <- dydt.(si) +. (float_of_int d *. flux)) deltas.(ri))
-      t.reactions;
-    dydt

@@ -28,10 +28,3 @@ val apply : reaction -> int array -> unit
 (** Fire the reaction once, updating copy numbers in place; asserts that
     no count goes negative. *)
 
-val net_change : t -> reaction -> int array
-(** Stoichiometric change vector of one firing. *)
-
-val deterministic_rhs : t -> volume:float -> Numerics.Ode.system
-(** The mean-field ODE limit: concentrations c = x/volume with mass-action
-    rates (bimolecular propensities scale as 1/volume). Used to check SSA
-    means against the corresponding ODE model. *)

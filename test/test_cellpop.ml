@@ -8,7 +8,8 @@ let test_params_presets () =
   check_close "2011 cv" 0.13 params.Cellpop.Params.cv_sst;
   check_close "cycle time" 150.0 params.Cellpop.Params.mean_cycle_minutes;
   check_close "2009 transition" 0.25 Cellpop.Params.plos_2009.Cellpop.Params.mu_sst;
-  check_close ~tol:1e-12 "sst std" (0.13 *. 0.15) (Cellpop.Params.sst_std params)
+  check_close ~tol:1e-12 "sst std" (0.13 *. 0.15) (Cellpop.Params.sst_std params);
+  check_close ~tol:1e-12 "cycle std" (0.1 *. 150.0) (Cellpop.Params.cycle_std params)
 
 let test_sst_density_normalized () =
   let mass =
@@ -30,8 +31,7 @@ let test_founder_synchronized () =
   let rng = Rng.create 301 in
   for _ = 1 to 2_000 do
     let c = Cellpop.Cell.founder params rng in
-    check_true "founder is swarmer" (Cellpop.Cell.is_swarmer c);
-    check_true "phase below own transition" (c.Cellpop.Cell.phase <= c.Cellpop.Cell.phi_sst)
+    check_true "founder is swarmer" (c.Cellpop.Cell.phase <= c.Cellpop.Cell.phi_sst)
   done
 
 let test_founder_uniform () =
@@ -47,14 +47,13 @@ let test_daughters () =
   let st = Cellpop.Cell.stalked_daughter params rng in
   check_close ~tol:1e-12 "stalked re-enters at its phi_sst" st.Cellpop.Cell.phi_sst
     st.Cellpop.Cell.phase;
-  check_true "stalked is not swarmer" (not (Cellpop.Cell.is_swarmer st))
+  check_true "stalked is not swarmer" (st.Cellpop.Cell.phase >= st.Cellpop.Cell.phi_sst)
 
 let test_advance_and_division_time () =
   let cell = { Cellpop.Cell.phase = 0.5; phi_sst = 0.15; cycle_minutes = 100.0 } in
   let moved = Cellpop.Cell.advance cell 25.0 in
   check_close ~tol:1e-12 "phase advance" 0.75 moved.Cellpop.Cell.phase;
-  check_close ~tol:1e-12 "time to division" 50.0 (Cellpop.Cell.time_to_division cell);
-  check_close ~tol:1e-12 "rate" 0.01 (Cellpop.Cell.rate cell)
+  check_close ~tol:1e-12 "time to division" 50.0 (Cellpop.Cell.time_to_division cell)
 
 let test_population_growth () =
   let rng = Rng.create 304 in
@@ -104,7 +103,14 @@ let test_total_volume_grows () =
   let rng = Rng.create 307 in
   let times = [| 0.0; 50.0; 100.0; 150.0; 200.0 |] in
   let snapshots = Cellpop.Population.simulate params ~rng ~n0:1000 ~times in
-  let volumes = Array.map (Cellpop.Population.total_volume params) snapshots in
+  let volumes =
+    Array.map
+      (fun s ->
+        Array.fold_left
+          (fun acc c -> acc +. Cellpop.Cell.volume params c)
+          0.0 s.Cellpop.Population.cells)
+      snapshots
+  in
   for i = 0 to Array.length volumes - 2 do
     check_true "population volume increases" (volumes.(i + 1) > volumes.(i))
   done

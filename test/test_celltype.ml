@@ -6,6 +6,15 @@ let boundaries = Cellpop.Celltype.mid_boundaries
 
 let cell phase phi_sst = { Cellpop.Cell.phase; phi_sst; cycle_minutes = 150.0 }
 
+(* [| sw; ste; stepd; stlpd |] of one snapshot. *)
+let fractions boundaries s = Mat.row (Cellpop.Celltype.fractions_over_time boundaries [| s |]) 0
+
+let category_to_string = function
+  | Cellpop.Celltype.SW -> "SW"
+  | STE -> "STE"
+  | STEPD -> "STEPD"
+  | STLPD -> "STLPD"
+
 let test_classification () =
   let open Cellpop.Celltype in
   Alcotest.(check string) "swarmer" "SW"
@@ -35,7 +44,7 @@ let test_fractions_sum_to_one () =
   let snapshots = Cellpop.Population.simulate params ~rng ~n0:3000 ~times:[| 0.0; 75.0; 150.0 |] in
   Array.iter
     (fun s ->
-      let f = Cellpop.Celltype.fractions boundaries s in
+      let f = fractions boundaries s in
       Alcotest.(check int) "four categories" 4 (Array.length f);
       check_close ~tol:1e-9 "fractions sum to 1" 1.0 (Vec.sum f))
     snapshots
@@ -43,7 +52,7 @@ let test_fractions_sum_to_one () =
 let test_initial_population_all_swarmer () =
   let rng = Rng.create 501 in
   let snapshots = Cellpop.Population.simulate params ~rng ~n0:2000 ~times:[| 0.0 |] in
-  let f = Cellpop.Celltype.fractions boundaries snapshots.(0) in
+  let f = fractions boundaries snapshots.(0) in
   check_close "all swarmer at t=0" 1.0 f.(0)
 
 let test_fractions_dynamics () =
@@ -69,12 +78,9 @@ let test_boundary_ranges_bracket () =
   (* Low boundaries classify more cells as predivisional than high ones. *)
   let rng = Rng.create 503 in
   let snapshots = Cellpop.Population.simulate params ~rng ~n0:4000 ~times:[| 120.0 |] in
-  let low = Cellpop.Celltype.fractions Cellpop.Celltype.low_boundaries snapshots.(0) in
-  let high = Cellpop.Celltype.fractions Cellpop.Celltype.high_boundaries snapshots.(0) in
+  let low = fractions Cellpop.Celltype.low_boundaries snapshots.(0) in
+  let high = fractions Cellpop.Celltype.high_boundaries snapshots.(0) in
   check_true "low boundary gives more STEPD+STLPD" (low.(2) +. low.(3) >= high.(2) +. high.(3))
-
-let test_all_categories () =
-  Alcotest.(check int) "four categories listed" 4 (List.length Cellpop.Celltype.all_categories)
 
 let tests =
   [
@@ -87,6 +93,5 @@ let tests =
         case "initial population all swarmer" test_initial_population_all_swarmer;
         case "fraction dynamics match biology" test_fractions_dynamics;
         case "boundary ranges bracket" test_boundary_ranges_bracket;
-        case "category list" test_all_categories;
       ] );
   ]

@@ -78,7 +78,101 @@ let test_functor_body_defs () =
   check_true "functor-body def is collected"
     (Option.is_some (Analysis.Callgraph.find graph "Deconv.Maker.Make.boom"))
 
+(* ---------------- resolution helpers ---------------- *)
+
+let lid dotted =
+  match String.split_on_char '.' dotted with
+  | [] -> Alcotest.failf "empty identifier"
+  | head :: rest ->
+    List.fold_left (fun l s -> Longident.Ldot (l, s)) (Longident.Lident head) rest
+
+let scope_or_fail graph id =
+  match Analysis.Callgraph.scope_of graph id with
+  | Some scope -> scope
+  | None -> Alcotest.failf "no scope recorded for %s" id
+
+let test_flatten_lid () =
+  Alcotest.(check (list string)) "dotted path splits into its parts"
+    [ "Numerics"; "Linalg"; "solve" ]
+    (Analysis.Callgraph.flatten_lid (lid "Numerics.Linalg.solve"));
+  Alcotest.(check (list string)) "a bare name is one part" [ "go" ]
+    (Analysis.Callgraph.flatten_lid (lid "go"));
+  let applied =
+    Longident.Ldot (Longident.Lapply (lid "Make", lid "Arg"), "run")
+  in
+  Alcotest.(check (list string)) "a functor application keeps the functor"
+    [ "Make"; "run" ]
+    (Analysis.Callgraph.flatten_lid applied)
+
+let test_pattern_vars () =
+  let pattern =
+    Parse.pattern
+      (Lexing.from_string "((a, Some b), { x = c; _ }, ([| d |] | [| _; d |]) as e)")
+  in
+  Alcotest.(check (list string)) "every bound variable, or-branches included"
+    [ "a"; "b"; "c"; "d"; "d"; "e" ]
+    (List.sort String.compare (Analysis.Callgraph.pattern_vars pattern));
+  Alcotest.(check (list string)) "wildcards and constants bind nothing" []
+    (Analysis.Callgraph.pattern_vars (Parse.pattern (Lexing.from_string "(_, 1, None)")))
+
+let test_scope_and_resolve () =
+  let graph =
+    build
+      [
+        ("lib/numerics/linalg.ml", "let solve x = x");
+        ("lib/core/solver.ml", "open Numerics\nlet helper x = x\nlet go x = helper (Linalg.solve x)");
+      ]
+  in
+  check_true "an unknown id has no scope"
+    (Option.is_none (Analysis.Callgraph.scope_of graph "Deconv.Solver.missing"));
+  let scope = scope_or_fail graph "Deconv.Solver.go" in
+  let no_locals _ = false in
+  let resolve ?(locals = no_locals) name =
+    Analysis.Callgraph.resolve graph scope ~locals (lid name)
+  in
+  check_true "a sibling resolves to its definition"
+    (resolve "helper" = Analysis.Callgraph.Def "Deconv.Solver.helper");
+  check_true "an opened module's value resolves"
+    (resolve "Linalg.solve" = Analysis.Callgraph.Def "Numerics.Linalg.solve");
+  check_true "a local binding shadows the sibling"
+    (resolve ~locals:(String.equal "helper") "helper"
+    = Analysis.Callgraph.External "helper");
+  check_true "an unknown name stays external with its dotted spelling"
+    (resolve "List.map" = Analysis.Callgraph.External "List.map")
+
+let test_exception_name () =
+  let graph =
+    build
+      [
+        ("lib/robust/error.ml", "exception Error of string\nlet fail s = raise (Error s)");
+        ("lib/core/solver.ml", "let go () = raise (Robust.Error.Error \"x\")");
+      ]
+  in
+  let inside = scope_or_fail graph "Robust.Error.fail" in
+  let outside = scope_or_fail graph "Deconv.Solver.go" in
+  Alcotest.(check string) "bare constructor inside its module" Analysis.Effects.robust_error
+    (Analysis.Callgraph.exception_name graph inside (lid "Error"));
+  Alcotest.(check string) "qualified constructor from another library"
+    Analysis.Effects.robust_error
+    (Analysis.Callgraph.exception_name graph outside (lid "Robust.Error.Error"));
+  Alcotest.(check string) "an undeclared exception keeps its spelling" "Stdlib.Exit"
+    (Analysis.Callgraph.exception_name graph outside (lid "Stdlib.Exit"))
+
 (* ---------------- effect propagation ---------------- *)
+
+let test_dynamic_raise () =
+  let sources =
+    [
+      ( "lib/core/a.ml",
+        "let rethrow e = raise e\n\
+         let caught f = try rethrow (f ()) with _ -> 0" );
+    ]
+  in
+  check_raises "raising a computed exception value is tracked as dynamic"
+    [ Analysis.Effects.dynamic_raise ]
+    (caps_of sources "Deconv.A.rethrow");
+  check_raises "a catch-all masks the dynamic raise" []
+    (caps_of sources "Deconv.A.caught")
 
 let test_direct_raise_and_intrinsics () =
   let caps =
@@ -337,13 +431,18 @@ let test_seeded_defect_file () =
   in
   Alcotest.(check (list string)) "flagged by both rules" [ "R10"; "R11" ] rules
 
-(* Regression: the repository's own lib/ tree is R10-R12 clean. Tests run
-   in _build/default/test, so the sources live one directory up. *)
+(* Regression: the repository's own lib/ tree is clean under R10-R12 and,
+   with the programs that use it read as users, under R15. Tests run in
+   _build/default/test, so the sources live one directory up (test/dune
+   declares them as dependencies). *)
 let test_repo_lib_is_clean () =
   let root = Filename.concat Filename.parent_dir_name "lib" in
   if not (Sys.file_exists root) then ()
   else begin
-    let r = Analysis.Policy.check_paths [ root ] in
+    let users =
+      List.map (Filename.concat Filename.parent_dir_name) [ "bin"; "bench"; "examples"; "perfbench" ]
+    in
+    let r = Analysis.Policy.check_paths (root :: users) in
     List.iter
       (fun (p, m) -> Alcotest.failf "check error on %s: %s" p m)
       r.Analysis.Policy.errors;
@@ -355,6 +454,57 @@ let test_repo_lib_is_clean () =
         (Analysis.Finding.to_text f));
     check_true "the graph is not trivially empty" (r.Analysis.Policy.defs > 100)
   end
+
+let test_exports_with_locations () =
+  let graph =
+    build
+      [
+        ("lib/numerics/kern.ml", "let a = 1\nmodule M = struct let b = 2 end\n");
+        ("lib/numerics/kern.mli", "val a : int\nmodule M : sig\n  val b : int\nend\n");
+      ]
+  in
+  Alcotest.(check (list (pair string int)))
+    "every val with its line, nested signatures included"
+    [ ("Numerics.Kern.M.b", 3); ("Numerics.Kern.a", 1) ]
+    (List.sort compare
+       (List.map
+          (fun (e : Analysis.Callgraph.export) -> (e.Analysis.Callgraph.value, e.Analysis.Callgraph.line))
+          (Analysis.Callgraph.exports graph)))
+
+let test_named_in () =
+  let graph, errors =
+    Analysis.Callgraph.build
+      ~users:[ ("bin/main.ml", "module K = Numerics.Kern\nlet () = ignore (K.scale 2)\n") ]
+      [
+        ("lib/numerics/kern.ml", "let scale x = 2 * x\n");
+        (* a parameter named like the export shadows it *)
+        ("lib/core/a.ml", "open Numerics.Kern\nlet f scale = scale + 1\n");
+        ("lib/core/b.ml", "open Numerics.Kern\nlet g x = scale x\n");
+      ]
+  in
+  List.iter (fun (p, m) -> Alcotest.failf "parse error in %s: %s" p m) errors;
+  Alcotest.(check (list string))
+    "files that name the export: a module alias in a user, an open in lib"
+    [ "bin/main.ml"; "lib/core/b.ml" ]
+    (List.sort String.compare (Analysis.Callgraph.named_in graph "Numerics.Kern.scale"));
+  check_true "users add no definitions"
+    (not (List.exists (fun d -> String.equal d.Analysis.Callgraph.path "bin/main.ml")
+            (Analysis.Callgraph.defs graph)))
+
+let test_user_trees () =
+  List.iter
+    (fun (path, expected) ->
+      Alcotest.(check bool) path expected (Analysis.Libpath.in_user_tree path))
+    [
+      ("bin/main.ml", true);
+      ("../bench/main.ml", true);
+      ("/src/repo/examples/quickstart.ml", true);
+      ("perfbench/bench.ml", true);
+      ("lib/core/solver.ml", false);
+      ("lib/bin/helper.ml", false);
+      ("test/test_lint.ml", false);
+      ("scratch.ml", false);
+    ]
 
 (* ---------------- baseline ---------------- *)
 
@@ -417,11 +567,6 @@ let test_baseline_ignores_position () =
 
 (* ---------------- SARIF ---------------- *)
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
-  go 0
-
 let test_sarif_output () =
   let rules = [ ("R10", "exception escape", "long description") ] in
   let f =
@@ -458,10 +603,18 @@ let tests =
       [
         case "module qualification" test_qualification;
         case "mli exports" test_mli_exports;
+        case "exports with locations" test_exports_with_locations;
+        case "files naming a definition" test_named_in;
+        case "user trees" test_user_trees;
         case "functor body defs" test_functor_body_defs;
+        case "flatten_lid" test_flatten_lid;
+        case "pattern vars" test_pattern_vars;
+        case "scope and resolve" test_scope_and_resolve;
+        case "exception name" test_exception_name;
       ] );
     ( "checker-effects",
       [
+        case "dynamic raise" test_dynamic_raise;
         case "raising intrinsics" test_direct_raise_and_intrinsics;
         case "open resolution" test_open_resolution;
         case "sibling resolution" test_sibling_resolution;

@@ -1,13 +1,12 @@
-open Numerics
 open Testutil
 
 let temp_path name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 let test_csv_roundtrip () =
   let path = temp_path "deconv_test_roundtrip.csv" in
-  let rows = [ [| 1.0; 2.5 |]; [| -3.0; 4.0e-3 |] ] in
-  Dataio.Csv.write ~path ~header:[ "a"; "b" ] ~rows;
-  let header, read_rows = Dataio.Csv.read ~path in
+  Dataio.Csv.write_columns ~path ~header:[ "a"; "b" ]
+    ~columns:[ [| 1.0; -3.0 |]; [| 2.5; 4.0e-3 |] ];
+  let header, read_rows = read_csv path in
   Alcotest.(check (list string)) "header" [ "a"; "b" ] header;
   Alcotest.(check int) "row count" 2 (List.length read_rows);
   check_vec ~tol:1e-12 "first row" [| 1.0; 2.5 |] (List.nth read_rows 0);
@@ -16,8 +15,8 @@ let test_csv_roundtrip () =
 
 let test_csv_headerless () =
   let path = temp_path "deconv_test_headerless.csv" in
-  Dataio.Csv.write ~path ~header:[] ~rows:[ [| 7.0 |] ];
-  let header, rows = Dataio.Csv.read ~path in
+  Dataio.Csv.write_columns ~path ~header:[] ~columns:[ [| 7.0 |] ];
+  let header, rows = read_csv path in
   Alcotest.(check (list string)) "no header" [] header;
   (match rows with
   | row :: _ -> check_vec "data kept" [| 7.0 |] row
@@ -28,7 +27,11 @@ let test_csv_columns () =
   let path = temp_path "deconv_test_columns.csv" in
   Dataio.Csv.write_columns ~path ~header:[ "t"; "g" ]
     ~columns:[ [| 0.0; 1.0; 2.0 |]; [| 5.0; 6.0; 7.0 |] ];
-  let header, columns = Dataio.Csv.read_columns ~path in
+  let header, columns =
+    match Dataio.Csv.read_columns_result ~path with
+    | Ok contents -> contents
+    | Error e -> Alcotest.failf "unexpected CSV error: %s" (Dataio.Csv.error_to_string e)
+  in
   Alcotest.(check (list string)) "header" [ "t"; "g" ] header;
   check_vec "first column" [| 0.0; 1.0; 2.0 |] (List.nth columns 0);
   check_vec "second column" [| 5.0; 6.0; 7.0 |] (List.nth columns 1);
@@ -36,8 +39,8 @@ let test_csv_columns () =
 
 let test_csv_empty () =
   let path = temp_path "deconv_test_empty.csv" in
-  Dataio.Csv.write ~path ~header:[] ~rows:[];
-  let header, rows = Dataio.Csv.read ~path in
+  Dataio.Csv.write_columns ~path ~header:[] ~columns:[];
+  let header, rows = read_csv path in
   Alcotest.(check (list string)) "no header" [] header;
   Alcotest.(check int) "no rows" 0 (List.length rows);
   Sys.remove path
@@ -51,14 +54,14 @@ let test_table_rendering () =
   let t = Dataio.Table.create ~title:"demo" ~headers:[ "x"; "y" ] in
   Dataio.Table.add_row t [| 1.0; 2.0 |];
   Dataio.Table.add_row t [| 30.5; -4.25 |];
-  let s = Dataio.Table.to_string t in
+  let s = capture (fun oc -> Dataio.Table.output oc t) in
   check_true "title present" (String.length s > 0 && String.sub s 0 7 = "== demo");
   check_true "contains first row" (contains_substring s "30.5")
 
 let test_table_add_rows_columns () =
   let t = Dataio.Table.create ~title:"cols" ~headers:[ "a"; "b" ] in
   Dataio.Table.add_rows t [ [| 1.0; 2.0 |]; [| 10.0; 20.0 |] ];
-  let s = Dataio.Table.to_string t in
+  let s = capture (fun oc -> Dataio.Table.output oc t) in
   (* Two data lines plus title and header. *)
   Alcotest.(check int) "line count" 4 (List.length (String.split_on_char '\n' (String.trim s)))
 
@@ -77,11 +80,6 @@ let test_judd_dataset_shape () =
   check_true "sw rises late" (Dataio.Datasets.judd_sw.(5) > Dataio.Datasets.judd_sw.(0));
   check_true "stlpd rises" (Dataio.Datasets.judd_stlpd.(5) > Dataio.Datasets.judd_stlpd.(0))
 
-let test_judd_matrix_matches_arrays () =
-  let m = Dataio.Datasets.judd_fractions in
-  Alcotest.(check (pair int int)) "matrix dims" (6, 4) (Numerics.Mat.dims m);
-  check_close "entry check" Dataio.Datasets.judd_stepd.(2) (Mat.get m 2 2)
-
 let test_measurement_grids () =
   Alcotest.(check int) "13 lv samples" 13 (Array.length Dataio.Datasets.lv_measurement_times);
   check_close "lv last sample" 180.0 Dataio.Datasets.lv_measurement_times.(12);
@@ -90,13 +88,53 @@ let test_measurement_grids () =
 
 let test_ascii_plot () =
   let s =
-    Dataio.Ascii_plot.render ~width:40 ~height:10 ~title:"t"
-      [ { Dataio.Ascii_plot.label = "series"; glyph = '*'; xs = [| 0.0; 1.0 |]; ys = [| 0.0; 1.0 |] } ]
+    capture (fun oc ->
+        Dataio.Ascii_plot.output ~width:40 ~height:10 ~title:"t" oc
+          [ { Dataio.Ascii_plot.label = "series"; glyph = '*'; xs = [| 0.0; 1.0 |]; ys = [| 0.0; 1.0 |] } ])
   in
   check_true "contains glyph" (String.contains s '*');
   check_true "contains legend" (String.length s > 40);
-  let empty = Dataio.Ascii_plot.render [] in
+  let empty = capture (fun oc -> Dataio.Ascii_plot.output oc []) in
   Alcotest.(check string) "empty plot" "(empty plot)\n" empty
+
+(* Files in [dir] whose names start with [prefix]: the atomic writer's
+   temp files are ".<basename>.<random>.tmp" in the destination's
+   directory. *)
+let temp_siblings dir prefix =
+  List.filter (String.starts_with ~prefix) (Array.to_list (Sys.readdir dir))
+
+let test_atomic_write_replaces () =
+  let dir = Filename.temp_dir "deconv_atomic" "" in
+  let path = Filename.concat dir "out.txt" in
+  Dataio.Atomic_file.write path (fun oc -> output_string oc "first\n");
+  Dataio.Atomic_file.write path (fun oc -> output_string oc "second\n");
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let leftovers = temp_siblings dir ".out.txt." in
+  Sys.remove path;
+  Sys.rmdir dir;
+  Alcotest.(check string) "the last write wins, whole" "second\n" text;
+  Alcotest.(check (list string)) "no temp file left behind" [] leftovers
+
+let test_atomic_write_failure_keeps_old () =
+  let dir = Filename.temp_dir "deconv_atomic" "" in
+  let path = Filename.concat dir "out.txt" in
+  Dataio.Atomic_file.write path (fun oc -> output_string oc "kept\n");
+  let raised =
+    match
+      Dataio.Atomic_file.write path (fun oc ->
+          output_string oc "torn";
+          raise Exit)
+    with
+    | () -> false
+    | exception Exit -> true
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let leftovers = temp_siblings dir ".out.txt." in
+  Sys.remove path;
+  Sys.rmdir dir;
+  check_true "the body's exception is re-raised" raised;
+  Alcotest.(check string) "the old content survives" "kept\n" text;
+  Alcotest.(check (list string)) "the temp file is removed" [] leftovers
 
 let tests =
   [
@@ -109,8 +147,9 @@ let tests =
         case "table rendering" test_table_rendering;
         case "table add_rows" test_table_add_rows_columns;
         case "judd dataset shape" test_judd_dataset_shape;
-        case "judd matrix" test_judd_matrix_matches_arrays;
         case "measurement grids" test_measurement_grids;
         case "ascii plot" test_ascii_plot;
+        case "atomic write replaces" test_atomic_write_replaces;
+        case "atomic write failure keeps the old file" test_atomic_write_failure_keeps_old;
       ] );
   ]

@@ -218,27 +218,25 @@ let test_lcurve_selection () =
 
 (* --- Synchrony --- *)
 
+(* Order parameter and phase entropy of one snapshot. *)
+let synchrony s =
+  let r, h = Cellpop.Synchrony.over_time [| s |] in
+  (r.(0), h.(0))
+
 let test_synchrony_extremes () =
   let all_at phase =
     { Cellpop.Population.time = 0.0;
       cells = Array.init 100 (fun _ -> { Cellpop.Cell.phase; phi_sst = 0.15; cycle_minutes = 150.0 }) }
   in
-  check_close ~tol:1e-9 "fully synchronized" 1.0 (Cellpop.Synchrony.order_parameter (all_at 0.3));
-  check_close ~tol:1e-9 "zero entropy" 0.0 (Cellpop.Synchrony.phase_entropy (all_at 0.3));
+  check_close ~tol:1e-9 "fully synchronized" 1.0 (fst (synchrony (all_at 0.3)));
+  check_close ~tol:1e-9 "zero entropy" 0.0 (snd (synchrony (all_at 0.3)));
   let uniform =
     { Cellpop.Population.time = 0.0;
       cells = Array.init 1000 (fun i ->
           { Cellpop.Cell.phase = float_of_int i /. 1000.0; phi_sst = 0.15; cycle_minutes = 150.0 }) }
   in
-  check_close ~tol:0.01 "uniform has R ~ 0" 0.0 (Cellpop.Synchrony.order_parameter uniform);
-  check_close ~tol:0.01 "uniform entropy ~ 1" 1.0 (Cellpop.Synchrony.phase_entropy uniform)
-
-let test_mean_phase () =
-  let s =
-    { Cellpop.Population.time = 0.0;
-      cells = Array.init 50 (fun _ -> { Cellpop.Cell.phase = 0.25; phi_sst = 0.15; cycle_minutes = 150.0 }) }
-  in
-  check_close ~tol:1e-9 "mean phase" 0.25 (Cellpop.Synchrony.mean_phase s)
+  check_close ~tol:0.01 "uniform has R ~ 0" 0.0 (fst (synchrony uniform));
+  check_close ~tol:0.01 "uniform entropy ~ 1" 1.0 (snd (synchrony uniform))
 
 let test_synchrony_decays () =
   let rng = Rng.create 1206 in
@@ -355,7 +353,6 @@ let tests =
     ( "synchrony",
       [
         case "extreme populations" test_synchrony_extremes;
-        case "mean phase" test_mean_phase;
         case "batch culture desynchronizes" test_synchrony_decays;
       ] );
     ( "kernel-analytic",

@@ -15,8 +15,7 @@ let with_clean_obs f () =
       Obs.Export.uninstall ();
       Obs.Metrics.disable ();
       Obs.Metrics.reset ();
-      Obs.Span.reset ();
-      Obs.Clock.set_source Obs.Clock.wall)
+      Obs.Span.reset ())
     f
 
 let diags events = List.filter_map (function Obs.Export.Diag d -> Some d | _ -> None) events
@@ -114,7 +113,6 @@ let test_diag_solve_labels =
   Obs.Clock.with_source source (fun () ->
       let sink, recorded = Obs.Export.memory () in
       Obs.Export.install sink;
-      Alcotest.(check string) "default label" "solve" (Obs.Diag.solve_label ());
       Obs.Diag.with_solve "gene:3" (fun () ->
           Obs.Diag.emit (Obs.Diag.make ~stage:"qp" ());
           Obs.Diag.with_solve "gene:4" (fun () ->
@@ -129,6 +127,30 @@ let test_diag_solve_labels =
         Alcotest.(check string) "restored" "gene:3" c;
         Alcotest.(check string) "outside any scope" "solve" d
       | ds -> Alcotest.failf "expected 4 diags, got %d" (List.length ds))
+
+let test_diag_by_solve () =
+  let rec_ solve stage = Obs.Export.Diag (Obs.Diag.make ~solve ~stage ()) in
+  let stream =
+    [
+      rec_ "gene:2" "lambda";
+      Obs.Export.Span
+        { Obs.Export.id = 1; parent = None; name = "solve"; start_s = 0.0; stop_s = 1.0; attrs = [] };
+      rec_ "gene:0" "lambda";
+      rec_ "gene:2" "solve";
+      rec_ "gene:0" "solve";
+      rec_ "gene:0" "qp";
+    ]
+  in
+  let grouped =
+    List.map
+      (fun (solve, ds) -> (solve, List.map (fun d -> d.Obs.Diag.d_stage) ds))
+      (Obs.Diag.by_solve stream)
+  in
+  Alcotest.(check (list (pair string (list string))))
+    "groups in first-seen order, records in emission order, spans ignored"
+    [ ("gene:2", [ "lambda"; "solve" ]); ("gene:0", [ "lambda"; "solve"; "qp" ]) ]
+    grouped;
+  Alcotest.(check int) "an empty stream has no groups" 0 (List.length (Obs.Diag.by_solve []))
 
 let test_diag_disabled_is_noop =
   with_clean_obs @@ fun () ->
@@ -166,27 +188,14 @@ let test_ftsz_solve_emits_quality_record () =
   | Some path -> check_true "cascade path non-empty" (String.length path > 0)
   | None -> Alcotest.fail "solve record carries no cascade tag")
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
-  go 0
-
-let render_report ?plot cards =
-  let path = Filename.temp_file "deconv_diag_report" ".txt" in
-  let oc = open_out path in
-  Deconv.Quality.output_report ?plot oc cards;
-  close_out oc;
-  let text = In_channel.with_open_bin path In_channel.input_all in
-  Sys.remove path;
-  text
+let render_report ?plot cards = capture (fun oc -> Deconv.Quality.output_report ?plot oc cards)
 
 let test_ftsz_report_card () =
   let events = Lazy.force traced_solve_events in
   match Deconv.Quality.cards events with
   | [ card ] ->
     check_true "card is healthy on the inverse-crime fixture"
-      (Deconv.Quality.healthy card);
-    Alcotest.(check string) "verdict" "healthy" (Deconv.Quality.verdict card);
+      (card.Deconv.Quality.flags = []);
     Alcotest.(check string) "selector recorded" "gcv" card.Deconv.Quality.selector;
     check_true "candidate profile captured"
       (Array.length card.Deconv.Quality.curve >= 10);
@@ -227,8 +236,8 @@ let test_report_flags_unhealthy_solve () =
   in
   match Deconv.Quality.cards [ Obs.Export.Diag solve ] with
   | [ card ] ->
-    check_true "card is flagged" (not (Deconv.Quality.healthy card));
-    let verdict = Deconv.Quality.verdict card in
+    check_true "card is flagged" (card.Deconv.Quality.flags <> []);
+    let verdict = String.concat ", " card.Deconv.Quality.flags in
     List.iter
       (fun needle ->
         check_true (Printf.sprintf "verdict carries %s" needle) (contains ~needle verdict))
@@ -242,6 +251,81 @@ let test_report_flags_unhealthy_solve () =
     check_true "json carries the flags"
       (contains ~needle:"kappa-overflow" (Deconv.Quality.report_json [ card ]))
   | cards -> Alcotest.failf "expected exactly one card, got %d" (List.length cards)
+
+let healthy_solve ~kappa =
+  Obs.Export.Diag
+    (Obs.Diag.make ~solve:"gene:1" ~stage:"solve"
+       ~values:
+         [
+           ("kappa", kappa); ("lambda", 1e-4); ("entry_lambda", 1e-4); ("edf", 4.0);
+           ("rss", 0.5); ("n", 13.0); ("runs_z", 0.3); ("normality_z", -0.4);
+           ("degradation", 0.0); ("active_positivity", 2.0); ("qp_iterations", 3.0);
+         ]
+       ~tags:[ ("solved_by", "constrained_qp"); ("cascade", "constrained_qp") ]
+       ())
+
+let test_report_thresholds () =
+  let t = Deconv.Quality.default_thresholds in
+  check_close ~tol:0.0 "the kappa limit is the solver's condition limit"
+    Deconv.Solver.default_policy.Deconv.Solver.condition_limit t.Deconv.Quality.kappa_limit;
+  let flags ?thresholds kappa =
+    match Deconv.Quality.cards ?thresholds [ healthy_solve ~kappa ] with
+    | [ card ] -> card.Deconv.Quality.flags
+    | cards -> Alcotest.failf "expected exactly one card, got %d" (List.length cards)
+  in
+  Alcotest.(check (list string)) "a well-conditioned solve is healthy" [] (flags 1e6);
+  Alcotest.(check (list string)) "above the default limit" [ "kappa-overflow" ] (flags 1e13);
+  Alcotest.(check (list string)) "a raised limit clears the flag" []
+    (flags ~thresholds:{ t with Deconv.Quality.kappa_limit = 1e14 } 1e13)
+
+let test_summarize_quantiles () =
+  let per_gene =
+    List.init 10 (fun i ->
+        let v = float_of_int (i + 1) in
+        [ ("edf", v); ("kappa", if i = 0 then Float.nan else 10.0 *. v) ])
+  in
+  match Deconv.Quality.summarize per_gene with
+  | [ ("edf", edf); ("kappa", kappa) ] ->
+    check_close "edf p50" 5.5 edf.Deconv.Quality.q50;
+    check_close "edf p90" 9.1 edf.Deconv.Quality.q90;
+    check_close "edf max" 10.0 edf.Deconv.Quality.q_max;
+    Alcotest.(check int) "edf count" 10 edf.Deconv.Quality.count;
+    Alcotest.(check int) "the NaN kappa is dropped" 9 kappa.Deconv.Quality.count;
+    check_close "kappa p50 over the finite values" 60.0 kappa.Deconv.Quality.q50
+  | s -> Alcotest.failf "expected edf then kappa, got %d keys" (List.length s)
+
+let summary_fixture =
+  [
+    ("edf", { Deconv.Quality.q50 = 4.5; q90 = 6.25; q_max = 7.0; count = 12 });
+    ("kappa", { Deconv.Quality.q50 = 1e3; q90 = 2e4; q_max = 5e4; count = 11 });
+  ]
+
+let test_publish_quantiles () =
+  Obs.Metrics.enable ();
+  Deconv.Quality.publish ~prefix:"batch" summary_fixture;
+  let gauge name =
+    match
+      List.find_opt (fun (m : Obs.Metrics.snapshot) -> String.equal m.Obs.Metrics.name name)
+        (Obs.Metrics.snapshot ())
+    with
+    | Some m -> List.assoc "value" m.Obs.Metrics.fields
+    | None -> Alcotest.failf "gauge %s was not published" name
+  in
+  check_close "edf p50" 4.5 (gauge "batch.quality.edf.p50");
+  check_close "edf p90" 6.25 (gauge "batch.quality.edf.p90");
+  check_close "kappa p90" 2e4 (gauge "batch.quality.kappa.p90");
+  check_true "no max gauge"
+    (List.for_all
+       (fun (m : Obs.Metrics.snapshot) -> not (contains ~needle:"max" m.Obs.Metrics.name))
+       (Obs.Metrics.snapshot ()))
+
+let test_quantile_table () =
+  let text = capture (fun oc -> Deconv.Quality.output_quantiles oc summary_fixture) in
+  check_true "header" (contains ~needle:"per-gene quality quantiles:" text);
+  check_true "edf row with its gene count" (contains ~needle:"(12)" text);
+  check_true "kappa row" (contains ~needle:"kappa" text && contains ~needle:"5e+04" text);
+  Alcotest.(check string) "an empty summary prints nothing" ""
+    (capture (fun oc -> Deconv.Quality.output_quantiles oc []))
 
 (* ---------------- trace diff ---------------- *)
 
@@ -281,6 +365,20 @@ let test_trace_diff_rejects_bad_tolerance () =
         Alcotest.failf "tolerance %g accepted (regression reported: %b)" tolerance
           (Obs.Tracediff.has_regression d))
     [ Float.nan; Float.infinity; -0.1 ]
+
+let test_trace_diff_default_tolerance () =
+  check_close ~tol:0.0 "a 30% band" 0.30 Obs.Tracediff.default_tolerance;
+  let a = [ span ~id:1 ~name:"solve" ~start_s:0.0 ~stop_s:1.0 ] in
+  let slower stop_s = [ span ~id:1 ~name:"solve" ~start_s:0.0 ~stop_s ] in
+  check_true "35% slower is outside the default band"
+    (Obs.Tracediff.has_regression (Obs.Tracediff.diff a (slower 1.35)));
+  check_true "25% slower is inside it"
+    (not (Obs.Tracediff.has_regression (Obs.Tracediff.diff a (slower 1.25))));
+  check_true "the default is what an explicit band of the same width gives"
+    (Obs.Tracediff.has_regression
+       (Obs.Tracediff.diff ~tolerance:Obs.Tracediff.default_tolerance a (slower 1.35)));
+  check_true "a wider band passes the 35% slowdown"
+    (not (Obs.Tracediff.has_regression (Obs.Tracediff.diff ~tolerance:0.5 a (slower 1.35))))
 
 let test_trace_diff_jitter_passes () =
   (* 10% drift is inside the default 30% band: noise, not a regression. *)
@@ -460,15 +558,10 @@ let test_normality_z_known_sequences () =
   (* A symmetric two-point distribution has skew 0 and kurtosis -2:
      z_kurt = -2 / sqrt(24/n). *)
   let pm = Array.init 24 (fun i -> if i mod 2 = 0 then 1.0 else -1.0) in
-  let zs, zk = Stats.moment_z pm in
-  check_close ~tol:1e-9 "symmetric: no skew" 0.0 zs;
-  check_close ~tol:1e-9 "two-point kurtosis" (-2.0 /. sqrt (24.0 /. 24.0)) zk;
-  check_close ~tol:1e-9 "normality_z is the worse moment" (Float.abs zk)
+  check_close ~tol:1e-9 "normality_z is the two-point kurtosis z" (2.0 /. sqrt (24.0 /. 24.0))
     (Stats.normality_z pm);
   (* Degenerate inputs are defined as 0, not NaN. *)
-  let zs, zk = Stats.moment_z (Array.make 10 3.0) in
-  Alcotest.(check (float 0.0)) "constant input: skew z" 0.0 zs;
-  Alcotest.(check (float 0.0)) "constant input: kurt z" 0.0 zk;
+  Alcotest.(check (float 0.0)) "constant input" 0.0 (Stats.normality_z (Array.make 10 3.0));
   Alcotest.(check (float 0.0)) "n<3" 0.0 (Stats.normality_z [| 1.0; 2.0 |])
 
 let tests =
@@ -478,17 +571,23 @@ let tests =
         case "jsonl round trip" test_diag_json_round_trip;
         case "ambient solve labels" test_diag_solve_labels;
         case "disabled path records nothing" test_diag_disabled_is_noop;
+        case "records grouped by solve" test_diag_by_solve;
       ] );
     ( "diag-report",
       [
         case "ftsz solve emits the quality record" test_ftsz_solve_emits_quality_record;
         case "ftsz report card" test_ftsz_report_card;
         case "unhealthy solve raises every flag" test_report_flags_unhealthy_solve;
+        case "thresholds decide the flags" test_report_thresholds;
+        case "per-gene quantiles" test_summarize_quantiles;
+        case "quantiles published as gauges" (with_clean_obs test_publish_quantiles);
+        case "quantile table" test_quantile_table;
       ] );
     ( "diag-tracediff",
       [
         case "slowdown beyond tolerance regresses" test_trace_diff_regression;
         case "jitter and sub-floor spans pass" test_trace_diff_jitter_passes;
+        case "default tolerance band" test_trace_diff_default_tolerance;
         case "quality drift is exact" test_trace_diff_quality_delta;
         case "curve scores carry a relative band" test_trace_diff_curve_score_band;
         case "identical run diffs silent" test_trace_diff_identical_run;

@@ -18,7 +18,7 @@ let make_problem_estimate ~sigma_claim ~sigma_true ~seed =
   let noisy, _ =
     Deconv.Noise.apply (Deconv.Noise.Gaussian_absolute sigma_true) (Rng.create seed) clean
   in
-  let sigmas = Vec.make 13 sigma_claim in
+  let sigmas = Array.make 13 sigma_claim in
   let problem =
     Deconv.Problem.create ~sigmas ~kernel:(Lazy.force kernel) ~basis ~measurements:noisy ~params ()
   in
@@ -48,7 +48,7 @@ let test_misspecified_kernel_flagged () =
   let slow = { params with Cellpop.Params.mean_cycle_minutes = 210.0 } in
   let snapshots = Cellpop.Population.simulate slow ~rng:(Rng.create 3) ~n0:4000 ~times in
   let clean = Array.map (Cellpop.Population.mean_signal slow (fun ~phi -> pulse phi)) snapshots in
-  let sigmas = Vec.make 13 0.02 in
+  let sigmas = Array.make 13 0.02 in
   let problem =
     Deconv.Problem.create ~sigmas ~kernel:(Lazy.force kernel) ~basis ~measurements:clean ~params ()
   in
@@ -77,7 +77,7 @@ let test_singular_system_adequacy_unavailable () =
     Deconv.Noise.apply (Deconv.Noise.Gaussian_absolute 0.15) (Rng.create 5) clean
   in
   let problem =
-    Deconv.Problem.create ~sigmas:(Vec.make 13 0.15) ~kernel:k ~basis:wide ~measurements:noisy
+    Deconv.Problem.create ~sigmas:(Array.make 13 0.15) ~kernel:k ~basis:wide ~measurements:noisy
       ~params ()
   in
   let estimate =
@@ -101,9 +101,9 @@ let test_kernel_save_load_roundtrip () =
   check_vec ~tol:0.0 "phases preserved" k.Cellpop.Kernel.phases k2.Cellpop.Kernel.phases;
   check_vec ~tol:0.0 "times preserved" k.Cellpop.Kernel.times k2.Cellpop.Kernel.times;
   check_close ~tol:0.0 "bin width preserved" k.Cellpop.Kernel.bin_width k2.Cellpop.Kernel.bin_width;
-  check_true "q preserved" (Mat.approx_equal ~tol:0.0 k.Cellpop.Kernel.q k2.Cellpop.Kernel.q);
+  check_true "q preserved" (mat_approx_equal ~tol:0.0 k.Cellpop.Kernel.q k2.Cellpop.Kernel.q);
   check_true "q_tilde preserved"
-    (Mat.approx_equal ~tol:0.0 k.Cellpop.Kernel.q_tilde k2.Cellpop.Kernel.q_tilde);
+    (mat_approx_equal ~tol:0.0 k.Cellpop.Kernel.q_tilde k2.Cellpop.Kernel.q_tilde);
   Sys.remove path
 
 let test_kernel_load_rejects_garbage () =

@@ -12,22 +12,15 @@ let test_bracket () =
 let test_linear () =
   let x = [| 0.0; 1.0; 3.0 |] in
   let y = [| 0.0; 2.0; 6.0 |] in
-  check_close ~tol:1e-12 "midpoint" 1.0 (Interp.linear ~x ~y 0.5);
-  check_close ~tol:1e-12 "second segment" 4.0 (Interp.linear ~x ~y 2.0);
-  check_close ~tol:1e-12 "exact at knots" 2.0 (Interp.linear ~x ~y 1.0);
-  (* Linear extrapolation continues the edge slope. *)
-  check_close ~tol:1e-12 "extrapolate left" (-2.0) (Interp.linear ~x ~y (-1.0));
-  check_close ~tol:1e-12 "extrapolate right" 8.0 (Interp.linear ~x ~y 4.0)
+  check_close ~tol:1e-12 "midpoint" 1.0 (Interp.linear_clamped ~x ~y 0.5);
+  check_close ~tol:1e-12 "second segment" 4.0 (Interp.linear_clamped ~x ~y 2.0);
+  check_close ~tol:1e-12 "exact at knots" 2.0 (Interp.linear_clamped ~x ~y 1.0)
 
 let test_linear_clamped () =
   let x = [| 0.0; 1.0 |] and y = [| 5.0; 7.0 |] in
   check_close "clamp left" 5.0 (Interp.linear_clamped ~x ~y (-3.0));
   check_close "clamp right" 7.0 (Interp.linear_clamped ~x ~y 9.0);
   check_close ~tol:1e-12 "interior unchanged" 6.0 (Interp.linear_clamped ~x ~y 0.5)
-
-let test_linear_many () =
-  let x = [| 0.0; 2.0 |] and y = [| 0.0; 4.0 |] in
-  check_vec ~tol:1e-12 "vectorized" [| 1.0; 2.0; 3.0 |] (Interp.linear_many ~x ~y [| 0.5; 1.0; 1.5 |])
 
 let test_pchip_through_points () =
   let x = [| 0.0; 0.3; 0.7; 1.0 |] in
@@ -61,11 +54,6 @@ let test_pchip_two_points_is_linear () =
   let p = Interp.pchip_build ~x:[| 0.0; 2.0 |] ~y:[| 0.0; 4.0 |] in
   check_close ~tol:1e-12 "two-point linear" 2.0 (Interp.pchip_eval p 1.0)
 
-let test_pchip_eval_many () =
-  let p = Interp.pchip_build ~x:[| 0.0; 1.0; 2.0 |] ~y:[| 0.0; 1.0; 4.0 |] in
-  let out = Interp.pchip_eval_many p [| 0.0; 1.0; 2.0 |] in
-  check_vec ~tol:1e-12 "eval many at knots" [| 0.0; 1.0; 4.0 |] out
-
 let prop_pchip_bounded_by_data =
   qcheck ~count:100 "pchip stays within local data range"
     QCheck2.Gen.(array_size (return 6) (float_bound_inclusive 10.0))
@@ -87,12 +75,10 @@ let tests =
         case "bracket" test_bracket;
         case "linear interpolation" test_linear;
         case "linear clamped" test_linear_clamped;
-        case "linear many" test_linear_many;
         case "pchip through points" test_pchip_through_points;
         case "pchip monotone, no overshoot" test_pchip_monotone_no_overshoot;
         case "pchip clamps outside" test_pchip_clamps_outside;
         case "pchip two points" test_pchip_two_points_is_linear;
-        case "pchip eval many" test_pchip_eval_many;
         prop_pchip_bounded_by_data;
       ] );
   ]

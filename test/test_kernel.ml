@@ -68,23 +68,15 @@ let test_deterministic () =
   in
   let a = build 7 and b = build 7 in
   check_true "same kernel from same seed"
-    (Mat.approx_equal ~tol:0.0 a.Cellpop.Kernel.q b.Cellpop.Kernel.q)
-
-let test_of_snapshots_consistent () =
-  (* Building from explicit snapshots equals estimate with the same stream. *)
-  let rng1 = Rng.create 402 in
-  let k1 = Cellpop.Kernel.estimate params ~rng:rng1 ~n_cells:800 ~times ~n_phi:61 in
-  let rng2 = Rng.create 402 in
-  let snapshots = Cellpop.Population.simulate params ~rng:rng2 ~n0:800 ~times in
-  let k2 = Cellpop.Kernel.of_snapshots params snapshots ~n_phi:61 ~n0:800 in
-  check_true "same kernels" (Mat.approx_equal ~tol:1e-12 k1.Cellpop.Kernel.q k2.Cellpop.Kernel.q)
+    (mat_approx_equal ~tol:0.0 a.Cellpop.Kernel.q b.Cellpop.Kernel.q)
 
 let test_kernel_against_monte_carlo_signal () =
   (* The discretized forward model matches a direct volume-weighted
-     Monte-Carlo average of a smooth profile on the same population. *)
-  let rng = Rng.create 403 in
-  let snapshots = Cellpop.Population.simulate params ~rng ~n0:5000 ~times in
-  let k = Cellpop.Kernel.of_snapshots params snapshots ~n_phi:201 ~n0:5000 in
+     Monte-Carlo average of a smooth profile on the same population:
+     [estimate] draws its population from the stream exactly as
+     [Population.simulate] does. *)
+  let snapshots = Cellpop.Population.simulate params ~rng:(Rng.create 403) ~n0:5000 ~times in
+  let k = Cellpop.Kernel.estimate params ~rng:(Rng.create 403) ~n_cells:5000 ~times ~n_phi:201 in
   let profile phi = 1.0 +. Float.sin (2.0 *. Float.pi *. phi) in
   let from_kernel =
     Cellpop.Kernel.integrate_profile k (Array.map profile k.Cellpop.Kernel.phases)
@@ -118,7 +110,6 @@ let tests =
         case "forward linearity" test_integrate_linearity;
         case "smoothing preserves normalization" test_smoothing_preserves_normalization;
         case "deterministic" test_deterministic;
-        case "of_snapshots consistency" test_of_snapshots_consistent;
         case "matches direct monte carlo" test_kernel_against_monte_carlo_signal;
         case "mid-experiment mass location" test_mass_concentration_mid_experiment;
       ] );

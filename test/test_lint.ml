@@ -19,11 +19,6 @@ let check_rules msg expected ?disabled ~path src =
     (List.sort String.compare expected)
     (rules_of (lint ?disabled ~path src))
 
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.equal (String.sub hay i n) needle || go (i + 1)) in
-  go 0
-
 (* R1: polymorphic comparison on float operands. *)
 
 let test_r1_positive () =
@@ -272,6 +267,43 @@ let test_r14_negative () =
 
 (* Suppressions and R0. *)
 
+let test_suppress_scan_and_cover () =
+  let src = "let a = 1\n(* lint: allow r2, R10 -- two rules\n   over two lines *)\nlet b = 2\n" in
+  match Analysis.Suppress.scan src with
+  | [ t ], [] ->
+    Alcotest.(check (list string)) "rule ids normalized, in order" [ "R2"; "R10" ]
+      t.Analysis.Suppress.rules;
+    Alcotest.(check string) "reason joined across lines" "two rules over two lines"
+      t.Analysis.Suppress.reason;
+    Alcotest.(check (pair int int)) "spans the comment's lines" (2, 3)
+      (t.Analysis.Suppress.first_line, t.Analysis.Suppress.last_line);
+    List.iter
+      (fun (rule, line, expected) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s on line %d" rule line)
+          expected
+          (Analysis.Suppress.covers t ~rule ~line))
+      [
+        ("R2", 1, false); ("R2", 2, true); ("R10", 3, true); ("R2", 4, true);
+        ("R2", 5, false); ("R4", 3, false);
+      ]
+  | ts, bad ->
+    Alcotest.failf "expected one suppression, got %d (and %d malformed)" (List.length ts)
+      (List.length bad)
+
+let test_suppress_scan_malformed () =
+  let src =
+    "let a = 1 (* lint: allow *)\n\
+     let b = 2 (* lint: allow R99 -- nope *)\n\
+     let c = 3 (* lint: allow R3 *)\n"
+  in
+  let ts, bad = Analysis.Suppress.scan src in
+  Alcotest.(check int) "nothing malformed suppresses" 0 (List.length ts);
+  Alcotest.(check (list int)) "each malformed comment reported at its line" [ 1; 2; 3 ]
+    (List.map (fun (m : Analysis.Suppress.malformed) -> m.line) bad);
+  check_true "a missing reason is named as such"
+    (contains ~needle:"no reason" (List.nth bad 2).Analysis.Suppress.why)
+
 let test_suppression_trailing () =
   check_rules "trailing suppression silences the rule" [] ~path:"lib/scratch.ml"
     "let f x = x = 0.0 (* lint: allow R1 -- operands proven NaN-free upstream *)"
@@ -327,7 +359,7 @@ let test_json_escaping () =
       hint = "back\\slash";
     }
   in
-  let json = Analysis.Finding.to_json f in
+  let json = Analysis.Finding.list_to_json [ f ] in
   check_true "quote escaped" (contains ~needle:"lib/a\\\"b.ml" json);
   check_true "tab escaped" (contains ~needle:"tab\\there" json);
   check_true "backslash escaped" (contains ~needle:"back\\\\slash" json)
@@ -337,26 +369,79 @@ let test_parse_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected a parse error"
 
-let test_lint_file_as_path () =
-  let path = Filename.temp_file "deconv_lint_test" ".ml" in
-  let oc = open_out path in
-  output_string oc "let f g = try g () with _ -> 0\n";
-  close_out oc;
-  let result = Analysis.Lint.lint_file ~as_path:"lib/fake/scratch.ml" path in
+(* [Lint.run] scopes by the directories a file sits in: a temp
+   tree with a lib/ segment gets the lib-only rules. *)
+let test_run_scopes_by_directory () =
+  let root = Filename.temp_dir "deconv_lint_test" "" in
+  let dir = Filename.concat (Filename.concat root "lib") "fake" in
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  Sys.mkdir dir 0o755;
+  let path = Filename.concat dir "scratch.ml" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc "let f g = try g () with _ -> 0\n");
+  let result = Analysis.Lint.run [ root ] in
   Sys.remove path;
-  match result with
-  | Ok [ f ] ->
+  Sys.rmdir dir;
+  Sys.rmdir (Filename.concat root "lib");
+  Sys.rmdir root;
+  List.iter (fun (p, m) -> Alcotest.failf "run error on %s: %s" p m) result.Analysis.Lint.errors;
+  match result.Analysis.Lint.findings with
+  | [ f ] ->
     Alcotest.(check string) "rule" "R2" f.Analysis.Finding.rule;
-    Alcotest.(check string) "reported under the logical path" "lib/fake/scratch.ml"
-      f.Analysis.Finding.file
-  | Ok fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
-  | Error msg -> Alcotest.failf "lint_file failed: %s" msg
+    Alcotest.(check string) "reported under its path" path f.Analysis.Finding.file
+  | fs -> Alcotest.failf "expected exactly one finding, got %d" (List.length fs)
+
+(* [collect_files] keeps .ml/.mli sources in sorted order and skips
+   _build and dot-directories. *)
+let test_collect_files () =
+  let root = Filename.temp_dir "deconv_lint_collect" "" in
+  let sub name = Filename.concat root name in
+  List.iter (fun d -> Sys.mkdir (sub d) 0o755) [ "b"; "_build"; ".git" ];
+  let files =
+    [ "b/z.ml"; "b/a.mli"; "notes.txt"; "top.ml"; "_build/gen.ml"; ".git/hook.ml" ]
+  in
+  List.iter
+    (fun f -> Out_channel.with_open_bin (sub f) (fun oc -> Out_channel.output_string oc "let x = 1\n"))
+    files;
+  let result = Analysis.Lint.collect_files [ root ] in
+  List.iter (fun f -> Sys.remove (sub f)) files;
+  List.iter (fun d -> Sys.rmdir (sub d)) [ "b"; "_build"; ".git" ];
+  Sys.rmdir root;
+  match result with
+  | Ok got ->
+    Alcotest.(check (list string)) "sources only, sorted, build and dot dirs skipped"
+      (List.map sub [ "b/a.mli"; "b/z.ml"; "top.ml" ])
+      got
+  | Error msg -> Alcotest.failf "collect_files failed: %s" msg
+
+let test_collect_files_missing () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "deconv_lint_no_such_dir" in
+  match Analysis.Lint.collect_files [ missing ] with
+  | Error _ -> ()
+  | Ok files -> Alcotest.failf "expected an error, got %d files" (List.length files)
+
+let test_normalize_id () =
+  Alcotest.(check (option string)) "lowercase id" (Some "R4") (Analysis.Rules.normalize_id "r4");
+  Alcotest.(check (option string)) "surrounding blanks" (Some "R15")
+    (Analysis.Rules.normalize_id " R15 ");
+  Alcotest.(check (option string)) "unknown id" None (Analysis.Rules.normalize_id "R99");
+  Alcotest.(check (option string)) "not a rule id" None (Analysis.Rules.normalize_id "lint")
+
+let test_libpath () =
+  Alcotest.(check (list string)) "empty and . segments dropped" [ "lib"; "core"; "a.ml" ]
+    (Analysis.Libpath.segments "./lib//core/./a.ml");
+  check_true "a lib/ file" (Analysis.Libpath.in_lib "lib/core/solver.ml");
+  check_true "a nested lib/ directory" (Analysis.Libpath.in_lib "/tmp/x/lib/fake/a.ml");
+  check_true "a file named lib is not under lib/"
+    (not (Analysis.Libpath.in_lib "test/lib.ml"));
+  check_true "a lib/ directory with no file below" (not (Analysis.Libpath.in_lib "src/lib"));
+  check_true "bin/ is not lib" (not (Analysis.Libpath.in_lib "bin/main.ml"))
 
 (* --list-rules renders each confined rule's scope from the rows the
    walker enforces. *)
 let test_scope_text () =
   let scope id =
-    match Analysis.Rules.find id with
+    match List.find_opt (fun (r : Analysis.Rules.t) -> String.equal r.Analysis.Rules.id id) Analysis.Rules.all with
     | Some r -> Analysis.Lint.scope_text r
     | None -> Alcotest.failf "unknown rule %s" id
   in
@@ -390,6 +475,132 @@ let test_repo_tree_is_clean () =
         (List.length result.Analysis.Lint.findings)
         (Analysis.Finding.to_text f)
   end
+
+(* ---------------- R15: exported values with no user ---------------- *)
+
+(* A two-value library module: [used] has a caller in another library
+   file, [unused] is the export under test. *)
+let r15_lib =
+  [
+    ("lib/numerics/kern.ml", "let used x = x\nlet unused x = x + 1\n");
+    ("lib/numerics/kern.mli", "val used : int -> int\nval unused : int -> int\n");
+    ("lib/core/caller.ml", "let go x = Numerics.Kern.used x\n");
+  ]
+
+let r15_findings sources =
+  let r = Analysis.Policy.check_sources sources in
+  List.iter (fun (p, m) -> Alcotest.failf "check error on %s: %s" p m) r.Analysis.Policy.errors;
+  List.filter (fun f -> String.equal f.Analysis.Finding.rule "R15") r.Analysis.Policy.findings
+
+let test_r15_unused_export () =
+  match r15_findings r15_lib with
+  | [ f ] ->
+    Alcotest.(check string) "anchored at the .mli" "lib/numerics/kern.mli" f.Analysis.Finding.file;
+    Alcotest.(check int) "at the val's line" 2 f.Analysis.Finding.line;
+    check_true "names the value" (contains ~needle:"Numerics.Kern.unused" f.Analysis.Finding.message)
+  | fs -> Alcotest.failf "expected one R15 finding, got %d" (List.length fs)
+
+let test_r15_bin_use_clears () =
+  let user = ("bin/main.ml", "let () =\n  print_int (Numerics.Kern.unused 1)\n") in
+  Alcotest.(check int) "a let () body is a use" 0 (List.length (r15_findings (user :: r15_lib)))
+
+let test_r15_module_level_use_clears () =
+  (* A module-level expression in a user tree, with the module opened. *)
+  let user = ("examples/demo.ml", "open Numerics\n;;\nignore (Kern.unused 2)\n") in
+  Alcotest.(check int) "a module-level expression is a use" 0
+    (List.length (r15_findings (user :: r15_lib)))
+
+let test_r15_test_use_does_not_clear () =
+  let test_file = ("test/test_kern.ml", "let () = ignore (Numerics.Kern.unused 1)\n") in
+  Alcotest.(check int) "tests are not users" 1 (List.length (r15_findings (test_file :: r15_lib)))
+
+let test_r15_own_module_use_does_not_clear () =
+  let own =
+    ("lib/numerics/kern.ml", "let unused x = x + 1\nlet used x = unused x\n")
+  in
+  Alcotest.(check int) "a use inside its own .ml is not a user" 1
+    (List.length
+       (r15_findings (own :: List.filter (fun (p, _) -> not (String.equal p (fst own))) r15_lib)))
+
+let test_r15_suppression () =
+  let mli reason =
+    ( "lib/numerics/kern.mli",
+      Printf.sprintf "val used : int -> int\n(* lint: allow R15%s *)\nval unused : int -> int\n"
+        reason )
+  in
+  let with_mli m = m :: List.filter (fun (p, _) -> not (String.equal p "lib/numerics/kern.mli")) r15_lib in
+  Alcotest.(check int) "a suppression with a reason is honoured" 0
+    (List.length (r15_findings (with_mli (mli " -- kept for the demo"))));
+  Alcotest.(check int) "one without a reason is not" 1 (List.length (r15_findings (with_mli (mli ""))))
+
+let r15_count_with user = List.length (r15_findings (user :: r15_lib))
+
+let test_r15_alias_use_clears () =
+  Alcotest.(check int) "a use through a module alias" 0
+    (r15_count_with ("bin/main.ml", "module K = Numerics.Kern\nlet () = print_int (K.unused 1)\n"))
+
+let test_r15_local_open_use_clears () =
+  Alcotest.(check int) "a use inside M.( ... )" 0
+    (r15_count_with ("bin/main.ml", "let () = print_int Numerics.Kern.(unused 2)\n"))
+
+let test_r15_value_reference_clears () =
+  Alcotest.(check int) "naming the function without applying it" 0
+    (r15_count_with ("perfbench/b.ml", "let f = Numerics.Kern.unused\n"))
+
+let test_r15_sibling_lib_use_clears () =
+  Alcotest.(check int) "another lib module is a user" 0
+    (r15_count_with ("lib/numerics/other.ml", "let f x = Kern.unused x\n"))
+
+let test_r15_same_name_does_not_clear () =
+  Alcotest.(check int) "a user's own value of the same name" 1
+    (r15_count_with ("bin/main.ml", "let unused = 3\nlet () = print_int unused\n"));
+  Alcotest.(check int) "a local binding shadowing an opened export" 1
+    (r15_count_with
+       ("bin/main.ml", "open Numerics.Kern\nlet () = let unused = 1 in print_int unused\n"))
+
+let test_r15_nested_signature () =
+  let lib =
+    [
+      ("lib/numerics/kern.ml", "module Inner = struct let deep x = x end\n");
+      ("lib/numerics/kern.mli", "module Inner : sig\n  val deep : int -> int\nend\n");
+    ]
+  in
+  (match r15_findings lib with
+  | [ f ] ->
+    check_true "names the nested value" (contains ~needle:"Numerics.Kern.Inner.deep" f.Analysis.Finding.message);
+    Alcotest.(check int) "at the nested val's line" 2 f.Analysis.Finding.line
+  | fs -> Alcotest.failf "expected one R15 finding, got %d" (List.length fs));
+  Alcotest.(check int) "a qualified use clears it" 0
+    (List.length
+       (r15_findings (("bin/main.ml", "let () = print_int (Numerics.Kern.Inner.deep 1)\n") :: lib)))
+
+(* Feeding the user trees in changes no R10-R12 finding: their definitions
+   are not roots, their fan-outs are not audited tasks. *)
+let test_r15_users_leave_r10_r12_alone () =
+  let lib =
+    [
+      ("lib/core/pipeline.ml", "let run () = failwith \"boom\"\n");
+      ("lib/numerics/kern.ml", "let noisy () = Random.float 1.0\n");
+      ( "lib/core/batch.ml",
+        "let go () = Parallel.parallel_map ~n:4 (fun i -> if i = 2 then failwith \"x\" else i)\n" );
+    ]
+  in
+  let users =
+    [
+      ("bin/main.ml", "let helper () = failwith \"cli\"\nlet () = helper ()\n");
+      ("bench/main.ml", "let fan () = Parallel.parallel_map ~n:2 (fun i -> Random.int (i + 1))\n");
+    ]
+  in
+  let non_r15 sources =
+    List.filter_map
+      (fun f ->
+        if String.equal f.Analysis.Finding.rule "R15" then None
+        else Some (Analysis.Finding.to_text f))
+      (Analysis.Policy.check_sources sources).Analysis.Policy.findings
+  in
+  let alone = non_r15 lib in
+  check_true "the fixture has R10-R12 findings" (List.length alone >= 3);
+  Alcotest.(check (list string)) "same findings with the users fed in" alone (non_r15 (lib @ users))
 
 let tests =
   [
@@ -429,6 +640,8 @@ let tests =
         case "malformed: no rule" test_suppression_malformed_no_rule;
         case "malformed: no reason" test_suppression_malformed_no_reason;
         case "marker in string literal" test_marker_in_string_is_not_a_suppression;
+        case "scan fields and line coverage" test_suppress_scan_and_cover;
+        case "scan reports malformed comments" test_suppress_scan_malformed;
       ] );
     ( "lint-cli",
       [
@@ -436,8 +649,28 @@ let tests =
         case "json round trip" test_json_round_trip;
         case "json escaping" test_json_escaping;
         case "parse error" test_parse_error;
-        case "lint_file as_path" test_lint_file_as_path;
+        case "run scopes by directory" test_run_scopes_by_directory;
+        case "collect files" test_collect_files;
+        case "collect files: missing path" test_collect_files_missing;
+        case "normalize rule ids" test_normalize_id;
+        case "lib path segments" test_libpath;
         case "scope text from the confinement rows" test_scope_text;
         case "repo tree lints clean" test_repo_tree_is_clean;
+      ] );
+    ( "lint-unused-export",
+      [
+        case "export with no user" test_r15_unused_export;
+        case "bin use in let () clears it" test_r15_bin_use_clears;
+        case "module-level use clears it" test_r15_module_level_use_clears;
+        case "test-only use does not clear it" test_r15_test_use_does_not_clear;
+        case "own-module use does not clear it" test_r15_own_module_use_does_not_clear;
+        case "suppression with a reason" test_r15_suppression;
+        case "users leave R10-R12 unchanged" test_r15_users_leave_r10_r12_alone;
+        case "module alias use clears it" test_r15_alias_use_clears;
+        case "local open use clears it" test_r15_local_open_use_clears;
+        case "unapplied reference clears it" test_r15_value_reference_clears;
+        case "sibling lib use clears it" test_r15_sibling_lib_use_clears;
+        case "same name elsewhere does not clear it" test_r15_same_name_does_not_clear;
+        case "nested module signature" test_r15_nested_signature;
       ] );
   ]

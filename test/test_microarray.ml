@@ -127,7 +127,7 @@ let test_deterministic () =
   let _, _, raw_a = make_timecourse 7 in
   let _, _, raw_b = make_timecourse 7 in
   check_true "same raw data"
-    (Mat.approx_equal ~tol:0.0 raw_a.Microarray.Timecourse.replicates.(0)
+    (mat_approx_equal ~tol:0.0 raw_a.Microarray.Timecourse.replicates.(0)
        raw_b.Microarray.Timecourse.replicates.(0))
 
 let tests =

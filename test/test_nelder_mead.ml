@@ -1,4 +1,3 @@
-open Numerics
 open Testutil
 
 let test_quadratic () =
@@ -26,7 +25,7 @@ let test_four_dimensional_sphere () =
   let f x = Array.fold_left (fun acc v -> acc +. (v *. v)) 0.0 x in
   let options = { Optimize.Nelder_mead.default_options with max_iter = 4000 } in
   let result = Optimize.Nelder_mead.minimize ~options f ~x0:[| 1.0; -2.0; 3.0; -4.0 |] in
-  check_true "near origin" (Vec.norm2 result.Optimize.Nelder_mead.x < 1e-3)
+  check_true "near origin" (norm2 result.Optimize.Nelder_mead.x < 1e-3)
 
 let test_evaluation_count () =
   let count = ref 0 in

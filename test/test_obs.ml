@@ -14,8 +14,7 @@ let with_clean_obs f () =
       Obs.Export.uninstall ();
       Obs.Metrics.disable ();
       Obs.Metrics.reset ();
-      Obs.Span.reset ();
-      Obs.Clock.set_source Obs.Clock.wall)
+      Obs.Span.reset ())
     f
 
 let span_of = function
@@ -117,6 +116,24 @@ let test_span_disabled_is_noop =
   let sink, recorded = Obs.Export.memory () in
   Obs.Export.install sink;
   Alcotest.(check int) "no events recorded while disabled" 0 (List.length (recorded ()))
+
+let test_span_typed_setters =
+  with_clean_obs @@ fun () ->
+  let sink, recorded = Obs.Export.memory () in
+  Obs.Export.install sink;
+  Obs.Span.with_ "flags" (fun sp ->
+      Obs.Span.set_bool sp "converged" true;
+      Obs.Span.set_bool sp "warm" false;
+      Obs.Span.set_bool sp "converged" false);
+  match recorded () with
+  | [ ev ] ->
+    let attrs = (span_of ev).Obs.Export.attrs in
+    check_true "bool attribute recorded as a Bool"
+      (List.assoc_opt "warm" attrs = Some (Obs.Export.Bool false));
+    check_true "the last write wins"
+      (List.assoc_opt "converged" attrs = Some (Obs.Export.Bool false));
+    Alcotest.(check int) "one attribute per key" 2 (List.length attrs)
+  | evs -> Alcotest.failf "expected one span, got %d events" (List.length evs)
 
 (* ---------------- metrics ---------------- *)
 
@@ -344,14 +361,7 @@ let test_output_top_aggregates =
       advance 2.0;
       Obs.Span.with_ "inner" (fun _ -> advance 1.0));
   let events = recorded () in
-  let render top =
-    let path = Filename.temp_file "obs_top" ".txt" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Out_channel.with_open_text path (fun oc -> Obs.Export.output_top oc ~top events);
-        In_channel.with_open_text path In_channel.input_all)
-  in
+  let render top = capture (fun oc -> Obs.Export.output_top oc ~top events) in
   let full = render 0 in
   check_true "outer listed" (contains full "outer");
   check_true "inner listed" (contains full "inner");
@@ -361,6 +371,109 @@ let test_output_top_aggregates =
   let top1 = render 1 in
   check_true "outer survives the cut" (contains top1 "outer");
   check_true "inner cut by top 1" (not (contains top1 "inner"))
+
+let test_json_escape_controls () =
+  Alcotest.(check string) "quote, backslash and named escapes" "a\\\"b\\\\c\\n\\r\\t"
+    (Obs.Export.json_escape "a\"b\\c\n\r\t");
+  Alcotest.(check string) "other control bytes as \\u escapes" "\\u0001\\u001f"
+    (Obs.Export.json_escape "\001\031");
+  Alcotest.(check string) "plain text and UTF-8 pass through" "caf\xc3\xa9 / ok"
+    (Obs.Export.json_escape "caf\xc3\xa9 / ok")
+
+let test_float_json_tokens () =
+  Alcotest.(check (list string)) "non-finite values become strings"
+    [ "\"nan\""; "\"inf\""; "\"-inf\"" ]
+    (List.map Obs.Export.float_json [ Float.nan; Float.infinity; Float.neg_infinity ]);
+  Alcotest.(check string) "an integral float keeps a fraction" "5.0" (Obs.Export.float_json 5.0);
+  List.iter
+    (fun x ->
+      Alcotest.(check int64) "finite floats round-trip bit-exactly" (Int64.bits_of_float x)
+        (Int64.bits_of_float (float_of_string (Obs.Export.float_json x))))
+    [ 0.1; -2.5e-7; 1e300; 4.9e-324; Float.pi; -0.0 ]
+
+let test_json_of_string () =
+  (match Obs.Export.json_of_string {| {"a": [1, -2.5e3, "x\"y"], "b": {"t": true, "n": null}} |} with
+  | Ok
+      (Obs.Export.J_obj
+        [
+          ("a", Obs.Export.J_arr [ Obs.Export.J_num "1"; Obs.Export.J_num "-2.5e3"; Obs.Export.J_str s ]);
+          ("b", Obs.Export.J_obj [ ("t", Obs.Export.J_bool true); ("n", Obs.Export.J_null) ]);
+        ]) ->
+    Alcotest.(check string) "escaped string decoded" "x\"y" s
+  | Ok _ -> Alcotest.fail "parsed to the wrong shape"
+  | Error msg -> Alcotest.failf "parse failed: %s" msg);
+  List.iter
+    (fun bad ->
+      check_true (Printf.sprintf "%S is rejected" bad)
+        (Result.is_error (Obs.Export.json_of_string bad)))
+    [ "{\"a\": 1} trailing"; "[1, 2"; "{\"a\" 1}"; ""; "nul" ]
+
+(* A fixed stream: root "run" (0-3 s) with two "step" children (0-1 s and
+   1-1.5 s), plus an orphan whose parent was never emitted. *)
+let tree_events =
+  let span id parent name start_s stop_s =
+    Obs.Export.Span { Obs.Export.id; parent; name; start_s; stop_s; attrs = [] }
+  in
+  [
+    span 2 (Some 1) "step" 0.0 1.0;
+    span 3 (Some 1) "step" 1.0 1.5;
+    span 1 None "run" 0.0 3.0;
+    span 9 (Some 42) "orphan" 5.0 5.25;
+    Obs.Export.Metric
+      { Obs.Export.metric_name = "qp.solves"; kind = "counter"; fields = [ ("value", 2.0) ] };
+  ]
+
+let test_aggregate_span_rows () =
+  match Obs.Export.aggregate_span_rows tree_events with
+  | [ ("run", 1, run_total, run_self); ("step", 2, step_total, step_self); ("orphan", 1, o, _) ] ->
+    check_close "run total" 3.0 run_total;
+    check_close "run self excludes its children" 1.5 run_self;
+    check_close "step total over both calls" 1.5 step_total;
+    check_close "leaf self is its total" 1.5 step_self;
+    check_close "orphan total" 0.25 o
+  | rows ->
+    Alcotest.failf "unexpected rows: %s"
+      (String.concat "; " (List.map (fun (n, c, _, _) -> Printf.sprintf "%s x%d" n c) rows))
+
+let test_output_summary () =
+  let text = capture (fun oc -> Obs.Export.output_summary oc tree_events) in
+  check_true "tree header" (contains text "span tree (count, total, self):");
+  check_true "siblings aggregated into one row" (contains text "step");
+  check_true "two step calls counted" (contains text "2x");
+  check_true "the orphan is promoted to a root" (contains text "\n  orphan");
+  check_true "children indented under their root" (contains text "\n    step");
+  check_true "metrics section follows" (contains text "metrics:");
+  check_true "the counter is listed" (contains text "qp.solves")
+
+let test_output_metrics () =
+  let metrics =
+    [
+      { Obs.Export.metric_name = "z.gauge"; kind = "gauge"; fields = [ ("value", 0.5) ] };
+      {
+        Obs.Export.metric_name = "a.hist";
+        kind = "histogram";
+        fields = [ ("count", 4.0); ("mean", 2.5); ("max", 4.0) ];
+      };
+    ]
+  in
+  let text = capture (fun oc -> Obs.Export.output_metrics oc metrics) in
+  check_true "gauge shows its value" (contains text "value=0.5");
+  check_true "histogram shows its present fields" (contains text "count=4 mean=2.5 max=4");
+  check_true "histogram skips absent fields" (not (contains text "p99"));
+  let index_of needle =
+    let n = String.length needle in
+    let rec go i =
+      if i + n > String.length text then None
+      else if String.equal (String.sub text i n) needle then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  (match (index_of "a.hist", index_of "z.gauge") with
+  | Some i, Some j -> check_true "sorted by name" (i < j)
+  | _ -> Alcotest.fail "a metric is missing");
+  Alcotest.(check string) "no metrics, no section" ""
+    (capture (fun oc -> Obs.Export.output_metrics oc []))
 
 let test_pipeline_span_hierarchy =
   with_clean_obs @@ fun () ->
@@ -581,9 +694,9 @@ let test_progress_all_failed =
   with_manual_clock @@ fun advance ->
   let p = Obs.Progress.create ~total:3 () in
   advance 1.0;
-  Obs.Progress.record p ~cls:"non_finite" ~ok:false ();
-  Obs.Progress.record p ~cls:"non_finite" ~ok:false ();
-  Obs.Progress.record p ~cls:"qp_stalled" ~ok:false ();
+  Obs.Progress.record_into (Some p) ~cls:"non_finite" ~ok:false ();
+  Obs.Progress.record_into (Some p) ~cls:"non_finite" ~ok:false ();
+  Obs.Progress.record_into (Some p) ~cls:"qp_stalled" ~ok:false ();
   let s = Obs.Progress.snapshot p in
   Alcotest.(check int) "all done" 3 s.Obs.Progress.s_done;
   Alcotest.(check int) "none ok" 0 s.Obs.Progress.s_ok;
@@ -601,11 +714,11 @@ let test_progress_window_rate =
   with_manual_clock @@ fun advance ->
   let p = Obs.Progress.create ~window_s:10.0 ~total:8 () in
   advance 1.0;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   advance 1.0;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   advance 1.0;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   (* Three completions inside the window; elapsed 3 s < window 10 s, so
      the rate is count over elapsed. *)
   let s = Obs.Progress.snapshot p in
@@ -619,9 +732,9 @@ let test_progress_window_fallback =
      time, so the rate degrades to the overall average instead of 0. *)
   let p = Obs.Progress.create ~window_s:0.5 ~total:4 () in
   advance 2.0;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   advance 2.0;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   advance 1.0;
   let s = Obs.Progress.snapshot p in
   Alcotest.(check (float 1e-9)) "overall-average fallback" 0.4 s.Obs.Progress.s_rate;
@@ -647,12 +760,12 @@ let test_progress_observer_rate_limit =
   let p = Obs.Progress.create ~total:100 () in
   let calls = ref 0 in
   Obs.Progress.observe ~min_interval_s:1.0 p (fun _ -> incr calls);
-  Obs.Progress.record p ~ok:true ();
-  Obs.Progress.record p ~ok:true ();
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   Alcotest.(check int) "same-instant completions coalesce" 1 !calls;
   advance 1.5;
-  Obs.Progress.record p ~ok:true ();
+  Obs.Progress.record_into (Some p) ~ok:true ();
   Alcotest.(check int) "interval elapsed: fires again" 2 !calls;
   Obs.Progress.finish p;
   Alcotest.(check int) "finish always fires" 3 !calls
@@ -667,7 +780,7 @@ let test_progress_json =
   with_manual_clock @@ fun advance ->
   let p = Obs.Progress.create ~total:2 () in
   advance 1.0;
-  Obs.Progress.record p ~cls:"qp_stalled" ~ok:false ();
+  Obs.Progress.record_into (Some p) ~cls:"qp_stalled" ~ok:false ();
   let json = Obs.Progress.to_json (Obs.Progress.snapshot p) in
   List.iter
     (fun needle -> check_true ("json has " ^ needle) (contains json needle))
@@ -722,6 +835,40 @@ let test_utilization_synthetic () =
     Alcotest.(check (float 1e-9)) "imbalance = max/mean" (2.0 /. (3.5 /. 3.0))
       r.Obs.Utilization.imbalance;
     check_true "imbalance finite" (Float.is_finite r.Obs.Utilization.imbalance)
+
+let test_chunk_decoding () =
+  (match chunk_sample ~domain:1 ~lo:8 ~hi:16 ~start:0.5 ~stop:2.0 with
+  | Obs.Export.Sample s -> (
+    match Obs.Utilization.chunk_of_sample s with
+    | Some c ->
+      Alcotest.(check (list int)) "domain, lo, hi" [ 1; 8; 16 ]
+        [ c.Obs.Utilization.domain; c.Obs.Utilization.lo; c.Obs.Utilization.hi ];
+      check_close ~tol:0.0 "start" 0.5 c.Obs.Utilization.start_s;
+      check_close ~tol:0.0 "stop" 2.0 c.Obs.Utilization.stop_s
+    | None -> Alcotest.fail "a well-formed chunk sample did not decode")
+  | _ -> Alcotest.fail "fixture is not a sample");
+  let sample s_kind values = { Obs.Export.s_kind; t_s = 1.0; values } in
+  check_true "a resource sample is not a chunk"
+    (Option.is_none
+       (Obs.Utilization.chunk_of_sample
+          (sample "resource" [ ("domain", 0.0); ("lo", 0.0); ("hi", 1.0); ("start", 0.0); ("stop", 1.0) ])));
+  check_true "a missing field is malformed"
+    (Option.is_none
+       (Obs.Utilization.chunk_of_sample (sample "chunk" [ ("domain", 0.0); ("lo", 0.0) ])));
+  check_true "a non-finite field is malformed"
+    (Option.is_none
+       (Obs.Utilization.chunk_of_sample
+          (sample "chunk" [ ("domain", 0.0); ("lo", 0.0); ("hi", 1.0); ("start", Float.nan); ("stop", 1.0) ])));
+  let events =
+    [
+      chunk_sample ~domain:0 ~lo:0 ~hi:4 ~start:0.0 ~stop:1.0;
+      Obs.Export.Sample (sample "chunk" []);
+      Obs.Export.Metric { Obs.Export.metric_name = "m"; kind = "gauge"; fields = [] };
+      chunk_sample ~domain:1 ~lo:4 ~hi:8 ~start:0.0 ~stop:1.0;
+    ]
+  in
+  Alcotest.(check (list int)) "only well-formed chunks, in stream order" [ 0; 1 ]
+    (List.map (fun (c : Obs.Utilization.chunk) -> c.domain) (Obs.Utilization.chunks_of_events events))
 
 let test_utilization_edges () =
   check_true "no chunks -> no report" (Option.is_none (Obs.Utilization.of_events []));
@@ -814,6 +961,7 @@ let tests =
         case "nesting, order and timing" test_span_nesting;
         case "emits on exception" test_span_emits_on_exception;
         case "disabled is a no-op" test_span_disabled_is_noop;
+        case "typed setters" test_span_typed_setters;
       ] );
     ( "obs-metrics",
       [
@@ -830,6 +978,12 @@ let tests =
         case "jsonl write and read back" test_read_jsonl;
         case "malformed line reported" test_read_jsonl_reports_line;
         case "top table aggregates by name" test_output_top_aggregates;
+        case "json_escape control bytes" test_json_escape_controls;
+        case "float tokens" test_float_json_tokens;
+        case "generic json parser" test_json_of_string;
+        case "span rows: calls, total, self" test_aggregate_span_rows;
+        case "summary tree and orphans" test_output_summary;
+        case "metrics section" test_output_metrics;
       ] );
     ( "obs-pipeline",
       [
@@ -859,6 +1013,7 @@ let tests =
       [
         case "synthetic chunk timings" test_utilization_synthetic;
         case "edge cases" test_utilization_edges;
+        case "chunk decoding" test_chunk_decoding;
       ] );
     ( "telemetry-chrome",
       [

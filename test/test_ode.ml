@@ -10,35 +10,8 @@ let harmonic : Ode.system = fun _t y -> [| y.(1); -.y.(0) |]
 let final (sol : Ode.solution) component =
   Mat.get sol.Ode.states (Array.length sol.Ode.times - 1) component
 
-let test_euler_first_order () =
-  let err steps =
-    let sol = Ode.euler decay ~y0:[| 1.0 |] ~t0:0.0 ~t1:1.0 ~steps in
-    Float.abs (final sol 0 -. Float.exp (-1.0))
-  in
-  check_true "euler converges at order 1" (err 200 < err 100 /. 1.8 && err 100 < 0.01)
-
-let test_midpoint_second_order () =
-  let err steps =
-    let sol = Ode.midpoint decay ~y0:[| 1.0 |] ~t0:0.0 ~t1:1.0 ~steps in
-    Float.abs (final sol 0 -. Float.exp (-1.0))
-  in
-  check_true "midpoint converges at order 2" (err 200 < err 100 /. 3.5)
-
-let test_rk4_fourth_order () =
-  let err steps =
-    let sol = Ode.rk4 decay ~y0:[| 1.0 |] ~t0:0.0 ~t1:1.0 ~steps in
-    Float.abs (final sol 0 -. Float.exp (-1.0))
-  in
-  check_true "rk4 order 4" (err 80 < err 40 /. 12.0);
-  check_true "rk4 accurate" (err 100 < 1e-10)
-
-let test_rk4_harmonic () =
-  let sol = Ode.rk4 harmonic ~y0:[| 1.0; 0.0 |] ~t0:0.0 ~t1:(2.0 *. Float.pi) ~steps:2000 in
-  check_close ~tol:1e-8 "cos after full period" 1.0 (final sol 0);
-  check_close ~tol:1e-8 "sin after full period" 0.0 (final sol 1)
-
 let test_solution_shape () =
-  let sol = Ode.rk4 decay ~y0:[| 1.0 |] ~t0:0.0 ~t1:2.0 ~steps:10 in
+  let sol = Ode.rk45 decay ~y0:[| 1.0 |] ~times:(Vec.linspace 0.0 2.0 11) in
   Alcotest.(check int) "11 time points" 11 (Array.length sol.Ode.times);
   check_close "initial time" 0.0 sol.Ode.times.(0);
   check_close "final time" 2.0 sol.Ode.times.(10);
@@ -77,34 +50,21 @@ let test_lv_conservation () =
   let x0 = Biomodels.Lotka_volterra.default_x0 in
   let times = Vec.linspace 0.0 300.0 61 in
   let sol = Biomodels.Lotka_volterra.simulate p ~x0 ~times in
-  let v0 = Biomodels.Lotka_volterra.conserved p x0 in
+  let v0 = lv_conserved p x0 in
   Array.iteri
     (fun i _t ->
       let y = Mat.row sol.Ode.states i in
-      check_rel ~tol:1e-6 "LV invariant" v0 (Biomodels.Lotka_volterra.conserved p y))
+      check_rel ~tol:1e-6 "LV invariant" v0 (lv_conserved p y))
     times
-
-let test_solve_at () =
-  let sol = Ode.rk4 decay ~y0:[| 1.0 |] ~t0:0.0 ~t1:1.0 ~steps:100 in
-  let y = Ode.solve_at sol 0.505 in
-  check_close ~tol:1e-4 "interpolated value" (Float.exp (-0.505)) y.(0);
-  (* Clamped outside the range. *)
-  check_close "clamp left" 1.0 (Ode.solve_at sol (-1.0)).(0);
-  check_close ~tol:1e-9 "clamp right" (final sol 0) (Ode.solve_at sol 99.0).(0)
 
 let tests =
   [
     ( "ode",
       [
-        case "euler order" test_euler_first_order;
-        case "midpoint order" test_midpoint_second_order;
-        case "rk4 order and accuracy" test_rk4_fourth_order;
-        case "rk4 harmonic oscillator" test_rk4_harmonic;
         case "solution shape" test_solution_shape;
         case "rk45 accuracy on decay" test_rk45_accuracy;
         case "rk45 dense output" test_rk45_dense_output;
         case "rk45 nonautonomous" test_rk45_nonautonomous;
         case "rk45 conserves LV invariant" test_lv_conservation;
-        case "solve_at interpolation" test_solve_at;
       ] );
   ]

@@ -112,8 +112,7 @@ let with_clean_obs f () =
   Fun.protect
     ~finally:(fun () ->
       Obs.Export.uninstall ();
-      Obs.Span.reset ();
-      Obs.Clock.set_source Obs.Clock.wall)
+      Obs.Span.reset ())
     f
 
 let points_of events : Obs.Export.point list =

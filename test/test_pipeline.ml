@@ -75,7 +75,7 @@ let test_seed_changes_data () =
   let a = Deconv.Pipeline.run small_config ~profile:pulse in
   let b = Deconv.Pipeline.run { small_config with Deconv.Pipeline.seed = 12 } ~profile:pulse in
   check_true "different seeds different data"
-    (not (Vec.approx_equal ~tol:1e-12 a.Deconv.Pipeline.clean b.Deconv.Pipeline.clean))
+    (not (vec_approx_equal ~tol:1e-12 a.Deconv.Pipeline.clean b.Deconv.Pipeline.clean))
 
 let test_truth_and_phases_consistent () =
   let run = Deconv.Pipeline.run small_config ~profile:pulse in
@@ -123,10 +123,16 @@ let test_helpers () =
   check_close ~tol:1e-9 "phase to minutes scaling" (run.Deconv.Pipeline.phases.(10) *. 150.0)
     minutes.(10);
   check_close "values are the estimate" run.Deconv.Pipeline.estimate.Deconv.Solver.profile.(10)
-    values.(10);
-  let t, g = Deconv.Pipeline.population_vs_phase run in
-  check_vec "population times" times t;
-  check_vec "population values" run.Deconv.Pipeline.noisy g
+    values.(10)
+
+(* An unusable k is a typed selection error, so the run falls back to
+   the solver's default λ instead of dying on an assertion. *)
+let test_invalid_kfold_falls_back () =
+  let run =
+    Deconv.Pipeline.run { small_config with Deconv.Pipeline.selection = `Kfold 1 } ~profile:pulse
+  in
+  check_close "default lambda" 1e-4 run.Deconv.Pipeline.lambda;
+  check_true "still recovers" (run.Deconv.Pipeline.recovery.Deconv.Metrics.correlation > 0.9)
 
 let tests =
   [
@@ -143,5 +149,6 @@ let tests =
         case "volume-model ablation runs" test_volume_model_ablation_runs;
         case "ftsz delay recovered" test_ftsz_delay_recovered;
         case "plotting helpers" test_helpers;
+        case "k = 1 falls back to the default lambda" test_invalid_kfold_falls_back;
       ] );
   ]

@@ -33,8 +33,8 @@ let prop_forward_monotone_in_profile =
     QCheck2.Gen.(array_size (return 101) (float_range 0.0 5.0))
     (fun f ->
       let k = Lazy.force kernel in
-      let g1 = Deconv.Forward.apply k f in
-      let g2 = Deconv.Forward.apply k (Array.map (fun v -> v +. 0.5) f) in
+      let g1 = Cellpop.Kernel.integrate_profile k f in
+      let g2 = Cellpop.Kernel.integrate_profile k (Array.map (fun v -> v +. 0.5) f) in
       Array.for_all2 (fun a b -> b >= a -. 1e-12) g1 g2)
 
 let prop_forward_bounds =
@@ -44,7 +44,7 @@ let prop_forward_bounds =
     QCheck2.Gen.(array_size (return 101) (float_range 0.0 10.0))
     (fun f ->
       let k = Lazy.force kernel in
-      let g = Deconv.Forward.apply k f in
+      let g = Cellpop.Kernel.integrate_profile k f in
       let lo = Vec.min f -. 1e-9 and hi = Vec.max f +. 1e-9 in
       Array.for_all (fun v -> v >= lo && v <= hi) g)
 
@@ -66,10 +66,10 @@ let prop_solver_constraints_random_data =
         Deconv.Problem.create ~kernel:(Lazy.force kernel) ~basis ~measurements:g ~params ()
       in
       let estimate = Deconv.Solver.solve ~lambda:1e-3 problem in
-      Float.abs (Deconv.Constraints.residual_conservation params basis estimate.Deconv.Solver.alpha)
+      Float.abs (residual_conservation params basis estimate.Deconv.Solver.alpha)
         < 1e-5
       && Float.abs
-           (Deconv.Constraints.residual_rate_continuity params basis estimate.Deconv.Solver.alpha)
+           (residual_rate_continuity params basis estimate.Deconv.Solver.alpha)
          < 1e-5)
 
 let prop_solver_scale_equivariant =
@@ -131,7 +131,7 @@ let prop_volume_partition =
   qcheck ~count:100 "volume partition invariant"
     QCheck2.Gen.(pair (float_range 0.05 0.6) (float_range 0.5 3.0))
     (fun (phi_sst, v0) ->
-      let v = Cellpop.Volume.smooth ~v0 ~phi_sst in
+      let v = Cellpop.Volume.eval { Cellpop.Params.paper_2011 with v0 } ~phi_sst in
       Float.abs (v 1.0 -. (v 0.0 +. v phi_sst)) < 1e-9 *. v0)
 
 let prop_population_conserves_phase_invariant =

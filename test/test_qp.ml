@@ -95,7 +95,7 @@ let prop_ipm_matches_projection =
           { h; g; ineq = Some (Mat.identity n, Vec.zeros n) }
       in
       let expected = Array.map (fun v -> Float.max v 0.0) c in
-      Vec.approx_equal ~tol:1e-5 expected solution.Optimize.Qp.x)
+      vec_approx_equal ~tol:1e-5 expected solution.Optimize.Qp.x)
 
 (* The exact counterpart of the property above: with H = 2I the active
    set is the set of negative entries, so the dual active-set method
@@ -132,7 +132,7 @@ let random_feasible_qp seed =
   let feasible = Array.init n (fun _ -> Rng.uniform rng ~lo:(-1.0) ~hi:1.0) in
   let b =
     Array.map
-      (fun ax -> if Rng.bool rng then ax else ax -. Rng.uniform rng ~lo:0.0 ~hi:1.0)
+      (fun ax -> if Rng.uniform rng ~lo:0.0 ~hi:1.0 < 0.5 then ax else ax -. Rng.uniform rng ~lo:0.0 ~hi:1.0)
       (Mat.mv a feasible)
   in
   ({ Optimize.Qp.h; g; ineq = Some (a, b) }, a, b, feasible)

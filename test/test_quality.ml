@@ -48,7 +48,7 @@ let fixtures =
            ~x0:Biomodels.Lotka_volterra.default_x0
            ~n_phi:(Array.length k.Cellpop.Kernel.phases)
        in
-       make_problem k (Deconv.Forward.apply k x1)
+       make_problem k (Cellpop.Kernel.integrate_profile k x1)
      in
      batch @ [ ("LV", lv); ("ftsZ", Lazy.force ftsz_problem) ])
 
@@ -193,10 +193,7 @@ let test_standardized_residuals () =
     (Array.init 13 (fun m -> (g.(m) -. fitted.(m)) /. sigmas.(m)))
     z;
   check_vec ~tol:0.0 "Diagnostics reports the same residuals" z
-    (Deconv.Diagnostics.analyze problem est).Deconv.Diagnostics.standardized_residuals;
-  check_close ~tol:0.0 "residual_stats runs test reads them"
-    (Stats.runs_z z)
-    (List.assoc "runs_z" (Deconv.Quality.residual_stats problem ~fitted))
+    (Deconv.Diagnostics.analyze problem est).Deconv.Diagnostics.standardized_residuals
 
 let tests =
   [

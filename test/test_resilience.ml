@@ -95,9 +95,9 @@ let check_bitwise msg a b =
 
 let test_shuffle_total_small () =
   let rng = Rng.create 5 in
-  let empty = Robust.Fault.apply Robust.Fault.shuffle rng [||] in
+  let empty = Robust.Fault.apply Faults.shuffle rng [||] in
   Alcotest.(check int) "length 0 unchanged" 0 (Array.length empty);
-  let one = Robust.Fault.apply Robust.Fault.shuffle rng [| 42.0 |] in
+  let one = Robust.Fault.apply Faults.shuffle rng [| 42.0 |] in
   check_bitwise "singleton unchanged" 42.0 one.(0)
 
 let shuffle_prop =
@@ -107,7 +107,7 @@ let shuffle_prop =
     QCheck2.Gen.(pair (int_range 0 3) int)
     (fun (n, seed) ->
       let v = Array.init n (fun i -> float_of_int (i + 1)) in
-      let s = Robust.Fault.apply Robust.Fault.shuffle (Rng.create seed) v in
+      let s = Robust.Fault.apply Faults.shuffle (Rng.create seed) v in
       Array.length s = n
       && List.sort compare (Array.to_list (Array.map int_of_float s))
          = List.init n (fun i -> i + 1)
@@ -117,11 +117,11 @@ let shuffle_prop =
 
 let test_budget_iteration_cap () =
   let b = Robust.Budget.create ~max_iterations:3 () in
-  Robust.Budget.tick b;
-  Robust.Budget.tick b;
-  Robust.Budget.tick b;
-  Alcotest.(check int) "three ticks allowed" 3 (Robust.Budget.iterations b);
-  (match Robust.Budget.tick b with
+  (* three ticks allowed *)
+  Robust.Budget.on_iteration b 0;
+  Robust.Budget.on_iteration b 0;
+  Robust.Budget.on_iteration b 0;
+  (match Robust.Budget.on_iteration b 0 with
   | () -> Alcotest.fail "fourth tick should exhaust the budget"
   | exception Robust.Error.Error (Robust.Error.Budget_exhausted { resource; limit; spent }) ->
     Alcotest.(check string) "resource" "iterations" resource;
@@ -131,7 +131,7 @@ let test_budget_iteration_cap () =
   (* unlimited never fires *)
   let u = Robust.Budget.unlimited () in
   for _ = 1 to 10_000 do
-    Robust.Budget.tick u
+    Robust.Budget.on_iteration u 0
   done
 
 let test_budget_rejects_bad_caps () =
@@ -193,11 +193,11 @@ let test_batch_outcome_counts () =
   List.iter
     (fun (_, e) ->
       check_true "typed as non-finite input"
-        (Robust.Error.same_class e (Robust.Error.Non_finite { stage = "" })))
+        (same_class e (Robust.Error.Non_finite { stage = "" })))
     (Outcome.failures outcome);
   Alcotest.(check (list (pair string int)))
     "class counts" [ ("non_finite", 2) ] (Outcome.class_counts outcome);
-  (match Outcome.estimates outcome with
+  (match Deconv.Batch.solve_all batch ~lambda:`Gcv ~measurements:(corrupt faulty clean) () with
   | (_ : Deconv.Solver.estimate array) -> Alcotest.fail "estimates should raise"
   | exception Robust.Error.Error e -> (
     match Outcome.failures outcome with
@@ -290,8 +290,8 @@ let test_batch_rejects_misshaped_sigmas () =
                 Alcotest.(check string) (label ^ ", " ^ mode ^ ": field") "sigmas" field)
             [ ("no journal", None); ("journal", Some (Deconv.Checkpoint.create ~path)) ])
         [
-          ("too few rows", Mat.make 2 n_m 0.5);
-          ("too few columns", Mat.make genes (n_m - 1) 0.5);
+          ("too few rows", Mat.init 2 n_m (fun _ _ -> 0.5));
+          ("too few columns", Mat.init genes (n_m - 1) (fun _ _ -> 0.5));
         ];
       match Deconv.Checkpoint.load ~path with
       | Ok [] -> ()
@@ -408,6 +408,34 @@ let test_gene_key_golden () =
     (Deconv.Batch.gene_key batch
        ~sigmas:(Array.make (Array.length times) 0.5)
        ~lambda:(`Fixed 1e-4) ~measurements ())
+
+(* The key is FNV-1a 64 over length-prefixed parts: ["a"] hashes the
+   bytes "1:a" from the offset basis. *)
+let test_key_parts_compose () =
+  let open Deconv.Checkpoint in
+  let key parts = finish_key (feed_key key_seed parts) in
+  Alcotest.(check string) "no parts: the FNV offset basis" "cbf29ce484222325" (key []);
+  Alcotest.(check string) "one part: FNV-1a of \"1:a\"" "45540418180aba49" (key [ "a" ]);
+  Alcotest.(check string) "feeding in two steps equals feeding once"
+    (key [ "kernel"; "basis"; "row" ])
+    (finish_key (feed_key (feed_key key_seed [ "kernel"; "basis" ]) [ "row" ]));
+  check_true "part boundaries do not alias" (key [ "ab"; "c" ] <> key [ "a"; "bc" ]);
+  check_true "an empty part still counts" (key [ "x" ] <> key [ "x"; "" ])
+
+let test_key_vec_mat_parts () =
+  let open Deconv.Checkpoint in
+  let v = [| 0.1; -2.5; 1e-300 |] in
+  Alcotest.(check (array (float 0.0))) "a vector part parses back bit-exactly" v
+    (Array.of_list (List.map float_of_string (String.split_on_char ',' (vec_part v))));
+  check_true "signed zeros differ" (vec_part [| 0.0 |] <> vec_part [| -0.0 |]);
+  check_true "one ulp differs" (vec_part [| 1.0 |] <> vec_part [| Float.succ 1.0 |]);
+  let data = Array.init 6 float_of_int in
+  let wide = Mat.init 2 3 (fun i j -> data.((i * 3) + j)) in
+  let tall = Mat.init 3 2 (fun i j -> data.((i * 2) + j)) in
+  check_true "same entries, different shape, different part" (mat_part wide <> mat_part tall);
+  Alcotest.(check string) "rows joined in order"
+    (vec_part (Mat.row wide 0) ^ ";" ^ vec_part (Mat.row wide 1))
+    (mat_part wide)
 
 let test_batch_journal_replay () =
   let batch, clean = Lazy.force fixture in
@@ -573,6 +601,8 @@ let tests =
         case "entry JSON round-trip is bit-exact" test_checkpoint_entry_roundtrip;
         case "journal lifecycle on disk" test_checkpoint_file_lifecycle;
         case "gene keys match the golden keys" test_gene_key_golden;
+        case "key parts compose" test_key_parts_compose;
+        case "vector and matrix key parts" test_key_vec_mat_parts;
         case "batch replay from journal" test_batch_journal_replay;
       ] );
     ( "resilience-bootstrap",

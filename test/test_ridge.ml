@@ -23,7 +23,7 @@ let test_large_lambda_shrinks () =
   let small = Ridge_oracle.solve ~a ~b ~penalty:(identity_penalty 3) ~lambda:1e-6 () in
   let large = Ridge_oracle.solve ~a ~b ~penalty:(identity_penalty 3) ~lambda:1e8 () in
   check_true "large lambda shrinks coefficients"
-    (Vec.norm2 large.Ridge_oracle.x < 0.01 *. Vec.norm2 small.Ridge_oracle.x)
+    (norm2 large.Ridge_oracle.x < 0.01 *. norm2 small.Ridge_oracle.x)
 
 let test_edf_range () =
   let a, b = make_problem () in
@@ -58,7 +58,7 @@ let test_normal_matrix () =
   let p = identity_penalty 3 in
   let normal = Optimize.Ridge.normal_matrix ~a ~weights:w ~penalty:p ~lambda:2.0 in
   let expected = Mat.add (Mat.gram a) (Mat.scale 2.0 p) in
-  check_true "AtWA + lambda P" (Mat.approx_equal ~tol:1e-9 expected normal)
+  check_true "AtWA + lambda P" (mat_approx_equal ~tol:1e-9 expected normal)
 
 let test_gcv_finite_and_positive () =
   let a, b = make_problem () in

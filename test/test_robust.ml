@@ -33,7 +33,7 @@ let expect_ok = function
 let expect_error_class expected = function
   | Ok _ -> Alcotest.failf "expected Error (%s), got Ok" (Robust.Error.to_string expected)
   | Error e ->
-    if not (Robust.Error.same_class expected e) then
+    if not (same_class expected e) then
       Alcotest.failf "expected error class %s, got %s"
         (Robust.Error.to_string expected)
         (Robust.Error.to_string e)
@@ -66,7 +66,7 @@ let test_error_classes () =
       List.iteri
         (fun j b ->
           Alcotest.(check bool)
-            "same_class iff same constructor" (i = j) (Robust.Error.same_class a b))
+            "same_class iff same constructor" (i = j) (same_class a b))
         all_errors)
     all_errors;
   check_true "equal ignores nothing"
@@ -75,7 +75,7 @@ let test_error_classes () =
           (Robust.Error.Qp_stalled { iterations = 1 })
           (Robust.Error.Qp_stalled { iterations = 2 })));
   check_true "same_class ignores payload"
-    (Robust.Error.same_class
+    (same_class
        (Robust.Error.Qp_stalled { iterations = 1 })
        (Robust.Error.Qp_stalled { iterations = 2 }))
 
@@ -117,6 +117,26 @@ let test_validate_sigmas () =
         (Robust.Validate.sigmas [| 1.0; bad |]))
     [ 0.0; -1.0; Float.nan; Float.infinity ]
 
+let test_usable_sigma () =
+  List.iter
+    (fun s -> check_true (Printf.sprintf "sigma %g is usable" s) (Robust.Validate.usable_sigma s))
+    [ 1.0; 0.05; 1e-100; 1e100 ];
+  List.iter
+    (fun s ->
+      check_true (Printf.sprintf "sigma %g is not usable" s)
+        (not (Robust.Validate.usable_sigma s)))
+    [ 0.0; -0.5; Float.nan; Float.infinity; Float.neg_infinity; 1e-160; 1e160 ]
+
+let test_error_of_exn () =
+  let typed = Robust.Error.Qp_stalled { iterations = 7 } in
+  check_true "a typed error unwraps to itself"
+    (Robust.Error.equal typed (Robust.Error.of_exn (Robust.Error.Error typed)));
+  match Robust.Error.of_exn (Failure "disk on fire") with
+  | Robust.Error.Unexpected { description } ->
+    check_true "the printed exception is kept"
+      (contains ~needle:"disk on fire" description)
+  | e -> Alcotest.failf "expected Unexpected, got %s" (Robust.Error.to_string e)
+
 let test_validate_kernel_clean () = expect_ok (Robust.Validate.kernel (Lazy.force kernel))
 
 let test_validate_kernel_faults () =
@@ -124,18 +144,18 @@ let test_validate_kernel_faults () =
   expect_error_class
     (Robust.Error.Non_finite { stage = "kernel" })
     (Robust.Validate.kernel
-       (Robust.Fault.apply (Robust.Fault.kernel_nan_column ~column:7 ()) (rng ()) k));
+       (Robust.Fault.apply (Faults.kernel_nan_column ~column:7 ()) (rng ()) k));
   expect_error_class Robust.Error.Kernel_degenerate
     (Robust.Validate.kernel
-       (Robust.Fault.apply (Robust.Fault.kernel_zero_row ~row:3 ()) (rng ()) k));
+       (Robust.Fault.apply (Faults.kernel_zero_row ~row:3 ()) (rng ()) k));
   expect_error_class
     (Robust.Error.Invalid_input { field = "kernel times"; why = "" })
-    (Robust.Validate.kernel (Robust.Fault.apply Robust.Fault.kernel_shuffle_times (rng ()) k));
+    (Robust.Validate.kernel (Robust.Fault.apply Faults.kernel_shuffle_times (rng ()) k));
   (* A duplicated time point is structurally legal (ties allowed) — it must
      pass validation and instead stress the solver downstream. *)
   expect_ok
     (Robust.Validate.kernel
-       (Robust.Fault.apply (Robust.Fault.kernel_duplicate_time ~row:6 ()) (rng ()) k))
+       (Robust.Fault.apply (Faults.kernel_duplicate_time ~row:6 ()) (rng ()) k))
 
 let test_problem_validate () =
   expect_ok (Deconv.Problem.validate (make_problem (Lazy.force clean_data)));
@@ -148,7 +168,7 @@ let test_problem_validate () =
     (Robust.Error.Invalid_input { field = "sigmas"; why = "" })
     (Deconv.Problem.validate
        (make_problem
-          ~sigmas:(Robust.Fault.apply (Robust.Fault.zero_at ~index:2 ()) (rng ()) (Vec.ones 13))
+          ~sigmas:(Robust.Fault.apply (Faults.zero_at ~index:2 ()) (rng ()) (Vec.ones 13))
           (Lazy.force clean_data)))
 
 (* ---------------- Fault injectors ---------------- *)
@@ -160,11 +180,11 @@ let test_faults_pure () =
     (fun f -> ignore (Robust.Fault.apply f (rng ()) v))
     [
       Robust.Fault.nan_at ();
-      Robust.Fault.inf_at ();
-      Robust.Fault.zero_at ();
-      Robust.Fault.negate_at ();
-      Robust.Fault.spike ~magnitude:10.0 ();
-      Robust.Fault.shuffle;
+      Faults.inf_at ();
+      Faults.zero_at ();
+      Faults.negate_at ();
+      Faults.spike ~magnitude:10.0 ();
+      Faults.shuffle;
     ];
   check_vec ~tol:0.0 "injectors never mutate their input" before v
 
@@ -174,25 +194,25 @@ let test_fault_nan_inf () =
   check_true "exactly one NaN" (Float.is_nan nan.(3));
   Alcotest.(check int) "one corrupted entry" 7
     (Array.length (Array.of_list (List.filter Float.is_finite (Array.to_list nan))));
-  let inf = Robust.Fault.apply (Robust.Fault.inf_at ~index:0 ()) (rng ()) v in
+  let inf = Robust.Fault.apply (Faults.inf_at ~index:0 ()) (rng ()) v in
   check_true "infinity planted" (inf.(0) = Float.infinity)
 
 let test_fault_shuffle () =
   let v = Array.init 9 float_of_int in
-  let s = Robust.Fault.apply Robust.Fault.shuffle (rng ()) v in
+  let s = Robust.Fault.apply Faults.shuffle (rng ()) v in
   check_true "order changed" (s <> v);
   let sorted a = List.sort compare (Array.to_list a) in
   check_true "same multiset" (sorted s = sorted v)
 
 let test_fault_spike () =
-  let v = Vec.make 5 2.0 in
-  let s = Robust.Fault.apply (Robust.Fault.spike ~index:1 ~magnitude:3.0 ()) (rng ()) v in
+  let v = Array.make 5 2.0 in
+  let s = Robust.Fault.apply (Faults.spike ~index:1 ~magnitude:3.0 ()) (rng ()) v in
   (* ‖v‖∞ = 2, so the spike adds 3 · 2 = 6. *)
   check_close ~tol:1e-12 "spike magnitude relative to scale" 8.0 s.(1)
 
 let test_fault_compose () =
   let f =
-    Robust.Fault.compose [ Robust.Fault.nan_at ~index:0 (); Robust.Fault.zero_at ~index:5 () ]
+    Faults.compose [ Robust.Fault.nan_at ~index:0 (); Faults.zero_at ~index:5 () ]
   in
   let v = Robust.Fault.apply f (rng ()) (Vec.ones 8) in
   check_true "first component applied" (Float.is_nan v.(0));
@@ -203,12 +223,56 @@ let test_fault_compose () =
 
 let test_fault_duplicate_time () =
   let k = Lazy.force kernel in
-  let k' = Robust.Fault.apply (Robust.Fault.kernel_duplicate_time ~row:6 ()) (rng ()) k in
+  let k' = Robust.Fault.apply (Faults.kernel_duplicate_time ~row:6 ()) (rng ()) k in
   check_close ~tol:0.0 "time stamp duplicated" k'.Cellpop.Kernel.times.(5)
     k'.Cellpop.Kernel.times.(6);
   check_vec ~tol:0.0 "row duplicated" (Cellpop.Kernel.row k' 5) (Cellpop.Kernel.row k' 6);
   check_true "original kernel untouched"
     (k.Cellpop.Kernel.times.(5) <> k.Cellpop.Kernel.times.(6))
+
+let test_choose_rows () =
+  let chosen = Robust.Fault.choose_rows (rng ()) ~k:5 ~rows:12 in
+  Alcotest.(check int) "k rows" 5 (Array.length chosen);
+  Array.iteri
+    (fun i r ->
+      check_true "in range" (r >= 0 && r < 12);
+      if i > 0 then check_true "strictly ascending, so distinct" (chosen.(i - 1) < r))
+    chosen;
+  Alcotest.(check (array int)) "k = rows takes every row" (Array.init 4 (fun i -> i))
+    (Robust.Fault.choose_rows (rng ()) ~k:4 ~rows:4);
+  Alcotest.(check (array int)) "k = 0 takes none" [||]
+    (Robust.Fault.choose_rows (rng ()) ~k:0 ~rows:4);
+  List.iter
+    (fun k ->
+      match Robust.Fault.choose_rows (rng ()) ~k ~rows:4 with
+      | exception Robust.Error.Error (Robust.Error.Invalid_input { field; _ }) ->
+        Alcotest.(check string) "field" "k" field
+      | _ -> Alcotest.failf "k = %d of 4 rows was accepted" k)
+    [ -1; 5 ]
+
+let test_poison_sigma_rows () =
+  let sigmas = Mat.init 5 4 (fun i j -> 0.1 +. float_of_int ((i * 4) + j)) in
+  let before = Mat.copy sigmas in
+  let rows = [| 1; 3 |] in
+  let poisoned = Robust.Fault.apply (Robust.Fault.poison_sigma_rows ~rows) (rng ()) sigmas in
+  check_true "input untouched" (mat_approx_equal ~tol:0.0 before sigmas);
+  for i = 0 to 4 do
+    let zeros =
+      Array.fold_left (fun n s -> if Float.equal s 0.0 then n + 1 else n) 0 (Mat.row poisoned i)
+    in
+    if Array.mem i rows then Alcotest.(check int) "one zero sigma in a poisoned row" 1 zeros
+    else check_vec ~tol:0.0 "clean row unchanged" (Mat.row sigmas i) (Mat.row poisoned i)
+  done;
+  check_true "a poisoned row fails validation"
+    (Result.is_error (Robust.Validate.sigmas (Mat.row poisoned 3)))
+
+let test_crash_after () =
+  Robust.Fault.crash_after ~genes:10 ~done_:4 ~total:20;
+  Robust.Fault.crash_after ~genes:10 ~done_:9 ~total:20;
+  match Robust.Fault.crash_after ~genes:10 ~done_:12 ~total:20 with
+  | exception Robust.Fault.Injected_crash { done_; total } ->
+    Alcotest.(check (pair int int)) "crash carries the progress" (12, 20) (done_, total)
+  | () -> Alcotest.fail "no crash once the gene count was reached"
 
 (* ---------------- solve_robust: clean path ---------------- *)
 
@@ -219,7 +283,6 @@ let test_clean_matches_solve () =
   check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
   check_true "no repairs" (report.Robust.Report.repairs = []);
   Alcotest.(check int) "single attempt" 1 (Robust.Report.num_attempts report);
-  check_true "no failed attempts" (Robust.Report.failed_attempts report = []);
   check_true "condition estimated" (report.Robust.Report.condition >= 1.0);
   let reference = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_vec ~tol:0.0 "identical to Solver.solve" reference.Deconv.Solver.alpha
@@ -234,7 +297,7 @@ let prop_clean_equals_solve =
       let est, report = expect_ok (Deconv.Solver.solve_robust ~lambda problem) in
       let reference = Deconv.Solver.solve ~lambda problem in
       degradation report = 0
-      && Vec.approx_equal ~tol:0.0 reference.Deconv.Solver.alpha est.Deconv.Solver.alpha)
+      && vec_approx_equal ~tol:0.0 reference.Deconv.Solver.alpha est.Deconv.Solver.alpha)
 
 (* ---------------- solve_robust: preconditioning ---------------- *)
 
@@ -301,13 +364,46 @@ let test_nan_measurement_repaired () =
     (Stats.rmse reference.Deconv.Solver.profile est.Deconv.Solver.profile < 0.5)
 
 let test_zero_sigma_repaired () =
-  let sigmas = Robust.Fault.apply (Robust.Fault.zero_at ~index:2 ()) (rng ()) (Vec.make 13 0.1) in
+  let sigmas = Robust.Fault.apply (Faults.zero_at ~index:2 ()) (rng ()) (Array.make 13 0.1) in
   let est, report =
     expect_ok (Deconv.Solver.solve_robust ~lambda:1e-4 (make_problem ~sigmas (Lazy.force clean_data)))
   in
   check_true "estimate finite" (finite_estimate est);
   check_true "sigma repair recorded"
     (List.exists (fun r -> r.Robust.Report.count = 1) report.Robust.Report.repairs)
+
+let test_repair_problem_clean_is_identity () =
+  let problem = make_problem (Lazy.force clean_data) in
+  let repaired, repairs = Deconv.Solver.repair_problem problem in
+  check_true "no repairs" (repairs = []);
+  check_true "the same problem comes back" (repaired == problem)
+
+let test_repair_problem_masks_and_replaces () =
+  let sigmas = Array.init 13 (fun i -> 0.1 +. (0.01 *. float_of_int i)) in
+  let bad_sigmas = Array.copy sigmas in
+  bad_sigmas.(2) <- 0.0;
+  let data = Array.copy (Lazy.force clean_data) in
+  data.(4) <- Float.nan;
+  let problem = make_problem ~sigmas:bad_sigmas data in
+  let repaired, repairs = Deconv.Solver.repair_problem problem in
+  Alcotest.(check (list (pair string int))) "masking is reported before sigma repair"
+    [ ("masked non-finite measurements", 1); ("replaced invalid sigmas", 1) ]
+    (List.map (fun r -> (r.Robust.Report.action, r.Robust.Report.count)) repairs);
+  let meas = repaired.Deconv.Problem.measurements and sig_ = repaired.Deconv.Problem.sigmas in
+  check_close ~tol:0.0 "masked measurement is zero" 0.0 meas.(4);
+  check_true "masked sigma is finite" (Float.is_finite sig_.(4));
+  check_true "masked weight vanishes" ((Deconv.Problem.weights repaired).(4) < 1e-200);
+  check_close ~tol:0.0 "bad sigma becomes the median of the valid ones" sigmas.(7) sig_.(2);
+  List.iter
+    (fun i ->
+      check_close ~tol:0.0 "untouched measurement" data.(i) meas.(i);
+      check_close ~tol:0.0 "untouched sigma" sigmas.(i) sig_.(i))
+    [ 0; 3; 5; 12 ];
+  check_true "the input problem is not mutated"
+    (Float.is_nan problem.Deconv.Problem.measurements.(4)
+    && Float.equal problem.Deconv.Problem.sigmas.(2) 0.0);
+  check_true "the design matrix is shared"
+    (repaired.Deconv.Problem.design == problem.Deconv.Problem.design)
 
 let test_repair_disabled_reports_error () =
   let poisoned =
@@ -319,7 +415,7 @@ let test_repair_disabled_reports_error () =
     (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem poisoned))
 
 let test_degenerate_kernel_is_terminal () =
-  let k = Robust.Fault.apply (Robust.Fault.kernel_zero_row ~row:3 ()) (rng ()) (Lazy.force kernel) in
+  let k = Robust.Fault.apply (Faults.kernel_zero_row ~row:3 ()) (rng ()) (Lazy.force kernel) in
   expect_error_class Robust.Error.Kernel_degenerate
     (Deconv.Solver.solve_robust ~lambda:1e-4 (make_problem ~kernel:k (Lazy.force clean_data)))
 
@@ -396,10 +492,10 @@ let test_everything_disabled_reports_last_error () =
 
 let test_duplicate_time_kernel_recovered () =
   let k =
-    Robust.Fault.apply (Robust.Fault.kernel_duplicate_time ~row:6 ()) (rng ()) (Lazy.force kernel)
+    Robust.Fault.apply (Faults.kernel_duplicate_time ~row:6 ()) (rng ()) (Lazy.force kernel)
   in
   let measurements =
-    Robust.Fault.apply (Robust.Fault.spike ~index:6 ~magnitude:0.5 ()) (rng ())
+    Robust.Fault.apply (Faults.spike ~index:6 ~magnitude:0.5 ()) (rng ())
       (Lazy.force clean_data)
   in
   match Deconv.Solver.solve_robust ~lambda:1e-6 (make_problem ~kernel:k measurements) with
@@ -420,13 +516,8 @@ let test_report_to_string () =
     expect_ok
       (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
   in
-  let s = Robust.Report.to_string report in
-  let contains needle =
-    let nh = String.length s and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub s i nn = needle || go (i + 1)) in
-    go 0
-  in
-  check_true "mentions the solving stage" (contains "unconstrained")
+  check_true "mentions the solving stage"
+    (contains ~needle:"unconstrained" (Robust.Report.to_string report))
 
 (* ---------------- Overflowing weights and stall pins ---------------- *)
 
@@ -434,7 +525,7 @@ let test_report_to_string () =
    infinity: validation must reject it as a bad sigma, and repair must
    replace it like any other invalid sigma. *)
 let overflow_sigmas () =
-  let s = Vec.make 13 0.1 in
+  let s = Array.make 13 0.1 in
   s.(2) <- 1e-160;
   s
 
@@ -465,7 +556,7 @@ let test_overflowing_weight_repaired () =
    need a second pass stalls on its first constrained rung, and that
    attempt records Qp_stalled with the one pass it spent. *)
 let test_solve_reports_stall_iterations () =
-  let problem = make_problem ~sigmas:(Vec.make 13 1e-150) (Lazy.force clean_data) in
+  let problem = make_problem ~sigmas:(Array.make 13 1e-150) (Lazy.force clean_data) in
   let est = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_true "estimate finite" (finite_estimate est);
   let profile = est.Deconv.Solver.profile in
@@ -556,6 +647,35 @@ let test_lambda_all_non_finite () =
   | exception Robust.Error.Error (Robust.Error.Non_finite _) -> ()
   | _ -> Alcotest.fail "raising form should raise the typed error")
 
+(* Selector arguments no candidate can fix come back as Invalid_input on
+   the named field, never as an Assert_failure. *)
+let expect_invalid_field field = function
+  | Error (Robust.Error.Invalid_input { field = f; _ }) ->
+    Alcotest.(check string) "invalid field" field f
+  | Error e -> Alcotest.failf "expected Invalid_input %s, got %s" field (Robust.Error.to_string e)
+  | Ok lambda -> Alcotest.failf "expected Invalid_input %s, got lambda %g" field lambda
+
+let test_lambda_kfold_one () =
+  let problem = make_problem (Lazy.force clean_data) in
+  expect_invalid_field "k" (Deconv.Lambda.select_result problem ~method_:(`Kfold 1) ())
+
+let test_lambda_kfold_too_many () =
+  let problem = make_problem (Lazy.force clean_data) in
+  expect_invalid_field "k" (Deconv.Lambda.select_result problem ~method_:(`Kfold 50) ())
+
+let test_lambda_empty_grid () =
+  let problem = make_problem (Lazy.force clean_data) in
+  List.iter
+    (fun method_ ->
+      expect_invalid_field "lambdas"
+        (Deconv.Lambda.select_result problem ~method_ ~lambdas:[||] ()))
+    [ `Gcv; `Lcurve; `Kfold 3 ]
+
+let test_lambda_lcurve_two_points () =
+  let problem = make_problem (Lazy.force clean_data) in
+  expect_invalid_field "lambdas"
+    (Deconv.Lambda.select_result problem ~method_:`Lcurve ~lambdas:[| 1e-4; 1e-2 |] ())
+
 let test_lambda_result_matches_select () =
   let problem = make_problem (Lazy.force clean_data) in
   let a = Deconv.Lambda.select problem ~method_:`Gcv () in
@@ -579,7 +699,7 @@ let with_temp_csv contents f =
 
 let test_csv_reports_line_and_column () =
   with_temp_csv "minutes,g\n0,1.5\n15,oops\n30,2.5\n" (fun path ->
-      match Dataio.Csv.read_result ~path with
+      match Dataio.Csv.read_columns_result ~path with
       | Ok _ -> Alcotest.fail "expected a parse error"
       | Error e ->
         Alcotest.(check int) "line of the bad field" 3 e.Dataio.Csv.line;
@@ -589,18 +709,11 @@ let test_csv_reports_line_and_column () =
 
 let test_csv_ragged_row () =
   with_temp_csv "minutes,g\n0,1.5\n15,2.0,extra\n" (fun path ->
-      match Dataio.Csv.read_result ~path with
+      match Dataio.Csv.read_columns_result ~path with
       | Ok _ -> Alcotest.fail "expected a parse error"
       | Error e ->
         Alcotest.(check int) "ragged line" 3 e.Dataio.Csv.line;
         Alcotest.(check int) "column past the expected width" 3 e.Dataio.Csv.column)
-
-let test_csv_raising_form () =
-  with_temp_csv "a,b\n1,2\nx,4\n" (fun path ->
-      match Dataio.Csv.read ~path with
-      | exception Dataio.Csv.Parse_error e ->
-        Alcotest.(check int) "same error as the result form" 3 e.Dataio.Csv.line
-      | _ -> Alcotest.fail "expected Parse_error")
 
 let expect_csv_ok = function
   | Ok v -> v
@@ -620,12 +733,6 @@ let test_datasets_wrong_columns () =
       | Ok _ -> Alcotest.fail "expected an error for a 1-column file"
       | Error _ -> ())
 
-let test_table_of_csv () =
-  with_temp_csv "minutes,g\n0,1.5\n15,2.5\n" (fun path ->
-      match Dataio.Table.of_csv ~path with
-      | Ok _ -> ()
-      | Error e -> Alcotest.failf "unexpected error: %s" (Dataio.Csv.error_to_string e))
-
 let tests =
   [
     ( "robust-errors",
@@ -635,6 +742,8 @@ let tests =
         case "recoverable classification" test_error_recoverable;
         case "validate times" test_validate_times;
         case "validate sigmas" test_validate_sigmas;
+        case "usable sigma" test_usable_sigma;
+        case "of_exn" test_error_of_exn;
         case "validate clean kernel" test_validate_kernel_clean;
         case "validate faulty kernels" test_validate_kernel_faults;
         case "problem validate" test_problem_validate;
@@ -647,6 +756,9 @@ let tests =
         case "spike scales with data" test_fault_spike;
         case "compose" test_fault_compose;
         case "duplicate time point" test_fault_duplicate_time;
+        case "choose rows" test_choose_rows;
+        case "poison sigma rows" test_poison_sigma_rows;
+        case "crash after" test_crash_after;
       ] );
     ( "robust-solver",
       [
@@ -656,6 +768,8 @@ let tests =
         case "condition limit preconditions" test_condition_limit_preconditions;
         case "nan measurement repaired" test_nan_measurement_repaired;
         case "zero sigma repaired" test_zero_sigma_repaired;
+        case "repair_problem: clean input is returned as is" test_repair_problem_clean_is_identity;
+        case "repair_problem: masks and replaces" test_repair_problem_masks_and_replaces;
         case "repair disabled -> typed error" test_repair_disabled_reports_error;
         case "degenerate kernel -> typed error" test_degenerate_kernel_is_terminal;
         case "stall -> unconstrained fallback" test_stall_falls_back_to_unconstrained;
@@ -678,14 +792,16 @@ let tests =
         case "skips non-finite candidates" test_lambda_skips_non_finite_candidates;
         case "all non-finite -> typed error" test_lambda_all_non_finite;
         case "select_result agrees with select" test_lambda_result_matches_select;
+        case "k = 1 -> Invalid_input k" test_lambda_kfold_one;
+        case "k above n -> Invalid_input k" test_lambda_kfold_too_many;
+        case "empty grid -> Invalid_input lambdas" test_lambda_empty_grid;
+        case "2-point L-curve -> Invalid_input lambdas" test_lambda_lcurve_two_points;
       ] );
     ( "robust-csv",
       [
         case "line and column reported" test_csv_reports_line_and_column;
         case "ragged row located" test_csv_ragged_row;
-        case "raising form carries the error" test_csv_raising_form;
         case "load_measurements sorts" test_datasets_load_measurements;
         case "wrong column count" test_datasets_wrong_columns;
-        case "table from csv" test_table_of_csv;
       ] );
   ]

@@ -70,7 +70,7 @@ let test_random_profiles_differ () =
   let p2 = Deconv.Study.random_profile rng in
   let grid = Vec.linspace 0.0 1.0 21 in
   check_true "profiles differ"
-    (not (Vec.approx_equal ~tol:1e-9 (Array.map p1 grid) (Array.map p2 grid)))
+    (not (vec_approx_equal ~tol:1e-9 (Array.map p1 grid) (Array.map p2 grid)))
 
 let test_study_summary () =
   let times = Array.init 13 (fun i -> 15.0 *. float_of_int i) in
@@ -90,8 +90,7 @@ let test_study_summary () =
   let q25, q75 = s.Deconv.Study.iqr_rmse in
   check_true "iqr ordered" (q25 <= q75);
   check_true "fraction in [0,1]"
-    (s.Deconv.Study.fraction_above_09 >= 0.0 && s.Deconv.Study.fraction_above_09 <= 1.0);
-  check_true "to_string renders" (String.length (Deconv.Study.to_string s) > 20)
+    (s.Deconv.Study.fraction_above_09 >= 0.0 && s.Deconv.Study.fraction_above_09 <= 1.0)
 
 let tests =
   [

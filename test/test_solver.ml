@@ -27,7 +27,7 @@ let test_problem_validation () =
   Alcotest.(check int) "measurement count" 13 (Deconv.Problem.num_measurements problem);
   let w = Deconv.Problem.weights problem in
   check_vec "unit weights by default" (Vec.ones 13) w;
-  let problem2 = make_problem ~sigmas:(Vec.make 13 0.5) (Lazy.force clean_data) in
+  let problem2 = make_problem ~sigmas:(Array.make 13 0.5) (Lazy.force clean_data) in
   check_close ~tol:1e-12 "weights are 1/sigma^2" 4.0 (Deconv.Problem.weights problem2).(0)
 
 let test_unconstrained_fits_data () =
@@ -50,7 +50,9 @@ let test_positivity_enforced () =
   let est = Deconv.Solver.solve ~lambda:1e-5 problem in
   Array.iter (fun v -> check_true "profile nonnegative" (v >= -1e-6)) est.Deconv.Solver.profile;
   (* And also at the interval endpoints, which sit outside the grid. *)
-  let endpoints = Deconv.Solver.profile_on problem est [| 0.0; 1.0 |] in
+  let endpoints =
+    Spline.Basis.combine_many problem.Deconv.Problem.basis est.Deconv.Solver.alpha [| 0.0; 1.0 |]
+  in
   Array.iter (fun v -> check_true "endpoints nonnegative" (v >= -1e-6)) endpoints
 
 let test_unconstrained_goes_negative () =
@@ -64,9 +66,9 @@ let test_equality_constraints_satisfied () =
   let problem = make_problem (Lazy.force clean_data) in
   let est = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_close ~tol:1e-6 "conservation satisfied" 0.0
-    (Deconv.Constraints.residual_conservation params basis est.Deconv.Solver.alpha);
+    (residual_conservation params basis est.Deconv.Solver.alpha);
   check_close ~tol:1e-6 "rate continuity satisfied" 0.0
-    (Deconv.Constraints.residual_rate_continuity params basis est.Deconv.Solver.alpha)
+    (residual_rate_continuity params basis est.Deconv.Solver.alpha)
 
 (* The equality rows hold by construction (α = Zβ), so whatever else is
    switched on, each enforced row is zero to rounding, not to the QP
@@ -93,9 +95,9 @@ let test_equality_rows_by_construction () =
                     (Float.abs residual <= bound)
               in
               check use_conservation "conservation"
-                (Deconv.Constraints.residual_conservation params basis alpha);
+                (residual_conservation params basis alpha);
               check use_rate_continuity "rate continuity"
-                (Deconv.Constraints.residual_rate_continuity params basis alpha))
+                (residual_rate_continuity params basis alpha))
             bools)
         bools)
     bools
@@ -121,7 +123,7 @@ let test_constraints_can_be_disabled () =
   let est = Deconv.Solver.solve ~lambda:1e-4 problem in
   (* Without the constraint the residual is generally nonzero. *)
   check_true "conservation not enforced"
-    (Float.abs (Deconv.Constraints.residual_conservation params basis est.Deconv.Solver.alpha)
+    (Float.abs (residual_conservation params basis est.Deconv.Solver.alpha)
      > 1e-8)
 
 let test_cost_decomposition () =
@@ -155,7 +157,7 @@ let test_naive_baseline_is_worse_under_noise () =
 let test_weighted_fit_respects_sigmas () =
   (* Corrupt one point with huge reported sigma: the fit should ignore it. *)
   let data = Array.copy (Lazy.force clean_data) in
-  let sigmas = Vec.make 13 0.05 in
+  let sigmas = Array.make 13 0.05 in
   data.(6) <- data.(6) +. 10.0;
   sigmas.(6) <- 1e3;
   let problem = make_problem ~sigmas data in
@@ -238,8 +240,8 @@ let test_with_data_typed_errors () =
   check_true "same sigmas error as create" (Robust.Error.equal from_create from_with_data)
 
 let test_with_data_shares_blocks () =
-  let problem = make_problem ~sigmas:(Vec.make 13 0.5) (Lazy.force clean_data) in
-  let g = Vec.make 13 1.0 in
+  let problem = make_problem ~sigmas:(Array.make 13 0.5) (Lazy.force clean_data) in
+  let g = Array.make 13 1.0 in
   let p = Deconv.Problem.with_data problem g in
   check_true "measurements replaced" (p.Deconv.Problem.measurements == g);
   check_true "sigmas kept by default" (p.Deconv.Problem.sigmas == problem.Deconv.Problem.sigmas);
@@ -250,7 +252,7 @@ let test_with_data_shares_blocks () =
     (p.Deconv.Problem.null_space == problem.Deconv.Problem.null_space);
   check_true "positivity block shared"
     (p.Deconv.Problem.positivity == problem.Deconv.Problem.positivity);
-  let sigmas = Vec.make 13 2.0 in
+  let sigmas = Array.make 13 2.0 in
   check_true "sigmas replaced when given"
     ((Deconv.Problem.with_data ~sigmas problem g).Deconv.Problem.sigmas == sigmas)
 
@@ -268,7 +270,7 @@ let test_batch_bad_sigma_row_isolated () =
                 ~center:(0.2 +. (0.2 *. float_of_int g))
                 ~width:0.1 ~height:3.0 ())))
   in
-  let sigmas = Mat.make genes 13 0.1 in
+  let sigmas = Mat.init genes 13 (fun _ _ -> 0.1) in
   Mat.set sigmas 2 5 0.0;
   let outcome =
     Deconv.Batch.solve_all_result batch ~sigmas ~lambda:(`Fixed 1e-4) ~measurements ()

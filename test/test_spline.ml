@@ -62,7 +62,7 @@ let test_combine () =
   for i = 0 to basis.Spline.Basis.size - 1 do
     direct := !direct +. (alpha.(i) *. basis.Spline.Basis.eval i x)
   done;
-  check_close ~tol:1e-12 "combine" !direct (Spline.Basis.combine basis alpha x)
+  check_close ~tol:1e-12 "combine" !direct (Spline.Basis.combine_many basis alpha [| x |]).(0)
 
 let test_design_matrix () =
   let grid = Vec.linspace 0.0 1.0 11 in
@@ -134,9 +134,12 @@ let test_penalty_symmetric_psd () =
   List.iter
     (fun b ->
       let omega = Spline.Penalty.second_derivative b in
-      check_true "penalty symmetric" (Mat.is_symmetric ~tol:1e-9 omega);
-      let values, _ = Linalg.jacobi_eigen omega in
-      Array.iter (fun v -> check_true "penalty PSD" (v > -1e-8)) values)
+      check_true "penalty symmetric" (is_symmetric ~tol:1e-9 omega);
+      (* PSD to rounding: Ω + 1e-8·I admits a Cholesky factor. *)
+      let n = omega.Mat.rows in
+      match Linalg.cholesky_factor (Mat.add omega (Mat.scale 1e-8 (Mat.identity n))) with
+      | _ -> ()
+      | exception Linalg.Singular _ -> Alcotest.fail "penalty not PSD")
     [ basis; bspline ]
 
 let test_penalty_annihilates_linear () =
@@ -166,7 +169,7 @@ let test_penalty_matches_numeric_integral () =
 let test_gram_matches_numeric () =
   let grid = Vec.linspace 0.0 1.0 2001 in
   let g = Spline.Penalty.gram basis grid in
-  check_true "gram symmetric" (Mat.is_symmetric ~tol:1e-9 g);
+  check_true "gram symmetric" (is_symmetric ~tol:1e-9 g);
   (* <1, 1> = 1 over [0,1]. *)
   check_close ~tol:1e-6 "gram constant" 1.0 (Mat.get g 0 0);
   (* <1, x> = 1/2, <x, x> = 1/3. *)
@@ -174,12 +177,7 @@ let test_gram_matches_numeric () =
   check_close ~tol:1e-6 "gram <x,x>" (1.0 /. 3.0) (Mat.get g 1 1)
 
 let test_knots () =
-  check_vec ~tol:1e-12 "uniform knots" [| 0.0; 0.5; 1.0 |] (Spline.Knots.uniform ~lo:0.0 ~hi:1.0 3);
-  let samples = [| 1.0; 1.0; 2.0; 3.0; 10.0 |] in
-  let q = Spline.Knots.quantile samples 3 in
-  check_close "quantile first" 1.0 q.(0);
-  check_close "quantile last" 10.0 q.(2);
-  check_true "strictly increasing" (q.(0) < q.(1) && q.(1) < q.(2))
+  check_vec ~tol:1e-12 "uniform knots" [| 0.0; 0.5; 1.0 |] (Spline.Knots.uniform ~lo:0.0 ~hi:1.0 3)
 
 let tests =
   [
