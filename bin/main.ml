@@ -1054,8 +1054,8 @@ let diagnose_cmd =
     (Cmd.info "diagnose"
        ~doc:"Per-solve quality report card from a trace: condition number κ, selected λ and \
              effective degrees of freedom, the λ-candidate profile (plotted), weighted-residual \
-             whiteness and normality verdicts, active-constraint counts, and the robust-cascade \
-             path, with flags for unhealthy solves.")
+             whiteness and normality verdicts, active-constraint counts, and the degradation \
+             level, with flags for unhealthy solves.")
     Term.(const run $ file_arg $ json_arg $ no_plot_arg $ kappa_limit_arg)
 
 (* ---------------- batch ---------------- *)
@@ -1077,7 +1077,7 @@ let timeout_arg =
 let max_iters_arg =
   Arg.(value & opt int 0
        & info [ "max-iters" ] ~docv:"N"
-           ~doc:"Per-gene iteration budget across the whole solve cascade (0 = unlimited).")
+           ~doc:"Per-gene iteration budget on the constrained QP's passes (0 = unlimited).")
 
 let checkpoint_arg =
   Arg.(value & opt (some string) None

@@ -300,7 +300,7 @@ let confinement =
           "condition-number computation outside the quality layers: κ is a quality \
            statistic and is reported through Obs.Diag");
       hint =
-        "use Quality.system (the one κ/edf path; the cascade already reads it) and let the \
+        "use Quality.system (the one κ/edf path; solve_robust already reads it) and let the \
          diag stream carry the value";
     };
     {

@@ -8,7 +8,7 @@ type check_result = {
 
 (* The robust public surface: entry points whose contract is "failures
    come back as Robust.Error, never as an arbitrary exception". The
-   solver cascade converts at these boundaries; everything reachable
+   solver converts at these boundaries; everything reachable
    underneath may use typed internal exceptions (Linalg.Singular,
    Rootfind.No_bracket, ...) freely as long as something on the path
    converts them. *)

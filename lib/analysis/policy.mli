@@ -1,6 +1,6 @@
 (** The whole-program rules (R10–R12 and R15) checked by
     [deconv-lint check]: a {!Callgraph} + {!Effects} pass enforcing the
-    repository's two whole-program invariants — the typed-error cascade and
+    repository's two whole-program invariants — the typed-error contract and
     bit-for-bit jobs-independent parallelism — plus the purity of the
     numeric core, and a use count over the library's exports.
 

@@ -134,8 +134,8 @@ let all =
          exception constructor) whose exception can propagate, through the \
          call graph, out of one of the library's declared robust entry points \
          (the Pipeline/Batch/Bootstrap/solve_robust surface) without being \
-         caught and converted to Robust.Error. The validate-repair-retry-\
-         degrade cascade is a whole-program guarantee: one tunneling raise \
+         caught and converted to Robust.Error. The typed-error contract of \
+         those entry points is a whole-program guarantee: one tunneling raise \
          turns a typed, reportable failure into a crash. Convert at the \
          boundary (Robust.Error.raise_error / Robust.Error.of_exn) or \
          suppress with a reason explaining why the exception cannot actually \

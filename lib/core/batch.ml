@@ -2,11 +2,18 @@ open Numerics
 
 (* One prepared template problem: its design, penalty, constraint blocks
    and Demmler–Reinsch factorization are built once here, and every gene
-   re-points it at its own data. [spectral] is [None] when the template's
-   system cannot be factored (a gene then fails its own λ selection with
-   the typed error). [key] has the checkpoint key parts every gene shares
-   already fed: kernel, basis, parameters and constraint switches. *)
-type t = { template : Problem.t; spectral : Optimize.Spectral.t option; key : Checkpoint.key_state }
+   re-points it at its own data. [shared_valid] is the kernel and basis
+   part of Problem.validate, which no gene's data can change. [spectral]
+   is [None] when the template's system cannot be factored (a gene then
+   fails its own λ selection with the typed error). [key] has the
+   checkpoint key parts every gene shares already fed: kernel, basis,
+   parameters and constraint switches. *)
+type t = {
+  template : Problem.t;
+  shared_valid : (unit, Robust.Error.t) result;
+  spectral : Optimize.Spectral.t option;
+  key : Checkpoint.key_state;
+}
 
 let hex = Printf.sprintf "%h"
 
@@ -17,13 +24,21 @@ let prepare ?(use_positivity = true) ?(use_conservation = true) ?(use_rate_conti
     Problem.create ~use_positivity ~use_conservation ~use_rate_continuity ~kernel ~basis
       ~measurements ~params ()
   in
+  (* The template's own data (zero measurements, unit sigmas) always
+     passes, so this is the kernel and basis verdict alone. An invalid
+     kernel is not factored: every gene fails with its typed error. *)
+  let shared_valid = Problem.validate template in
   let flag v = if v then "1" else "0" in
   {
     template;
+    shared_valid;
     spectral =
-      (match Problem.factorize template with
-      | fact -> Some fact
-      | exception Linalg.Singular _ -> None);
+      (match shared_valid with
+      | Error _ -> None
+      | Ok () -> (
+        match Problem.factorize template with
+        | fact -> Some fact
+        | exception Linalg.Singular _ -> None));
     key =
       Checkpoint.feed_key Checkpoint.key_seed
         [
@@ -73,7 +88,7 @@ let gene_key t ?sigmas ~lambda ~measurements () =
 let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ~measurements () =
   match
     let problem = problem_for t ?sigmas measurements in
-    match Problem.validate problem with
+    match Result.bind t.shared_valid (fun () -> Problem.validate_data problem) with
     | Error e -> Error e
     | Ok () -> (
       (* A gene with its own σ row has its own weights, hence its own
@@ -84,16 +99,15 @@ let solve_gene_result t ?sigmas ?(lambda = `Gcv) ?budget ~measurements () =
       | Ok lam ->
         let est = Solver.solve ?budget ~lambda:lam problem in
         if Solver.finite_estimate est then begin
-          (* Batch genes go through the raw solve (no cascade), so the
-             per-solve quality record is emitted here, only under an
+          (* Batch genes go through the raw solve, not solve_robust, so
+             the per-solve quality record is emitted here, only under an
              active sink. *)
           if Obs.Diag.enabled () then
             Obs.Span.with_ "quality.emit" (fun _ ->
                 Quality.emit_solve ~problem ~fitted:est.Solver.fitted ~lambda:est.Solver.lambda
                   ~entry_lambda:lam ~rss:est.Solver.data_misfit ~degradation:0
                   ~active_positivity:est.Solver.active_positivity
-                  ~qp_iterations:est.Solver.qp_iterations ~solved_by:"constrained_qp"
-                  ~cascade:"constrained_qp" ());
+                  ~qp_iterations:est.Solver.qp_iterations ());
           Ok est
         end
         else Error (Robust.Error.Non_finite { stage = "constrained QP solution" }))

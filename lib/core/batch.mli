@@ -23,8 +23,13 @@ val prepare :
   t
 (** Builds the template problem with {!Problem.create} (all constraints
     on by default) and factors it: the batch's one constraint build and
-    one factorization. A template that cannot be factored is kept without
-    one, and its genes fail λ selection with the typed [Non_finite]. *)
+    one factorization. It also runs the kernel and basis part of
+    {!Problem.validate} once; each gene then checks only its measurements
+    and sigmas ({!Problem.validate_data}), with the same errors in the
+    same precedence. A template whose kernel or basis fails is not
+    factored, and every gene returns that error. A template that cannot be
+    factored is kept without one, and its genes fail λ selection with the
+    typed [Non_finite]. *)
 
 val solve_all :
   t ->

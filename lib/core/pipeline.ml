@@ -113,8 +113,7 @@ let run config ~profile =
   in
   (* λ selection runs on the repaired copy: a single NaN measurement would
      otherwise poison every candidate score. If selection still fails
-     (typed Robust error), fall back to the solver's default λ — the
-     cascade takes over from there. *)
+     (typed Robust error), fall back to the solver's default λ. *)
   let lambda =
     Obs.Span.with_ "pipeline.lambda" @@ fun sp ->
     let repaired, _ = Solver.repair_problem problem in

@@ -59,16 +59,16 @@ type run = {
   problem : Problem.t;
   lambda : float;
   estimate : Solver.estimate;
-  report : Robust.Report.t;  (** what the cascade did to produce [estimate] *)
+  report : Robust.Report.t;  (** what solve_robust did to produce [estimate] *)
   recovery : Metrics.comparison;
 }
 
 val run : config -> profile:(float -> float) -> run
 (** The inversion routes through {!Solver.solve_robust}: λ selection runs
     on a repaired copy of the problem (falling back to λ = 1e-4 when every
-    candidate is non-finite) and the degradation cascade handles faulty
-    data. Raises {!Robust.Error.Error} only when even the cascade's last
-    fallback cannot produce a finite estimate. *)
+    candidate is non-finite) and the robust solve repairs faulty data.
+    Raises {!Robust.Error.Error} with that solve's typed error when its one
+    constrained attempt cannot produce a finite estimate. *)
 
 val deconvolved_vs_minutes : run -> Vec.t * Vec.t
 (** The deconvolved profile with phase scaled to minutes by the mean cycle

@@ -101,6 +101,10 @@ let with_data ?sigmas t measurements =
 
 let num_measurements t = Array.length t.measurements
 
+let validate_data t =
+  Result.bind (Robust.Validate.finite ~stage:"measurements" t.measurements) (fun () ->
+      Robust.Validate.sigmas t.sigmas)
+
 let validate t =
   let ( let* ) = Result.bind in
   let* () = Robust.Validate.kernel t.kernel in
@@ -111,8 +115,7 @@ let validate t =
            { field = "basis"; why = "fewer than 2 basis functions" })
     else Ok ()
   in
-  let* () = Robust.Validate.finite ~stage:"measurements" t.measurements in
-  Robust.Validate.sigmas t.sigmas
+  validate_data t
 
 let weights t = Array.map (fun s -> 1.0 /. (s *. s)) t.sigmas
 

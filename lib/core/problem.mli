@@ -73,7 +73,13 @@ val validate : t -> (unit, Robust.Error.t) result
     times, every row of mass ≈ 1), measurements finite, sigmas finite and
     strictly positive. Turns what used to be deep-in-the-stack crashes or
     silent NaN propagation into an early structured error; the robust
-    solver calls this (after input repair) before touching the QP. *)
+    solver calls this (after input repair) before touching the QP. The
+    kernel is checked first, then the basis, then the measurements, then
+    the sigmas; the first failure is returned. *)
+
+val validate_data : t -> (unit, Robust.Error.t) result
+(** The measurement and sigma part of {!validate} alone, for callers that
+    checked the kernel and basis once for many data sets ({!Batch}). *)
 
 val weights : t -> Vec.t
 (** 1/σ_m² — the weights of the data-fidelity term in eq. 5. *)

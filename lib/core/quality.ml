@@ -46,7 +46,7 @@ let residual_stats problem ~fitted =
   ]
 
 let emit_solve ?solve ~problem ~fitted ~lambda ~entry_lambda ~rss ~degradation
-    ~active_positivity ~qp_iterations ~solved_by ~cascade () =
+    ~active_positivity ~qp_iterations () =
   if Obs.Diag.enabled () then begin
     let { kappa; edf } = system problem ~lambda in
     let values =
@@ -63,10 +63,7 @@ let emit_solve ?solve ~problem ~fitted ~lambda ~entry_lambda ~rss ~degradation
       ]
       @ residual_stats problem ~fitted
     in
-    Obs.Diag.emit
-      (Obs.Diag.make ?solve ~stage:"solve" ~values
-         ~tags:[ ("solved_by", solved_by); ("cascade", cascade) ]
-         ())
+    Obs.Diag.emit (Obs.Diag.make ?solve ~stage:"solve" ~values ())
   end
 
 (* ---------------- report cards over a trace ---------------- *)
@@ -78,7 +75,7 @@ type thresholds = {
   normality_limit : float;
 }
 
-(* kappa_limit matches the solver cascade's default condition_limit: the
+(* kappa_limit matches the solver's default condition_limit: the
    κ at which solve_robust starts preconditioning is also the κ worth
    flagging in a report. *)
 let default_thresholds =
@@ -97,8 +94,6 @@ type card = {
   active_positivity : float;
   qp_iterations : float;
   degradation : float;
-  solved_by : string;
-  cascade : string;
   selector : string;
   curve : (float * float) array;
   flags : string list;
@@ -146,8 +141,6 @@ let cards ?(thresholds = default_thresholds) events =
             active_positivity = value_or_nan d "active_positivity";
             qp_iterations = value_or_nan d "qp_iterations";
             degradation;
-            solved_by = tag_or d "solved_by" "?";
-            cascade = tag_or d "cascade" "?";
             selector =
               (match lambda_diag with Some l -> tag_or l "method" "?" | None -> "-");
             curve = (match lambda_diag with Some l -> l.Obs.Diag.d_curve | None -> [||]);
@@ -188,8 +181,7 @@ let output_card ?(thresholds = default_thresholds) ?(plot = true) oc card =
   Printf.fprintf oc "  constraints  %d active positivity, %d QP iterations\n"
     (int_of_float card.active_positivity)
     (int_of_float card.qp_iterations);
-  Printf.fprintf oc "  cascade      %s (solved by %s, degradation %d)\n" card.cascade
-    card.solved_by (int_of_float card.degradation);
+  Printf.fprintf oc "  degradation  %d\n" (int_of_float card.degradation);
   if plot then begin
     let finite =
       List.filter (fun (_, s) -> Float.is_finite s) (Array.to_list card.curve)
@@ -235,10 +227,10 @@ let json_of_card card =
       (Array.to_list (Array.map (fun (l, s) -> Printf.sprintf "[%s,%s]" (fj l) (fj s)) card.curve))
   in
   Printf.sprintf
-    "{\"solve\":%s,%s,\"solved_by\":%s,\"cascade\":%s,\"selector\":%s,\"flags\":[%s],\"curve\":[%s]}"
+    "{\"solve\":%s,%s,\"selector\":%s,\"flags\":[%s],\"curve\":[%s]}"
     (quote card.solve)
     (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields))
-    (quote card.solved_by) (quote card.cascade) (quote card.selector)
+    (quote card.selector)
     (String.concat "," (List.map quote card.flags))
     curve
 

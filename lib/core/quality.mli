@@ -27,7 +27,7 @@ type system = {
 val system : Problem.t -> lambda:float -> system
 (** κ and edf of the penalized normal system at [lambda], from one
     Cholesky factor of M and n solves against it (M⁻¹ column by column).
-    The one place these statistics are computed: the solver cascade's
+    The one place these statistics are computed: {!Solver.solve_robust}'s
     pre-solve condition check, {!emit_solve} and {!Diagnostics.analyze}
     all call it. Never raises on a non-SPD M: the factor's failure is the
     [infinity]/NaN result. *)
@@ -48,8 +48,6 @@ val emit_solve :
   degradation:int ->
   active_positivity:int ->
   qp_iterations:int ->
-  solved_by:string ->
-  cascade:string ->
   unit ->
   unit
 (** Build and emit the per-solve ["solve"]-stage diag record. The
@@ -82,8 +80,6 @@ type card = {
   active_positivity : float;
   qp_iterations : float;
   degradation : float;
-  solved_by : string;
-  cascade : string;
   selector : string;  (** λ-selection method, from the ["lambda"] diag *)
   curve : (float * float) array;  (** λ-candidate profile, ditto *)
   flags : string list;  (** empty = healthy *)

@@ -7,7 +7,7 @@ type result = {
   misfit_history : Vec.t;
 }
 
-let deconvolve ?on_iteration ?(iterations = 100) ?initial ?(min_value = 1e-12) kernel
+let deconvolve ?(iterations = 100) ?initial ?(min_value = 1e-12) kernel
     ~measurements () =
   assert (iterations >= 1);
   Obs.Span.with_ "rl.deconvolve" (fun sp ->
@@ -27,7 +27,6 @@ let deconvolve ?on_iteration ?(iterations = 100) ?initial ?(min_value = 1e-12) k
       let misfits = Array.make iterations 0.0 in
       let f = ref f in
       for k = 0 to iterations - 1 do
-        (match on_iteration with Some hook -> hook (k + 1) | None -> ());
         let previous = !f in
         let predicted = Mat.mv a !f in
         let ratios =

@@ -13,7 +13,6 @@ type result = {
 }
 
 val deconvolve :
-  ?on_iteration:(int -> unit) ->
   ?iterations:int ->
   ?initial:Vec.t ->
   ?min_value:float ->
@@ -25,6 +24,4 @@ val deconvolve :
     f ← f · (Aᵀ(g ⊘ Af)) ⊘ (Aᵀ1), with the kernel's forward matrix A.
     Measurements are clamped at 0 (RL assumes non-negative data). Default
     100 iterations, flat initial estimate at the data mean, ratios guarded
-    by [min_value] (1e-12). [on_iteration] is invoked with the 1-based
-    iteration index before each multiplicative update and may raise to
-    abort the deconvolution (external deadline/budget enforcement). *)
+    by [min_value] (1e-12). *)

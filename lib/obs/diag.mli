@@ -2,7 +2,7 @@
 
     A [Diag.t] is one quality record — condition number, selected λ and
     effective degrees of freedom, residual whiteness statistics, active
-    constraint counts, the λ-candidate profile, the robust-cascade path —
+    constraint counts, the λ-candidate profile, the degradation level —
     emitted by the solving layers ({!Solver.solve_robust} and friends in
     lib/core) and consumed by [deconv-cli diagnose] / [trace diff].
 

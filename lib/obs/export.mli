@@ -71,7 +71,7 @@ type diag = {
   d_values : (string * float) list;
       (** scalar quality statistics — κ, λ, edf, RSS, runs-test z, ... *)
   d_tags : (string * string) list;
-      (** string facts: selector method, cascade path, outcome *)
+      (** string facts: selector method, outcome *)
   d_curve : (float * float) array;
       (** λ-candidate profile as (lambda, score) pairs; empty for stages
           that carry no curve *)

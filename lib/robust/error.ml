@@ -47,15 +47,6 @@ let equal (a : t) (b : t) =
   | Unexpected x, Unexpected y -> String.equal x.description y.description
   | _ -> false
 
-let recoverable = function
-  | Ill_conditioned _ | Qp_stalled _ | Non_finite _ -> true
-  | Invalid_input { field; _ } -> String.equal field "sigmas"
-  | Kernel_degenerate -> false
-  (* Retrying after a blown budget would only spend more of the resource
-     the caller capped; the cascade must stop, not degrade. *)
-  | Budget_exhausted _ -> false
-  | Unexpected _ -> false
-
 let of_exn = function
   | Error e -> e
   | e -> Unexpected { description = Printexc.to_string e }

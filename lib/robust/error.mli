@@ -1,8 +1,7 @@
 (** Typed taxonomy of the failure modes of the ill-posed inversion
-    (paper §2.3). Every recoverable or diagnosable failure in the solver
-    stack is expressed as one of these values instead of a raw
-    [failwith]/[assert], so callers can branch on the cause and the
-    degradation cascade can decide what to try next. *)
+    (paper §2.3). Every diagnosable failure in the solver stack is
+    expressed as one of these values instead of a raw [failwith]/[assert],
+    so callers can branch on the cause. *)
 
 type t =
   | Ill_conditioned of { cond : float }
@@ -25,8 +24,7 @@ type t =
       (** A per-solve budget ({!Budget}) ran out before the solve
           converged: [resource] names the dimension ("seconds" or
           "iterations"), [limit] the cap, [spent] the amount consumed when
-          the guard fired. Never recoverable — the cascade stops rather
-          than spend more of a capped resource. *)
+          the guard fired. *)
   | Unexpected of { description : string }
       (** A failure outside the taxonomy (an arbitrary exception captured
           at a fault-isolation boundary), kept as a printable description
@@ -42,13 +40,6 @@ val to_string : t -> string
 
 val equal : t -> t -> bool
 (** Structural equality (payloads included). *)
-
-val recoverable : t -> bool
-(** Whether the degradation cascade has a meaningful move left for this
-    error: numerical failures ([Ill_conditioned], [Qp_stalled],
-    [Non_finite]) and repairable sigma problems are recoverable; structural
-    input errors, degenerate kernels, exhausted budgets, and unexpected
-    exceptions are not. *)
 
 val class_name : t -> string
 (** Stable lowercase slug of the constructor (e.g. ["qp_stalled"]), used

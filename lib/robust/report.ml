@@ -1,16 +1,10 @@
 type stage =
   | Validation
-  | Repair
   | Constrained_qp
-  | Unconstrained
-  | Richardson_lucy
 
 let stage_name = function
   | Validation -> "validation"
-  | Repair -> "input repair"
   | Constrained_qp -> "constrained QP"
-  | Unconstrained -> "unconstrained smoothing spline"
-  | Richardson_lucy -> "Richardson-Lucy"
 
 type attempt = {
   stage : stage;
@@ -28,14 +22,13 @@ type t = {
   condition : float;
   repairs : repair list;
   degradation : int;
-  solved_by : stage;
 }
 
 let num_attempts r = List.length r.attempts
 
 let to_string r =
   let buf = Buffer.create 256 in
-  Printf.bprintf buf "solved by %s (degradation level %d)\n" (stage_name r.solved_by)
+  Printf.bprintf buf "solved by %s (degradation level %d)\n" (stage_name Constrained_qp)
     r.degradation;
   Printf.bprintf buf "condition estimate: %.3g\n" r.condition;
   List.iter (fun { action; count } -> Printf.bprintf buf "repair: %s (%d)\n" action count)

@@ -1,15 +1,11 @@
-(** Record of everything the robust solver tried on its way to an answer:
-    which stages ran, with what regularization, how long each took, what
-    failed and why, and which stage finally produced the estimate. *)
+(** Record of what the robust solver did on its way to an answer: the
+    input repairs it applied, the condition estimate behind its
+    preconditioning decision, and its one constrained attempt with the
+    regularization used and the time it took. *)
 
 type stage =
-  | Validation
-  | Repair
+  | Validation  (** input validation; a failure there returns the error, never a report *)
   | Constrained_qp
-  | Unconstrained
-  | Richardson_lucy
-
-val stage_name : stage -> string
 
 type attempt = {
   stage : stage;
@@ -20,10 +16,8 @@ type attempt = {
           (never [Sys.time], which is processor time and undercounts any
           wait) *)
   iterations : int;
-      (** solver iterations the attempt consumed (QP passes — the first
-          scan, then one per add or drop of an active row — or
-          Richardson–Lucy updates); 0 when the stage has no iterative
-          solver or failed before reaching it *)
+      (** QP passes the attempt consumed: the first scan, then one per add
+          or drop of an active row *)
   outcome : (unit, Error.t) result;
 }
 
@@ -33,17 +27,16 @@ type repair = {
 }
 
 type t = {
-  attempts : attempt list;  (** chronological *)
+  attempts : attempt list;  (** chronological; one constrained attempt *)
   condition : float;
       (** 1-norm condition number κ₁ of the penalized normal matrix at the
           entry [lambda] (Deconv.Quality.system); [infinity] when that
           matrix is not numerically SPD *)
   repairs : repair list;  (** input repairs applied before solving *)
   degradation : int;
-      (** 0 = first constrained QP attempt, pristine inputs; 1 = constrained
-          QP after repairs / boosted regularization; 2 = unconstrained
-          smoothing spline; 3 = Richardson–Lucy *)
-  solved_by : stage;  (** the stage that produced the returned estimate *)
+      (** 0 = pristine inputs and no preconditioning ridge; 1 = the
+          constrained QP after input repairs or with the preconditioning
+          ridge *)
 }
 
 val num_attempts : t -> int

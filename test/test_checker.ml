@@ -432,28 +432,18 @@ let test_seeded_defect_file () =
   Alcotest.(check (list string)) "flagged by both rules" [ "R10"; "R11" ] rules
 
 (* Regression: the repository's own lib/ tree is clean under R10-R12 and,
-   with the programs that use it read as users, under R15. Tests run in
-   _build/default/test, so the sources live one directory up (test/dune
-   declares them as dependencies). *)
+   with the programs that use it read as users, under R15. *)
 let test_repo_lib_is_clean () =
-  let root = Filename.concat Filename.parent_dir_name "lib" in
-  if not (Sys.file_exists root) then ()
-  else begin
-    let users =
-      List.map (Filename.concat Filename.parent_dir_name) [ "bin"; "bench"; "examples"; "perfbench" ]
-    in
-    let r = Analysis.Policy.check_paths (root :: users) in
-    List.iter
-      (fun (p, m) -> Alcotest.failf "check error on %s: %s" p m)
-      r.Analysis.Policy.errors;
-    (match r.Analysis.Policy.findings with
-    | [] -> ()
-    | f :: _ ->
-      Alcotest.failf "lib/ has %d unsuppressed finding(s), first: %s"
-        (List.length r.Analysis.Policy.findings)
-        (Analysis.Finding.to_text f));
-    check_true "the graph is not trivially empty" (r.Analysis.Policy.defs > 100)
-  end
+  let users = List.map repo_path [ "bin"; "bench"; "examples"; "perfbench" ] in
+  let r = Analysis.Policy.check_paths (repo_path "lib" :: users) in
+  List.iter (fun (p, m) -> Alcotest.failf "check error on %s: %s" p m) r.Analysis.Policy.errors;
+  (match r.Analysis.Policy.findings with
+  | [] -> ()
+  | f :: _ ->
+    Alcotest.failf "lib/ has %d unsuppressed finding(s), first: %s"
+      (List.length r.Analysis.Policy.findings)
+      (Analysis.Finding.to_text f));
+  check_true "the graph is not trivially empty" (r.Analysis.Policy.defs > 100)
 
 let test_exports_with_locations () =
   let graph =

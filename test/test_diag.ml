@@ -74,7 +74,7 @@ let test_diag_json_round_trip =
           ("bad", Float.nan);
           ("worse", Float.infinity);
         ]
-      ~tags:[ ("solved_by", "constrained QP"); ("cascade", "constrained_qp") ]
+      ~tags:[ ("method", "gcv"); ("note", "second tag") ]
       ~curve:[| (1e-6, 0.25); (1e-5, Float.neg_infinity); (1e-4, 0.5) |]
       ()
   in
@@ -184,9 +184,8 @@ let test_ftsz_solve_emits_quality_record () =
   check_true "edf within (0, n)" (v "edf" > 0.0 && v "edf" < v "n");
   check_true "rss finite" (Float.is_finite (v "rss"));
   check_true "whiteness statistic present" (Float.is_finite (v "runs_z"));
-  (match Obs.Diag.tag solve "cascade" with
-  | Some path -> check_true "cascade path non-empty" (String.length path > 0)
-  | None -> Alcotest.fail "solve record carries no cascade tag")
+  check_close ~tol:0.0 "clean data solves at degradation 0" 0.0 (v "degradation");
+  check_true "no tags on the solve record" (solve.Obs.Diag.d_tags = [])
 
 let render_report ?plot cards = capture (fun oc -> Deconv.Quality.output_report ?plot oc cards)
 
@@ -205,7 +204,7 @@ let test_ftsz_report_card () =
         check_true (Printf.sprintf "report mentions %s" needle) (contains ~needle report))
       [
         "kappa"; "lambda"; "edf"; "rss"; "white (runs z="; "normality z=";
-        "cascade"; "lambda profile"; "1 solve(s), 0 flagged";
+        "degradation  0"; "lambda profile"; "1 solve(s), 0 flagged";
       ];
     let no_plot = render_report ~plot:false [ card ] in
     check_true "--no-plot drops the profile plot"
@@ -227,11 +226,10 @@ let test_report_flags_unhealthy_solve () =
           ("n", 13.0);
           ("runs_z", -4.2);
           ("normality_z", 5.0);
-          ("degradation", 2.0);
+          ("degradation", 1.0);
           ("active_positivity", 0.0);
           ("qp_iterations", 0.0);
         ]
-      ~tags:[ ("solved_by", "unconstrained"); ("cascade", "constrained_qp!>unconstrained") ]
       ()
   in
   match Deconv.Quality.cards [ Obs.Export.Diag solve ] with
@@ -261,7 +259,6 @@ let healthy_solve ~kappa =
            ("rss", 0.5); ("n", 13.0); ("runs_z", 0.3); ("normality_z", -0.4);
            ("degradation", 0.0); ("active_positivity", 2.0); ("qp_iterations", 3.0);
          ]
-       ~tags:[ ("solved_by", "constrained_qp"); ("cascade", "constrained_qp") ]
        ())
 
 let test_report_thresholds () =

@@ -66,8 +66,8 @@ let test_chi2_scale () =
   check_true "report prints" (String.length (Deconv.Diagnostics.to_string report) > 10)
 
 (* 20 coefficients against 13 measurements at lambda = 0: the smoother's
-   normal matrix is not SPD, so its edf is undefined. The cascade still
-   solves (with a preemptive ridge); the adequacy test must report itself
+   normal matrix is not SPD, so its edf is undefined. solve_robust still
+   solves (with the preconditioning ridge); the adequacy test must report itself
    unavailable instead of raising or rejecting. *)
 let test_singular_system_adequacy_unavailable () =
   let wide = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:20 in
@@ -83,7 +83,7 @@ let test_singular_system_adequacy_unavailable () =
   let estimate =
     match Deconv.Solver.solve_robust ~lambda:0.0 problem with
     | Ok (est, _) -> est
-    | Error e -> Alcotest.failf "cascade failed: %s" (Robust.Error.to_string e)
+    | Error e -> Alcotest.failf "robust solve failed: %s" (Robust.Error.to_string e)
   in
   let report = Deconv.Diagnostics.analyze problem estimate in
   check_true "chi2 finite" (Float.is_finite report.Deconv.Diagnostics.chi2);

@@ -457,24 +457,18 @@ let test_scope_text () =
   Alcotest.(check string) "R8" "everywhere except lib/parallel/ and lib/obs/" (scope "R8");
   Alcotest.(check string) "R9" "lib/ only, except lib/dataio/atomic_file.ml" (scope "R9")
 
-(* Regression: the repository's own library tree lints clean. Tests run in
-   _build/default/test, so the (copied) sources live one directory up. *)
+(* Regression: the repository's own library tree lints clean. *)
 let test_repo_tree_is_clean () =
-  let root p = Filename.concat Filename.parent_dir_name p in
-  let paths = List.filter (fun p -> Sys.file_exists (root p)) [ "lib"; "bin"; "bench" ] in
-  if paths = [] then ()
-  else begin
-    let result = Analysis.Lint.run (List.map root paths) in
-    List.iter
-      (fun (p, msg) -> Alcotest.failf "lint error on %s: %s" p msg)
-      result.Analysis.Lint.errors;
-    match result.Analysis.Lint.findings with
-    | [] -> ()
-    | f :: _ ->
-      Alcotest.failf "repo tree has %d finding(s), first: %s"
-        (List.length result.Analysis.Lint.findings)
-        (Analysis.Finding.to_text f)
-  end
+  let result = Analysis.Lint.run (List.map repo_path [ "lib"; "bin"; "bench" ]) in
+  List.iter
+    (fun (p, msg) -> Alcotest.failf "lint error on %s: %s" p msg)
+    result.Analysis.Lint.errors;
+  match result.Analysis.Lint.findings with
+  | [] -> ()
+  | f :: _ ->
+    Alcotest.failf "repo tree has %d finding(s), first: %s"
+      (List.length result.Analysis.Lint.findings)
+      (Analysis.Finding.to_text f)
 
 (* ---------------- R15: exported values with no user ---------------- *)
 

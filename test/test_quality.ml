@@ -2,7 +2,7 @@
    oracles: edf against the direct ridge fit's Σ_m w_m a_mᵀM⁻¹a_m, the
    1-norm κ against the Jacobi κ₂ through κ₂ <= κ₁ <= n·κ₂, and the non-SPD
    contract (κ = ∞, edf = NaN). Also pins that every consumer — the solve
-   record, Diagnostics, the cascade — reads the same numbers, and that the
+   record, Diagnostics, solve_robust — reads the same numbers, and that the
    standardized residuals have one definition. *)
 
 open Numerics
@@ -146,8 +146,7 @@ let test_solve_record_reads_system () =
   Fun.protect ~finally:Obs.Export.uninstall (fun () ->
       Deconv.Quality.emit_solve ~problem ~fitted:est.Deconv.Solver.fitted ~lambda:1e-4
         ~entry_lambda:1e-4 ~rss:est.Deconv.Solver.data_misfit ~degradation:0
-        ~active_positivity:0 ~qp_iterations:0 ~solved_by:"constrained_qp"
-        ~cascade:"constrained_qp" ());
+        ~active_positivity:0 ~qp_iterations:0 ());
   let solve =
     match
       List.find_map
@@ -170,12 +169,12 @@ let test_diagnostics_dof_reads_system () =
   let edf = (Deconv.Quality.system problem ~lambda:1e-3).Deconv.Quality.edf in
   check_close ~tol:0.0 "dof = n - edf" (13.0 -. edf) report.Deconv.Diagnostics.dof
 
-let test_cascade_condition_reads_system () =
+let test_robust_condition_reads_system () =
   let problem = Lazy.force ftsz_problem in
   let _, report =
     match Deconv.Solver.solve_robust ~lambda:1e-4 problem with
     | Ok r -> r
-    | Error e -> Alcotest.failf "cascade failed: %s" (Robust.Error.to_string e)
+    | Error e -> Alcotest.failf "robust solve failed: %s" (Robust.Error.to_string e)
   in
   check_close ~tol:0.0 "report condition is system kappa at the entry lambda"
     (Deconv.Quality.system problem ~lambda:1e-4).Deconv.Quality.kappa
@@ -204,7 +203,7 @@ let tests =
         case "non-SPD system: kappa inf, edf NaN" test_non_spd_system;
         case "solve record reads the system" test_solve_record_reads_system;
         case "diagnostics dof reads the system" test_diagnostics_dof_reads_system;
-        case "cascade condition reads the system" test_cascade_condition_reads_system;
+        case "robust solve condition reads the system" test_robust_condition_reads_system;
         case "one standardized-residual definition" test_standardized_residuals;
       ] );
   ]

@@ -1,5 +1,5 @@
-(* Robustness layer: typed errors, validators, fault injectors, the solver
-   degradation cascade, and the guarded lambda/CSV satellites. *)
+(* Robustness layer: typed errors, validators, fault injectors, the robust
+   solve's one constrained attempt, and the guarded lambda/CSV satellites. *)
 
 open Numerics
 open Testutil
@@ -23,8 +23,14 @@ let clean_data = lazy (Deconv.Forward.apply_fn (Lazy.force kernel) pulse)
 
 let rng () = Rng.create 42
 
-let solved_by r = r.Robust.Report.solved_by
 let degradation r = r.Robust.Report.degradation
+
+(* The one-attempt contract: every Ok report holds exactly one successful
+   constrained QP attempt. *)
+let one_constrained_attempt r =
+  match r.Robust.Report.attempts with
+  | [ { Robust.Report.stage = Robust.Report.Constrained_qp; outcome = Ok (); _ } ] -> true
+  | _ -> false
 
 let expect_ok = function
   | Ok v -> v
@@ -78,21 +84,6 @@ let test_error_classes () =
     (same_class
        (Robust.Error.Qp_stalled { iterations = 1 })
        (Robust.Error.Qp_stalled { iterations = 2 }))
-
-let test_error_recoverable () =
-  check_true "numerical errors recoverable"
-    (List.for_all Robust.Error.recoverable
-       [
-         Robust.Error.Ill_conditioned { cond = 1e12 };
-         Robust.Error.Qp_stalled { iterations = 100 };
-         Robust.Error.Non_finite { stage = "x" };
-       ]);
-  check_true "degenerate kernel is not"
-    (not (Robust.Error.recoverable Robust.Error.Kernel_degenerate));
-  check_true "bad sigmas are repairable"
-    (Robust.Error.recoverable (Robust.Error.Invalid_input { field = "sigmas"; why = "zero" }));
-  check_true "structural input errors are not"
-    (not (Robust.Error.recoverable (Robust.Error.Invalid_input { field = "times"; why = "" })))
 
 (* ---------------- Validators ---------------- *)
 
@@ -280,7 +271,7 @@ let test_clean_matches_solve () =
   let problem = make_problem (Lazy.force clean_data) in
   let est, report = expect_ok (Deconv.Solver.solve_robust ~lambda:1e-4 problem) in
   Alcotest.(check int) "degradation 0" 0 (degradation report);
-  check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
+  check_true "one constrained attempt" (one_constrained_attempt report);
   check_true "no repairs" (report.Robust.Report.repairs = []);
   Alcotest.(check int) "single attempt" 1 (Robust.Report.num_attempts report);
   check_true "condition estimated" (report.Robust.Report.condition >= 1.0);
@@ -319,7 +310,7 @@ let test_singular_system_preconditioned () =
   check_true "condition infinite" (report.Robust.Report.condition = Float.infinity);
   check_true "first attempt carries a ridge" (first_attempt_ridge report > 0.0);
   Alcotest.(check int) "degradation 1" 1 (degradation report);
-  check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
+  check_true "one constrained attempt" (one_constrained_attempt report);
   check_true "estimate finite" (finite_estimate est)
 
 (* A finite κ above the policy's limit takes the same branch: the ridge is
@@ -342,10 +333,10 @@ let test_condition_limit_preconditions () =
   check_close ~tol:0.0 "same condition estimate" kappa report.Robust.Report.condition;
   check_true "first attempt carries a ridge" (first_attempt_ridge report > 0.0);
   Alcotest.(check int) "degradation 1" 1 (degradation report);
-  check_true "solved by constrained QP" (solved_by report = Robust.Report.Constrained_qp);
+  check_true "one constrained attempt" (one_constrained_attempt report);
   check_true "estimate finite" (finite_estimate est)
 
-(* ---------------- solve_robust: repair + cascade ---------------- *)
+(* ---------------- solve_robust: repair and typed errors ---------------- *)
 
 let test_nan_measurement_repaired () =
   let poisoned =
@@ -419,76 +410,20 @@ let test_degenerate_kernel_is_terminal () =
   expect_error_class Robust.Error.Kernel_degenerate
     (Deconv.Solver.solve_robust ~lambda:1e-4 (make_problem ~kernel:k (Lazy.force clean_data)))
 
-let test_stall_falls_back_to_unconstrained () =
-  let policy =
-    { Deconv.Solver.default_policy with Deconv.Solver.qp_max_iter = 1; max_retries = 1 }
-  in
-  let est, report =
-    expect_ok
-      (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
-  in
-  check_true "estimate finite" (finite_estimate est);
-  Alcotest.(check int) "degradation 2" 2 (degradation report);
-  check_true "solved by unconstrained" (solved_by report = Robust.Report.Unconstrained);
-  (* Both constrained attempts must be on record as stalls. *)
-  let stalls =
-    List.filter
-      (fun a ->
-        a.Robust.Report.stage = Robust.Report.Constrained_qp
-        &&
-        match a.Robust.Report.outcome with
-        | Error (Robust.Error.Qp_stalled _) -> true
-        | _ -> false)
-      report.Robust.Report.attempts
-  in
-  Alcotest.(check int) "two recorded stalls" 2 (List.length stalls);
-  (* The retry must have escalated both lambda and ridge. *)
-  (match
-     List.filter (fun a -> a.Robust.Report.stage = Robust.Report.Constrained_qp)
-       report.Robust.Report.attempts
-   with
-  | [ first; second ] ->
-    check_true "lambda boosted" (second.Robust.Report.lambda > first.Robust.Report.lambda);
-    check_true "ridge escalated" (second.Robust.Report.ridge > first.Robust.Report.ridge)
-  | _ -> Alcotest.fail "expected exactly two constrained attempts")
-
-let test_stall_falls_back_to_richardson_lucy () =
-  let policy =
-    {
-      Deconv.Solver.default_policy with
-      Deconv.Solver.qp_max_iter = 1;
-      max_retries = 0;
-      enable_unconstrained = false;
-    }
-  in
-  let est, report =
-    expect_ok
-      (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
-  in
-  check_true "estimate finite" (finite_estimate est);
-  Alcotest.(check int) "degradation 3" 3 (degradation report);
-  check_true "solved by RL" (solved_by report = Robust.Report.Richardson_lucy);
-  Array.iter
-    (fun v -> check_true "RL profile nonnegative" (v >= 0.0))
-    est.Deconv.Solver.profile;
-  (* RL on clean data should still roughly find the pulse. *)
-  let truth = Array.map pulse (Lazy.force kernel).Cellpop.Kernel.phases in
-  let c = Deconv.Metrics.compare ~truth ~estimate:est.Deconv.Solver.profile in
-  check_true "RL fallback recovers the shape" (c.Deconv.Metrics.correlation > 0.8)
-
-let test_everything_disabled_reports_last_error () =
-  let policy =
-    {
-      Deconv.Solver.default_policy with
-      Deconv.Solver.qp_max_iter = 1;
-      max_retries = 0;
-      enable_unconstrained = false;
-      enable_richardson_lucy = false;
-    }
-  in
-  expect_error_class
-    (Robust.Error.Qp_stalled { iterations = 0 })
-    (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
+(* A one-pass cap on a problem whose positivity rows need a second pass:
+   the one attempt stalls and its typed error, with the pass it spent, is
+   the result. There is no later stage to hand the problem to. *)
+let test_stall_is_typed_error () =
+  let clean = make_problem (Lazy.force clean_data) in
+  check_true "the clean problem needs a second pass"
+    ((Deconv.Solver.solve ~lambda:1e-4 clean).Deconv.Solver.qp_iterations >= 2);
+  let policy = { Deconv.Solver.default_policy with Deconv.Solver.qp_max_iter = 1 } in
+  match Deconv.Solver.solve_robust ~policy ~lambda:1e-4 clean with
+  | Error e ->
+    check_true
+      (Printf.sprintf "Qp_stalled after 1 iteration, got %s" (Robust.Error.to_string e))
+      (Robust.Error.equal e (Robust.Error.Qp_stalled { iterations = 1 }))
+  | Ok _ -> Alcotest.fail "a one-pass cap returned an estimate"
 
 let test_duplicate_time_kernel_recovered () =
   let k =
@@ -498,26 +433,19 @@ let test_duplicate_time_kernel_recovered () =
     Robust.Fault.apply (Faults.spike ~index:6 ~magnitude:0.5 ()) (rng ())
       (Lazy.force clean_data)
   in
-  match Deconv.Solver.solve_robust ~lambda:1e-6 (make_problem ~kernel:k measurements) with
-  | Ok (est, report) ->
-    check_true "estimate finite" (finite_estimate est);
-    check_true "report names the stage that solved it"
-      (String.length (Robust.Report.stage_name (solved_by report)) > 0)
-  | Error e ->
-    (* Catching it with a typed error is also acceptable — what is banned
-       is an escaped exception. *)
-    check_true "typed error" (Robust.Error.recoverable e || e = Robust.Error.Kernel_degenerate)
+  let est, report =
+    expect_ok (Deconv.Solver.solve_robust ~lambda:1e-6 (make_problem ~kernel:k measurements))
+  in
+  check_true "estimate finite" (finite_estimate est);
+  check_true "one constrained attempt" (one_constrained_attempt report)
 
 let test_report_to_string () =
-  let policy =
-    { Deconv.Solver.default_policy with Deconv.Solver.qp_max_iter = 1; max_retries = 0 }
-  in
   let _, report =
-    expect_ok
-      (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
+    expect_ok (Deconv.Solver.solve_robust ~lambda:1e-4 (make_problem (Lazy.force clean_data)))
   in
-  check_true "mentions the solving stage"
-    (contains ~needle:"unconstrained" (Robust.Report.to_string report))
+  let text = Robust.Report.to_string report in
+  check_true "names the solving stage" (contains ~needle:"solved by constrained QP" text);
+  check_true "states the degradation level" (contains ~needle:"degradation level 0" text)
 
 (* ---------------- Overflowing weights and stall pins ---------------- *)
 
@@ -549,13 +477,70 @@ let test_overflowing_weight_repaired () =
        (fun r -> String.equal r.Robust.Report.action "replaced invalid sigmas")
        report.Robust.Report.repairs)
 
+(* Batch checks the shared kernel and basis once, in prepare, and only the
+   measurements and sigmas per gene: every combination of a kernel fault
+   and a data fault must still give Problem.validate's error, in its
+   kernel -> basis -> measurements -> sigmas precedence. *)
+let test_batch_validation_matches_problem () =
+  let k = Lazy.force kernel in
+  let kernels =
+    [
+      ("clean kernel", k);
+      ("NaN column", Robust.Fault.apply (Faults.kernel_nan_column ~column:7 ()) (rng ()) k);
+      ("zero row", Robust.Fault.apply (Faults.kernel_zero_row ~row:3 ()) (rng ()) k);
+      ("shuffled times", Robust.Fault.apply Faults.kernel_shuffle_times (rng ()) k);
+    ]
+  in
+  let data = Lazy.force clean_data and sigmas = Array.make 13 0.1 in
+  let nan_data = Robust.Fault.apply (Robust.Fault.nan_at ~index:4 ()) (rng ()) data in
+  let zero_sigmas = Robust.Fault.apply (Faults.zero_at ~index:2 ()) (rng ()) sigmas in
+  let genes =
+    [
+      ("clean data", data, sigmas);
+      ("NaN measurement", nan_data, sigmas);
+      ("zero sigma", data, zero_sigmas);
+      ("NaN and zero sigma", nan_data, zero_sigmas);
+    ]
+  in
+  List.iter
+    (fun (kname, kernel) ->
+      let batch = Deconv.Batch.prepare ~kernel ~basis ~params () in
+      List.iter
+        (fun (gname, measurements, sigmas) ->
+          let label = kname ^ ", " ^ gname in
+          let problem = Deconv.Problem.create ~sigmas ~kernel ~basis ~measurements ~params () in
+          match
+            ( Deconv.Problem.validate problem,
+              Deconv.Batch.solve_gene_result batch ~sigmas ~lambda:(`Fixed 1e-4) ~measurements () )
+          with
+          | Ok (), Ok _ -> ()
+          | Error expected, Error got ->
+            check_true
+              (Printf.sprintf "%s: %s, expected %s" label (Robust.Error.to_string got)
+                 (Robust.Error.to_string expected))
+              (Robust.Error.equal expected got)
+          | Ok (), Error e ->
+            Alcotest.failf "%s: valid gene failed: %s" label (Robust.Error.to_string e)
+          | Error e, Ok _ ->
+            Alcotest.failf "%s: invalid gene (%s) solved" label (Robust.Error.to_string e))
+        genes)
+    kernels
+
+let test_validate_data_skips_kernel () =
+  let k = Robust.Fault.apply (Faults.kernel_zero_row ~row:3 ()) (rng ()) (Lazy.force kernel) in
+  let problem = make_problem ~kernel:k (Lazy.force clean_data) in
+  expect_error_class Robust.Error.Kernel_degenerate (Deconv.Problem.validate problem);
+  expect_ok (Deconv.Problem.validate_data problem);
+  expect_error_class
+    (Robust.Error.Non_finite { stage = "measurements" })
+    (Deconv.Problem.validate_data
+       (make_problem ~kernel:k
+          (Robust.Fault.apply (Robust.Fault.nan_at ~index:4 ()) (rng ()) (Lazy.force clean_data))))
+
 (* Weights of 1e300 pass validation and the dual active-set method solves
    them exactly: a finite estimate, positive on the grid to the QP's
-   feasibility tolerance. A stall's iteration count is carried through the
-   cascade instead: with a one-pass cap, a problem whose positivity rows
-   need a second pass stalls on its first constrained rung, and that
-   attempt records Qp_stalled with the one pass it spent. *)
-let test_solve_reports_stall_iterations () =
+   feasibility tolerance. *)
+let test_solve_huge_weights () =
   let problem = make_problem ~sigmas:(Array.make 13 1e-150) (Lazy.force clean_data) in
   let est = Deconv.Solver.solve ~lambda:1e-4 problem in
   check_true "estimate finite" (finite_estimate est);
@@ -563,20 +548,54 @@ let test_solve_reports_stall_iterations () =
   let lowest = Array.fold_left Float.min Float.infinity profile in
   check_true
     (Printf.sprintf "estimate feasible (min %g)" lowest)
-    (lowest >= -1e-9 *. Float.max 1.0 (Vec.norm_inf profile));
-  let clean = make_problem (Lazy.force clean_data) in
-  check_true "the clean problem needs a second pass"
-    ((Deconv.Solver.solve ~lambda:1e-4 clean).Deconv.Solver.qp_iterations >= 2);
-  let policy = { Deconv.Solver.default_policy with Deconv.Solver.qp_max_iter = 1 } in
-  let _, report = expect_ok (Deconv.Solver.solve_robust ~policy ~lambda:1e-4 clean) in
-  match report.Robust.Report.attempts with
-  | first :: _ ->
-    Alcotest.(check int) "attempt iterations" 1 first.Robust.Report.iterations;
-    check_true "Qp_stalled after 1 iteration"
-      (match first.Robust.Report.outcome with
-      | Error e -> Robust.Error.equal e (Robust.Error.Qp_stalled { iterations = 1 })
-      | Ok () -> false)
-  | [] -> Alcotest.fail "no attempt recorded"
+    (lowest >= -1e-9 *. Float.max 1.0 (Vec.norm_inf profile))
+
+(* ---------------- the one-attempt contract ---------------- *)
+
+(* Every input family the robust solve repairs or preconditions, over
+   bases with fewer and more coefficients than measurements and λ from 0
+   (not SPD on the wide basis) to heavy smoothing: each solve is answered
+   by its one constrained attempt at degradation 0 or 1, and the estimate
+   keeps the paper's constraints. *)
+let sweep_inputs =
+  let data () = Lazy.force clean_data and sigmas () = Array.make 13 0.1 in
+  let faulty_data fault () = (Robust.Fault.apply fault (rng ()) (data ()), sigmas ()) in
+  [
+    ("none", fun () -> (data (), sigmas ()));
+    ("NaN", faulty_data (Robust.Fault.nan_at ~index:4 ()));
+    ( "zero sigma",
+      fun () -> (data (), Robust.Fault.apply (Faults.zero_at ~index:2 ()) (rng ()) (sigmas ())) );
+    ("1e-160 sigma", fun () -> (data (), overflow_sigmas ()));
+    ("spike", faulty_data (Faults.spike ~index:6 ~magnitude:0.5 ()));
+  ]
+
+let test_one_attempt_sweep fault input () =
+  let measurements, sigmas = input () in
+  List.iter
+    (fun knots ->
+      let basis = Spline.Natural.with_uniform_knots ~lo:0.0 ~hi:1.0 ~num_knots:knots in
+      let problem =
+        Deconv.Problem.create ~sigmas ~kernel:(Lazy.force kernel) ~basis ~measurements ~params ()
+      in
+      let conservation = Deconv.Constraints.conservation_row params basis in
+      let rate = Deconv.Constraints.rate_continuity_row params basis in
+      List.iter
+        (fun lambda ->
+          let label = Printf.sprintf "%s, %d knots, lambda %g" fault knots lambda in
+          let est, report = expect_ok (Deconv.Solver.solve_robust ~lambda problem) in
+          check_true (label ^ ": one constrained attempt") (one_constrained_attempt report);
+          check_true (label ^ ": degradation <= 1") (degradation report <= 1);
+          check_true (label ^ ": estimate finite") (finite_estimate est);
+          let alpha = est.Deconv.Solver.alpha in
+          let scale = 1.0 +. Vec.norm_inf alpha in
+          check_true (label ^ ": conservation holds")
+            (Float.abs (Vec.dot conservation alpha) <= 1e-9 *. scale);
+          check_true (label ^ ": rate continuity holds")
+            (Float.abs (Vec.dot rate alpha) <= 1e-9 *. scale);
+          check_true (label ^ ": positive on the grid")
+            (Vec.min est.Deconv.Solver.profile >= -1e-6 *. scale))
+        [ 0.0; 1e-9; 1e-4; 1e2 ])
+    [ 6; 20 ]
 
 (* ---------------- Pipeline end-to-end ---------------- *)
 
@@ -739,7 +758,6 @@ let tests =
       [
         case "to_string total" test_error_strings;
         case "equal and same_class" test_error_classes;
-        case "recoverable classification" test_error_recoverable;
         case "validate times" test_validate_times;
         case "validate sigmas" test_validate_sigmas;
         case "usable sigma" test_usable_sigma;
@@ -772,16 +790,20 @@ let tests =
         case "repair_problem: masks and replaces" test_repair_problem_masks_and_replaces;
         case "repair disabled -> typed error" test_repair_disabled_reports_error;
         case "degenerate kernel -> typed error" test_degenerate_kernel_is_terminal;
-        case "stall -> unconstrained fallback" test_stall_falls_back_to_unconstrained;
-        case "stall -> Richardson-Lucy fallback" test_stall_falls_back_to_richardson_lucy;
-        case "no fallback -> last error" test_everything_disabled_reports_last_error;
+        case "stall -> typed Qp_stalled" test_stall_is_typed_error;
         case "duplicated time point survives" test_duplicate_time_kernel_recovered;
         case "report rendering" test_report_to_string;
         case "qp stall status" test_qp_stall_status;
         case "overflowing weight rejected" test_overflowing_weight_rejected;
         case "overflowing weight repaired" test_overflowing_weight_repaired;
-        case "solve reports stall iterations" test_solve_reports_stall_iterations;
+        case "huge weights solve exactly" test_solve_huge_weights;
+        case "batch validation matches Problem.validate" test_batch_validation_matches_problem;
+        case "validate_data skips kernel and basis" test_validate_data_skips_kernel;
       ] );
+    ( "robust-one-attempt",
+      List.map
+        (fun (fault, input) -> case ("sweep: " ^ fault) (test_one_attempt_sweep fault input))
+        sweep_inputs );
     ( "robust-pipeline",
       [
         case "nan-poisoned run completes" test_pipeline_nan_poisoned_completes;

@@ -51,6 +51,23 @@ let check_vec ?(tol = 1e-9) msg expected actual =
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* [repo_path dir] is [dir] of the repository's source tree: one directory
+   up when the tests run in _build/default/test (test/dune declares the
+   sources as dependencies), the working directory when main.exe runs from
+   the repository root. A missing tree or directory fails the test, so the
+   tree-wide checks never pass without checking anything. *)
+let repo_path dir =
+  let is_root root =
+    Sys.file_exists (Filename.concat root "dune-project")
+    && Sys.file_exists (Filename.concat root "lib")
+  in
+  match List.find_opt is_root [ Filename.parent_dir_name; Filename.current_dir_name ] with
+  | None -> Alcotest.fail "no repository tree (dune-project and lib/) in .. or ."
+  | Some root ->
+    let path = Filename.concat root dir in
+    if not (Sys.file_exists path) then Alcotest.failf "%s is missing" path;
+    path
+
 (* Does [needle] occur in [hay]? *)
 let contains ~needle hay =
   let n = String.length needle and h = String.length hay in
